@@ -968,13 +968,12 @@ let sharding ?detector scale =
 (* Spec compiler microbenchmark                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Interpreter vs compiled conflict checks (ROADMAP item 3, hot-path
-   compilation).  For every ordered method pair of every shipped spec,
-   time the staged-interpreter path — stage [Formula.compile cond] once,
-   then build an [Invocation.env] per check, which is exactly what a
-   non-compiled gatekeeper pays per scan entry — against the spec
-   compiler's flat closure, and measure minor-heap words allocated per
-   check on both paths.
+(* Interpreter vs compiled conflict checks.  For every ordered method
+   pair of every shipped spec, time the oracle — [Formula.eval] over an
+   [Invocation.env] built per check, the reference the differential suite
+   (test/test_compile.ml) compares against — against the spec compiler's
+   flat closure, which every detector uses, and measure minor-heap words
+   allocated per check on both paths.
 
    Two properties are gated (exit 1), because they are deterministic:
    compiled and interpreter verdicts must agree on every canned
@@ -987,8 +986,8 @@ let compile_gate_failed = ref false
 let compile_bench scale =
   header
     "Spec compiler: interpreter vs compiled conflict checks\n\
-     interp = staged formula + per-check Invocation.env (gatekeeper default)\n\
-     compiled = Compile.condition closure (gatekeeper ~compiled:true)";
+     interp = Formula.eval + per-check Invocation.env (the oracle)\n\
+     compiled = Compile.condition closure (every detector)";
   let specs =
     [
       Iset.precise_spec ();
@@ -1102,14 +1101,13 @@ let compile_bench scale =
       List.iter
         (fun (((first, second) : string * string), check) ->
           let cond = Spec.cond spec ~first ~second in
-          let staged = Formula.compile cond in
           (* Mirror Gatekeeper.check_env's per-check shape exactly: the
              [sfun] closure and the [Spec.vfun spec] partial application
              are built fresh per evaluation there too, so their cost is
              part of the interpreter baseline, not bench artifact. *)
           let interp i1 i2 =
             let sfun name _ _ _ = raise (Formula.Unsupported name) in
-            staged (Invocation.env ~sfun ~vfun:(Spec.vfun spec) i1 i2)
+            Formula.eval (Invocation.env ~sfun ~vfun:(Spec.vfun spec) i1 i2) cond
           in
           (* Call the compiled closure the way a gatekeeper scan does —
              directly — rather than through [check_pure]'s dispatch: a
@@ -1161,9 +1159,9 @@ let compile_bench scale =
           in
           match (check, !usable) with
           | Compile.Interp _, _ ->
-              (* state-dependent: both paths are the same staged
-                 interpreter behind a detector-supplied environment —
-                 nothing to compare *)
+              (* state-dependent: detectors evaluate these with
+                 Formula.eval behind their own environment, which is the
+                 baseline — nothing to compare *)
               Obs.incr c_interp;
               row [ ("measured", Jsonx.Bool false) ]
           | _, None ->

@@ -169,9 +169,10 @@ let sfun_at (t : t) seq name (args : Value.t list) =
       Value.Int (loser_at t ~seq (Value.to_int a) (Value.to_int b))
   | _ -> raise (Formula.Unsupported ("union_find sfun " ^ name))
 
-(** Hooks for {!Commlat_core.Gatekeeper.general}: past states are answered
-    by {!sfun_at}, so the gatekeeper never performs an undo/redo sweep
-    (undo/redo remain available for transaction aborts). *)
+(** Hooks for a general gatekeeper ({!Commlat_core.Gatekeeper.make}
+    [~allow_rollback:true]): past states are answered by {!sfun_at}, so the
+    gatekeeper never performs an undo/redo sweep (undo/redo remain
+    available for transaction aborts). *)
 let hooks (t : t) =
   Gatekeeper.hooks ~undo:(undo t) ~redo:(redo t)
     ~forget:(Union_find.forget t.base)

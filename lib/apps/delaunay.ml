@@ -456,8 +456,8 @@ let spec_for (scheme : Protect.scheme) =
       Triset.simple_spec ()
   | _ -> Triset.precise_spec ()
 
-let detector ?obs ?(compiled = true) t scheme =
-  Protect.protect ?obs ~compiled ~spec:(spec_for scheme)
+let detector ?obs t scheme =
+  Protect.protect ?obs ~spec:(spec_for scheme)
     ~adt:(Protect.adt ~hooks:(Triset.hooks t.live) ())
     scheme
 

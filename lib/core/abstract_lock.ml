@@ -341,17 +341,6 @@ let release_all t txn =
 (* Detector                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile a pure M1-side key term to a function of the invocation. *)
-let compile_key (spec : Spec.t) (t : Formula.term) : Invocation.t -> Value.t =
-  let c = Formula.compile_term t in
-  fun inv ->
-    c
-      (Formula.env
-         ~vfun:(fun name args -> Spec.vfun spec name args)
-         ~arg:(fun _ i -> inv.Invocation.args.(i))
-         ~ret:(fun _ -> inv.Invocation.ret)
-         ())
-
 (** Build a conflict detector from a SIMPLE specification.  [reduce_scheme]
     (default [true]) applies the superfluous-mode optimization first.
 
@@ -364,20 +353,15 @@ let compile_key (spec : Spec.t) (t : Formula.term) : Invocation.t -> Value.t =
     is unknown before [exec].  The concrete [exec] itself is briefly
     serialized under a dedicated guard.
 
-    [compiled] (default [false]) evaluates key terms through
-    {!Compile.key}'s zero-environment closures instead of staging an
-    environment per invocation; key values (hence lock behaviour) are
-    identical.  The compatibility matrix is always consulted through the
+    Key terms are evaluated through {!Compile.key}'s zero-environment
+    closures, and the compatibility matrix is consulted through the
     {!Compile.Bitmat} bitset. *)
-let detector ?(reduce_scheme = true) ?(stripes = 0) ?(compiled = false) ?obs
-    (spec : Spec.t) : Detector.t =
+let detector ?(reduce_scheme = true) ?(stripes = 0) ?obs (spec : Spec.t) :
+    Detector.t =
   let scheme = construct spec in
   let scheme = if reduce_scheme then reduce scheme else scheme in
   let t = table ?obs ~stripes scheme in
-  let key_fn =
-    if compiled then Compile.key spec else compile_key spec
-  in
-  (* stage the key computations once per method *)
+  (* compile the key computations once per method *)
   let compiled_acqs :
       (string, (int * bool * (Invocation.t -> Value.t) option) list) Hashtbl.t =
     Hashtbl.create 16
@@ -387,7 +371,7 @@ let detector ?(reduce_scheme = true) ?(stripes = 0) ?(compiled = false) ?obs
       Hashtbl.replace compiled_acqs m
         (List.map
            (fun (a : acquisition) ->
-             (a.mode, a.after_exec, Option.map key_fn a.key))
+             (a.mode, a.after_exec, Option.map (Compile.key spec) a.key))
            acqs))
     scheme.acquisitions;
   let c_inv = Obs.counter t.obs "invocations" in
@@ -440,8 +424,7 @@ let detector ?(reduce_scheme = true) ?(stripes = 0) ?(compiled = false) ?obs
         r)
   in
   {
-    Detector.name =
-      Fmt.str "abslock%s(%s)" (if stripes > 0 then "-striped" else "") (Spec.adt spec);
+    Detector.name = Obs.scope t.obs;
     on_invoke;
     on_commit = (fun txn -> release_all t txn);
     on_abort = (fun txn -> release_all t txn);
@@ -456,7 +439,3 @@ let detector ?(reduce_scheme = true) ?(stripes = 0) ?(compiled = false) ?obs
     snapshot = (fun () -> Obs.snapshot t.obs);
     guards = all_sgs @ [ t.mu ];
   }
-
-module Private = struct
-  let detector = detector
-end

@@ -67,30 +67,19 @@ val release_all : table -> int -> unit
 
 (** {1 Detector} *)
 
-(** Implementation detail of {!Commlat_runtime.Protect} (schemes
-    [Abstract_lock] / [Sharded (Abstract_lock, n)]) and of this library's
-    own tests; application code should construct detectors through
-    [Protect.protect]. *)
-module Private : sig
-  (** Build a conflict detector from a SIMPLE specification.
-      [reduce_scheme] (default [true]) applies the superfluous-mode
-      optimization first.  [stripes > 0] stripes the lock table (see
-      {!table}): an invocation takes only the stripe guards of the locks
-      it acquires — methods with return-value acquisitions take all of
-      them — and the concrete execution is briefly serialized under a
-      dedicated guard.  Reports exactly the conflicts of the unstriped
-      detector.
+(** Build a conflict detector from a SIMPLE specification, named
+    ["abslock(ADT)"], or ["abslock-striped(ADT)"] when [stripes > 0].
+    [reduce_scheme] (default [true]) applies the superfluous-mode
+    optimization first.  [stripes > 0] stripes the lock table (see
+    {!table}): an invocation takes only the stripe guards of the locks it
+    acquires — methods with return-value acquisitions take all of them —
+    and the concrete execution is briefly serialized under a dedicated
+    guard.  Reports exactly the conflicts of the unstriped detector.
 
-      [compiled] (default [false]) evaluates key terms through
-      {!Compile.key}'s zero-environment closures instead of staging a
-      {!Formula.env} per invocation; key values (hence lock behaviour) are
-      identical.  The mode-compatibility matrix is always consulted
-      through the {!Compile.Bitmat} bitset. *)
-  val detector :
-    ?reduce_scheme:bool ->
-    ?stripes:int ->
-    ?compiled:bool ->
-    ?obs:bool ->
-    Spec.t ->
-    Detector.t
-end
+    Lock keys are evaluated through {!Compile.key}'s zero-environment
+    closures; the mode-compatibility matrix is consulted through the
+    {!Compile.Bitmat} bitset.  Most callers should go through
+    [Protect.protect] (schemes [Abstract_lock] and
+    [Sharded (Abstract_lock, n)]). *)
+val detector :
+  ?reduce_scheme:bool -> ?stripes:int -> ?obs:bool -> Spec.t -> Detector.t

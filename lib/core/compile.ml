@@ -1,12 +1,12 @@
-(** The spec compiler: zero-allocation conflict checks (ROADMAP item 3).
+(** The spec compiler: zero-allocation conflict checks.
 
     Detectors evaluate the same handful of commutativity conditions
-    millions of times.  The staged {!Formula.compile} already removes the
-    AST dispatch, but every call still builds a fresh {!Formula.env} — an
-    argument closure, a return closure, an [sfun]/[vfun] closure and the
-    record itself — and resolves every [Vfun] through [List.assoc].  On a
-    state-free condition that is pure overhead: nothing in the check
-    depends on anything but the two invocation records.
+    millions of times.  The oracle, {!Formula.eval}, walks the AST and
+    needs a {!Formula.env} per check — an argument closure, a return
+    closure, an [sfun]/[vfun] closure and the record itself — and resolves
+    every [Vfun] through [List.assoc].  On a state-free condition that is
+    pure overhead: nothing in the check depends on anything but the two
+    invocation records.
 
     This module specializes each ordered method-pair condition into a flat
     closure [Invocation.t -> Invocation.t -> bool] that reads arguments
@@ -24,9 +24,10 @@
       time, falling back to the generic {!Formula.arith_op} path on the
       first non-integer leaf so verdicts are bit-identical to the
       interpreter (including the total division-by-zero semantics);
-    - {b state-dependent fallback}: conditions with [Sfun]s keep the
-      staged interpreter — they need a gatekeeper's log-backed oracle and
-      are out of scope for the fast path (recorded as [Interp]).
+    - {b state-dependent conditions} (those with [Sfun]s) are recorded as
+      [Interp] and evaluated with {!Formula.eval}: they need a
+      gatekeeper's log-backed state oracle, and the environment and log
+      lookups, not the AST walk, dominate their cost.
 
     {!Bitmat} is the companion representation change for abstract locks: a
     lock-mode compatibility matrix packed into a [Bytes] bitset, one bit
@@ -349,7 +350,7 @@ let rec formula vt (f : Formula.t) : Invocation.t -> Invocation.t -> bool =
 type check =
   | Static of bool
   | Fast of (Invocation.t -> Invocation.t -> bool)
-  | Interp of Formula.t * (Formula.env -> bool)
+  | Interp of Formula.t
 
 let kind = function
   | Static b -> if b then "static-true" else "static-false"
@@ -361,9 +362,7 @@ let condition_with vt (f : Formula.t) : check =
   | Formula.True -> Static true
   | Formula.False -> Static false
   | f when Formula.is_state_free f -> Fast (formula vt f)
-  | f -> Interp (f, Formula.compile f)
-
-let compile_condition spec f = condition_with (vtable spec) f
+  | f -> Interp f
 
 type t = {
   spec : Spec.t;
@@ -396,12 +395,12 @@ let check_pure t (c : check) (i1 : Invocation.t) (i2 : Invocation.t) : bool =
   match c with
   | Static b -> b
   | Fast f -> f i1 i2
-  | Interp (_, compiled) ->
-      compiled
+  | Interp f ->
+      Formula.eval
         (Invocation.env
            ~sfun:(fun name _ _ _ -> raise (Formula.Unsupported name))
-           ~vfun:(fun name args -> Spec.vfun t.spec name args)
-           i1 i2)
+           ~vfun:(Spec.vfun t.spec) i1 i2)
+        f
 
 (* ------------------------------------------------------------------ *)
 (* Single-invocation key compilation (lock keys, shard keys)            *)

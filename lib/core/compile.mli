@@ -1,4 +1,5 @@
-(** The spec compiler: zero-allocation conflict checks (ROADMAP item 3).
+(** The spec compiler: zero-allocation conflict checks, and the one
+    condition evaluator every detector uses.
 
     Specializes each ordered method-pair commutativity condition into a
     flat closure over the two invocation records — no {!Formula.env}
@@ -6,8 +7,9 @@
     arithmetic fused to unboxed [int] code with an exact fallback to the
     generic interpreter semantics.  State-free conditions check with zero
     minor-heap allocations (vfun argument lists are the one documented
-    exception); state-dependent conditions keep the staged interpreter and
-    are served through a gatekeeper's log-backed environment as before.
+    exception).  State-dependent conditions stay formulas ([Interp]):
+    gatekeepers evaluate them with {!Formula.eval} over their log-backed
+    environment.
 
     Verdicts are bit-identical to {!Formula.eval} on every input,
     including the total division-by-zero semantics and the exception
@@ -36,19 +38,16 @@ end
 
 (** A compiled condition.  [Static] needs no evaluation at all; [Fast] is
     the zero-environment two-invocation closure (state-free conditions);
-    [Interp] keeps the original formula and its staged interpreter for
-    state-dependent conditions, which need a detector-supplied
-    environment (log-backed [sfun]s). *)
+    [Interp] keeps the formula of a state-dependent condition, which
+    {!Formula.eval} evaluates in a detector-supplied environment
+    (log-backed [sfun]s). *)
 type check =
   | Static of bool
   | Fast of (Invocation.t -> Invocation.t -> bool)
-  | Interp of Formula.t * (Formula.env -> bool)
+  | Interp of Formula.t
 
 (** ["static-true" | "static-false" | "fast" | "interp"] — for reports. *)
 val kind : check -> string
-
-(** Compile one condition against a spec's vfun table. *)
-val compile_condition : Spec.t -> Formula.t -> check
 
 (** A whole compiled spec: every registered ordered pair's condition,
     sharing one vfun array. *)
@@ -69,14 +68,13 @@ val condition : t -> first:string -> second:string -> check
 val conditions : t -> ((string * string) * check) list
 
 (** Evaluate a check on two observed invocations with no state oracle:
-    [Fast] checks run directly; [Interp] checks are evaluated through
-    {!Invocation.env} with an [sfun] that raises {!Formula.Unsupported}
-    (the same environment {!Spec.commutes} uses, so this allocates).
-    Exceptions propagate as in the interpreter. *)
+    [Fast] checks run directly; [Interp] checks go through {!Formula.eval}
+    over {!Invocation.env} with an [sfun] that raises
+    {!Formula.Unsupported} (the same environment {!Spec.commutes} uses, so
+    this allocates).  Exceptions propagate as in the interpreter. *)
 val check_pure : t -> check -> Invocation.t -> Invocation.t -> bool
 
-(** Compile a state-free single-side key term (lock keys, shard keys) to
-    a direct evaluator over one invocation — the zero-environment
-    replacement for [Formula.compile_term] + a per-invocation
-    {!Formula.env}. *)
+(** Compile a state-free single-side key term (lock keys, shard keys,
+    gatekeeper log arguments) to a direct evaluator over one invocation,
+    with no per-invocation {!Formula.env}. *)
 val key : Spec.t -> Formula.term -> Invocation.t -> Value.t

@@ -125,7 +125,3 @@ let global_lock ?obs:obs_enabled () =
     snapshot = (fun () -> Obs.snapshot obs);
     guards = [ mu ];
   }
-
-module Private = struct
-  let global_lock = global_lock
-end

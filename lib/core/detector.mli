@@ -57,12 +57,8 @@ val none : t
     an error. *)
 val compose : t list -> t
 
-(** Implementation detail of {!Commlat_runtime.Protect} (scheme
-    [Global_lock]) and of this library's own tests; application code
-    should construct detectors through [Protect.protect]. *)
-module Private : sig
-  (** A single exclusive lock on the whole structure: the scheme the
-      abstract-locking construction yields for the ⊥ specification (paper
-      §4.1). *)
-  val global_lock : ?obs:bool -> unit -> t
-end
+(** A single exclusive lock on the whole structure, named
+    ["global-lock"]: the scheme the abstract-locking construction yields
+    for the ⊥ specification (paper §4.1).  Most callers should go through
+    [Protect.protect] (scheme [Global_lock]). *)
+val global_lock : ?obs:bool -> unit -> t

@@ -340,55 +340,6 @@ let rec eval env = function
   | Or (a, b) -> eval env a || eval env b
 
 (* ------------------------------------------------------------------ *)
-(* Compilation                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Staged compilation of formulas to closures: the AST is traversed once,
-   producing a function of the environment.  Detectors evaluate the same
-   handful of conditions millions of times, so removing the interpretive
-   dispatch matters (see the bench ablation). *)
-
-let rec compile_term (t : term) : env -> Value.t =
-  match t with
-  | Arg (s, i) -> fun e -> e.arg s i
-  | Ret s -> fun e -> e.ret s
-  | Const v -> fun _ -> v
-  | Sfun (name, st, args) ->
-      let cargs = List.map compile_term args in
-      fun e -> e.sfun name st (List.map (fun c -> c e) cargs) t
-  | Vfun (name, args) ->
-      let cargs = List.map compile_term args in
-      fun e -> e.vfun name (List.map (fun c -> c e) cargs)
-  | Arith (op, a, b) ->
-      let ca = compile_term a and cb = compile_term b in
-      fun e -> arith_op op (ca e) (cb e)
-
-(** [compile f] is semantically [fun env -> eval env f], with the AST
-    dispatch paid once instead of per evaluation. *)
-let rec compile (f : t) : env -> bool =
-  match f with
-  | True -> fun _ -> true
-  | False -> fun _ -> false
-  | Cmp (Eq, a, b) ->
-      let ca = compile_term a and cb = compile_term b in
-      fun e -> Value.equal (ca e) (cb e)
-  | Cmp (Ne, a, b) ->
-      let ca = compile_term a and cb = compile_term b in
-      fun e -> not (Value.equal (ca e) (cb e))
-  | Cmp (op, a, b) ->
-      let ca = compile_term a and cb = compile_term b in
-      fun e -> cmp_op op (ca e) (cb e)
-  | Not f ->
-      let c = compile f in
-      fun e -> not (c e)
-  | And (a, b) ->
-      let ca = compile a and cb = compile b in
-      fun e -> ca e && cb e
-  | Or (a, b) ->
-      let ca = compile a and cb = compile b in
-      fun e -> ca e || cb e
-
-(* ------------------------------------------------------------------ *)
 (* Transformations                                                     *)
 (* ------------------------------------------------------------------ *)
 

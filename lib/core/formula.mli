@@ -185,14 +185,6 @@ val cmp_op : cmp -> Value.t -> Value.t -> bool
 val eval_term : env -> term -> Value.t
 val eval : env -> t -> bool
 
-(** Staged compilation: [compile f env = eval env f], with the AST
-    dispatch paid once instead of per evaluation.  Detectors evaluate the
-    same handful of conditions millions of times, so this matters (see the
-    bench ablation). *)
-val compile : t -> env -> bool
-
-val compile_term : term -> env -> Value.t
-
 (** {1 Transformations} *)
 
 (** Swap the roles of m1 and m2 in a {e state-free} formula.  Raises

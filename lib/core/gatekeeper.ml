@@ -14,29 +14,33 @@
       raised;
     + when a transaction ends, its logs and active invocations are removed.
 
-    {b Forward} gatekeepers ({!forward}) require every condition to be
-    ONLINE-CHECKABLE (logic L3): all the information needed later is in the
-    logs.  {b General} gatekeepers ({!general}) accept any L1 condition: a
-    function of [s1] that needs m2-information (union-find's [rep (s1, c)])
-    is evaluated by {e rolling the data structure back} to [s1] — undoing,
-    in reverse order, every mutating invocation that executed after the
-    active one — evaluating, and rolling forward again.  The whole
-    intercept/check/execute/log sequence is atomic (one mutex per
-    gatekeeper).
+    {b Forward} gatekeepers ([~allow_rollback:false]) require every
+    condition to be ONLINE-CHECKABLE (logic L3): all the information needed
+    later is in the logs.  {b General} gatekeepers ([~allow_rollback:true])
+    accept any L1 condition: a function of [s1] that needs m2-information
+    (union-find's [rep (s1, c)]) is evaluated by {e rolling the data
+    structure back} to [s1] — undoing, in reverse order, every mutating
+    invocation that executed after the active one — evaluating, and
+    rolling forward again.  The whole intercept/check/execute/log sequence
+    is atomic (one mutex per gatekeeper).
 
-    {b Footprint sharding} ({!forward_sharded}, {!general_sharded}): the
-    active-invocation table is split into [nshards] hash shards keyed by
-    the {!Footprint} analysis plus one {e overflow} shard for invocations
-    of keyless methods.  An incoming keyed invocation is checked only
-    against its own shard and the overflow shard: invocations in other
-    keyed shards have different key values, and the analysis guarantees a
-    disequality clause on exactly those keys discharges every condition
-    between them.  A keyless incoming invocation is checked against every
-    shard.  When the spec needs no rollback and every condition is
-    state-free, the shards are additionally {e striped}: each shard has its
-    own {!Guard.t}, so same-ADT-different-key invocations no longer
-    serialize on one gatekeeper mutex (only the concrete [exec] is briefly
-    serialized, under a dedicated guard). *)
+    Conditions are evaluated through {!Compile}: state-free ones by their
+    zero-environment closures, state-dependent ones by {!Formula.eval}
+    over a log-backed environment ({!check_env}).
+
+    {b Footprint sharding} ([nshards > 0]): the active-invocation table is
+    split into [nshards] hash shards keyed by the {!Footprint} analysis
+    plus one {e overflow} shard for invocations of keyless methods.  An
+    incoming keyed invocation is checked only against its own shard and
+    the overflow shard: invocations in other keyed shards have different
+    key values, and the analysis guarantees a disequality clause on
+    exactly those keys discharges every condition between them.  A keyless
+    incoming invocation is checked against every shard.  When the spec
+    needs no rollback and every condition is state-free, the shards are
+    additionally {e striped}: each shard has its own {!Guard.t}, so
+    same-ADT-different-key invocations no longer serialize on one
+    gatekeeper mutex (only the concrete [exec] is briefly serialized,
+    under a dedicated guard). *)
 
 (** How a gatekeeper talks to the data structure it protects. *)
 type hooks = {
@@ -53,7 +57,7 @@ type hooks = {
           detection. *)
   undo : Invocation.t -> unit;
       (** restore the abstract state to just before this invocation ran
-          (general gatekeeping only; [forward] never calls it) *)
+          (general gatekeeping only; forward gatekeepers never call it) *)
   redo : Invocation.t -> unit;  (** re-apply an undone invocation *)
   forget : Invocation.t -> unit;
       (** the gatekeeper will never undo this invocation again: drop any
@@ -91,12 +95,21 @@ type shard = {
   s_guard : Guard.t;
 }
 
+(* One s1-function of a method's C_m log set. *)
+type logged = {
+  fname : string;
+  arg_terms : Formula.term list;
+  arg_keys : (Invocation.t -> Value.t) list;
+      (** [arg_terms] compiled by {!Compile.key} *)
+  post_exec : bool;  (** an argument reads the return value *)
+}
+
 type t = {
   spec : Spec.t;
   hooks : hooks;
   allow_rollback : bool;
-  (* C_m: per method, the s1-functions to log, as (name, arg terms). *)
-  cm : (string, (string * Formula.term list) list) Hashtbl.t;
+  cm : (string, logged list) Hashtbl.t;
+      (** C_m: per method, the s1-functions to log *)
   (* footprint sharding: [fp = None] means unsharded ([nshards = 0], a
      single overflow shard).  [shards] has length [nshards + 1]; the last
      element is the overflow shard for keyless invocations. *)
@@ -107,9 +120,6 @@ type t = {
       (** per-shard guards; requires [not allow_rollback] and every
           condition state-free (no [Sfun]), so checks need no logs, no
           live [sfun] and no state reconstruction *)
-  compiled_mode : bool;
-      (** constructed with [~compiled:true]: state-free conditions check
-          through {!Compile}'s zero-environment closures *)
   (* per ordered method pair: the condition and its rollback-function set,
      precomputed at construction so the table is read-only at runtime
      (striped shards evaluate conditions concurrently) *)
@@ -143,12 +153,7 @@ type t = {
 }
 
 and cond_info = {
-  formula : Formula.t;
-  compiled : Formula.env -> bool;  (** staged compilation of [formula] *)
-  fast : (Invocation.t -> Invocation.t -> bool) option;
-      (** {!Compile}d zero-environment checker — present when the
-          gatekeeper was built with [~compiled:true] and the condition is
-          state-free; [None] falls back to [compiled] + {!check_env} *)
+  check : Compile.check;
   rollback_fns : (string * Formula.term list) list;
       (** s1-functions needing state reconstruction, from
           {!Formula.rollback_functions} *)
@@ -166,35 +171,33 @@ let build_cm (spec : Spec.t) =
   List.iter
     (fun ((m1, _), cond) ->
       Formula.f1_functions cond
-      |> List.iter (fun (name, args, _) ->
-             let f = (name, args) in
-             if not (Hashtbl.mem seen (m1, f)) then begin
-               Hashtbl.add seen (m1, f) ();
+      |> List.iter (fun (fname, arg_terms, _) ->
+             if not (Hashtbl.mem seen (m1, (fname, arg_terms))) then begin
+               Hashtbl.add seen (m1, (fname, arg_terms)) ();
+               let l =
+                 {
+                   fname;
+                   arg_terms;
+                   arg_keys = List.map (Compile.key spec) arg_terms;
+                   post_exec =
+                     List.exists (Formula.term_mentions_ret Formula.M1) arg_terms;
+                 }
+               in
                Hashtbl.replace cm m1
-                 (f :: Option.value ~default:[] (Hashtbl.find_opt cm m1))
+                 (l :: Option.value ~default:[] (Hashtbl.find_opt cm m1))
              end))
     (Spec.pairs spec);
   cm
 
-(* [cspec = Some spec] (the [~compiled:true] construction) additionally
-   compiles state-free conditions to zero-environment checkers; the staged
-   interpreter closure is kept either way, as the fallback for
-   state-dependent conditions. *)
-let cond_info_of_formula ?cspec formula =
+let cond_info_of_check (check : Compile.check) =
   let rollback_fns =
-    Formula.rollback_functions formula
-    |> List.map (fun (name, args, _) -> (name, args))
+    match check with
+    | Compile.Interp f ->
+        Formula.rollback_functions f
+        |> List.map (fun (name, args, _) -> (name, args))
+    | Compile.Static _ | Compile.Fast _ -> []
   in
-  let fast =
-    match cspec with
-    | None -> None
-    | Some spec -> (
-        match Compile.compile_condition spec formula with
-        | Compile.Static b -> Some (fun _ _ -> b)
-        | Compile.Fast f -> Some f
-        | Compile.Interp _ -> None)
-  in
-  { formula; compiled = Formula.compile formula; fast; rollback_fns }
+  { check; rollback_fns }
 
 (* The condition table is fully precomputed over the spec's method pairs;
    an invocation of a method the spec never declared falls back to the
@@ -203,17 +206,6 @@ let cond_info_of (t : t) ~first ~second =
   match Hashtbl.find_opt t.cond_info (first, second) with
   | Some i -> i
   | None -> t.false_info
-
-(* Evaluate a pure (state-free) term against one invocation's args/ret. *)
-let eval_m1_term (t : t) (inv : Invocation.t) term =
-  let env =
-    Formula.env
-      ~vfun:(Spec.vfun t.spec)
-      ~arg:(fun _ i -> inv.Invocation.args.(i))
-      ~ret:(fun _ -> inv.Invocation.ret)
-      ()
-  in
-  Formula.eval_term env term
 
 (* The formula-evaluation environment for checking [f_{e.inv, inv2}].
    [rb_cache] holds the pre-evaluated rollback functions (general
@@ -353,14 +345,11 @@ let rollback_sweep (t : t) (inv2 : Invocation.t)
 let populate_log (t : t) (entry : entry) ~post_exec =
   let fns = Option.value ~default:[] (Hashtbl.find_opt t.cm entry.inv.Invocation.meth.name) in
   List.iter
-    (fun (name, arg_terms) ->
-      let needs_ret =
-        List.exists (Formula.term_mentions_ret Formula.M1) arg_terms
-      in
-      if needs_ret = post_exec then
-        let args = List.map (eval_m1_term t entry.inv) arg_terms in
-        if not (Hashtbl.mem entry.log (name, args)) then
-          Hashtbl.replace entry.log (name, args) (t.hooks.sfun name args))
+    (fun l ->
+      if l.post_exec = post_exec then
+        let args = List.map (fun k -> k entry.inv) l.arg_keys in
+        if not (Hashtbl.mem entry.log (l.fname, args)) then
+          Hashtbl.replace entry.log (l.fname, args) (t.hooks.sfun l.fname args))
     fns
 
 (* ------------------------------------------------------------------ *)
@@ -430,14 +419,13 @@ let record_avoided (t : t) idx =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ?(nshards = 0) ?(compiled = false) ?obs:obs_enabled ~allow_rollback
-    hooks spec =
+let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
   (match Spec.classify spec with
   | Formula.General when not allow_rollback ->
       invalid_arg
         (Fmt.str
-           "Gatekeeper.forward: spec %s has non-ONLINE-CHECKABLE conditions; \
-            use Gatekeeper.general"
+           "forward gatekeeper: spec %s has non-ONLINE-CHECKABLE \
+            conditions; use a general gatekeeper (~allow_rollback:true)"
            (Spec.adt spec))
   | _ -> ());
   if nshards < 0 then invalid_arg "Gatekeeper: nshards must be >= 0";
@@ -461,15 +449,15 @@ let make ?(nshards = 0) ?(compiled = false) ?obs:obs_enabled ~allow_rollback
      striped invoke path, ruling out deadlock against atomic aborts *)
   let shards = Array.init (nshards + 1) (fun _ -> fresh_shard ()) in
   let mu = Guard.create () in
-  let cspec = if compiled then Some spec else None in
+  let cspec = Compile.of_spec spec in
   let cond_info = Hashtbl.create 32 in
   List.iter
     (fun (m1 : Invocation.meth) ->
       List.iter
         (fun (m2 : Invocation.meth) ->
           Hashtbl.replace cond_info (m1.name, m2.name)
-            (cond_info_of_formula ?cspec
-               (Spec.cond spec ~first:m1.name ~second:m2.name)))
+            (cond_info_of_check
+               (Compile.condition cspec ~first:m1.name ~second:m2.name)))
         (Spec.methods spec))
     (Spec.methods spec);
   {
@@ -481,9 +469,8 @@ let make ?(nshards = 0) ?(compiled = false) ?obs:obs_enabled ~allow_rollback
     nshards;
     shards;
     striped;
-    compiled_mode = compiled;
     cond_info;
-    false_info = cond_info_of_formula ?cspec Formula.False;
+    false_info = cond_info_of_check (Compile.Static false);
     mutation_log = [];
     seq = 0;
     mu;
@@ -538,7 +525,7 @@ let raise_conflict (t : t) (e : entry) (inv : Invocation.t) =
    overflow shard when keyed (the footprint's shard-disjointness
    discharges every other keyed shard), all shards otherwise — in a
    single pass, bucket by bucket, with no intermediate list.  Trivially
-   [true] conditions skip whole buckets; compiled conditions go through
+   [true] conditions skip whole buckets; state-free conditions go through
    their zero-environment checker.  Only valid when no condition needs
    state reconstruction against this gatekeeper's log (forward mode /
    striped mode — the general path batches differently, via
@@ -558,16 +545,13 @@ let scan_active_idx (t : t) idx (inv : Invocation.t) =
     (fun (sh : shard) ->
       Hashtbl.iter
         (fun first bucket ->
-          let info = cond_info_of t ~first ~second in
-          match info.formula with
-          | Formula.True -> ()
-          | Formula.False -> check_bucket bucket (fun _ -> false)
-          | _ -> (
-              match info.fast with
-              | Some f -> check_bucket bucket (fun e -> f e.inv inv)
-              | None ->
-                  check_bucket bucket (fun e ->
-                      info.compiled (check_env t e inv ~rb_cache:None))))
+          match (cond_info_of t ~first ~second).check with
+          | Compile.Static true -> ()
+          | Compile.Static false -> check_bucket bucket (fun _ -> false)
+          | Compile.Fast f -> check_bucket bucket (fun e -> f e.inv inv)
+          | Compile.Interp f ->
+              check_bucket bucket (fun e ->
+                  Formula.eval (check_env t e inv ~rb_cache:None) f))
         sh.s_active)
     (scan_shards t idx)
 
@@ -630,8 +614,8 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
                 let info =
                   cond_info_of t ~first ~second:inv.Invocation.meth.name
                 in
-                match info.formula with
-                | Formula.True -> ()
+                match info.check with
+                | Compile.Static true -> ()
                 | _ ->
                     List.iter
                       (fun (e : entry) ->
@@ -645,18 +629,12 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
           (fun ((e : entry), info) ->
             Obs.incr t.c_checks;
             let ok =
-              match info.formula with
-              | Formula.False -> false
-              | _ -> (
-                  match Hashtbl.find_opt rb_caches e.inv.Invocation.uid with
-                  | None when info.rollback_fns = [] && info.fast <> None ->
-                      (* compiled construction: state-free conditions keep
-                         their zero-environment checker even on the
-                         general path *)
-                      (match info.fast with
-                      | Some f -> f e.inv inv
-                      | None -> assert false)
-                  | rb_cache -> info.compiled (check_env t e inv ~rb_cache))
+              match info.check with
+              | Compile.Static b -> b
+              | Compile.Fast f -> f e.inv inv
+              | Compile.Interp f ->
+                  let rb_cache = Hashtbl.find_opt rb_caches e.inv.Invocation.uid in
+                  Formula.eval (check_env t e inv ~rb_cache) f
             in
             if not ok then raise_conflict t e inv)
           !needs_check
@@ -802,13 +780,13 @@ let rollback_count (t : t) = !(t.stats_rollbacks)
 let obs (t : t) = t.obs
 let footprint (t : t) = t.fp
 let striped (t : t) = t.striped
-let is_compiled (t : t) = t.compiled_mode
 
 (** The [C_m] log set of a method: the s1-functions whose results the
     gatekeeper records on every invocation of [m] (exposed so tests can pin
     the construction; order is unspecified). *)
 let cm_functions (t : t) m =
   Option.value ~default:[] (Hashtbl.find_opt t.cm m)
+  |> List.map (fun l -> (l.fname, l.arg_terms))
 
 let all_guards (t : t) =
   if t.striped then
@@ -853,9 +831,9 @@ let adopt (t : t) (invs : Invocation.t list) =
           insert_entry t t.shards.(shard_idx t inv) entry)
         invs)
 
-let detector ~name (t : t) : Detector.t =
+let detector (t : t) : Detector.t =
   {
-    Detector.name;
+    Detector.name = Obs.scope t.obs;
     on_invoke = (fun inv exec -> on_invoke t inv exec);
     on_commit = (fun txn -> on_end ~drop_mutations:false t txn);
     on_abort = (fun txn -> on_end ~drop_mutations:true t txn);
@@ -875,37 +853,9 @@ let detector ~name (t : t) : Detector.t =
     guards = all_guards t;
   }
 
-(** Forward gatekeeper (paper §3.3.1).  Requires an ONLINE-CHECKABLE spec;
-    never rolls the data structure back, so [hooks.undo]/[redo] are unused
-    and a bare [hooks sfun] suffices. *)
-let forward ?compiled ?obs ~hooks:h (spec : Spec.t) : Detector.t * t =
-  let t = make ?compiled ?obs ~allow_rollback:false h spec in
-  (detector ~name:(Fmt.str "fwd-gk(%s)" (Spec.adt spec)) t, t)
-
-(** General gatekeeper (paper §3.3.2).  Accepts any L1 spec; needs working
-    [undo]/[redo] hooks. *)
-let general ?compiled ?obs ~hooks:h (spec : Spec.t) : Detector.t * t =
-  let t = make ?compiled ?obs ~allow_rollback:true h spec in
-  (detector ~name:(Fmt.str "gen-gk(%s)" (Spec.adt spec)) t, t)
-
-(** Footprint-sharded forward gatekeeper.  When every condition is
-    state-free the shards are striped under per-shard guards; otherwise the
-    sharding only narrows the scan (single guard). *)
-let forward_sharded ?(nshards = 16) ?compiled ?obs ~hooks:h (spec : Spec.t) :
-    Detector.t * t =
-  let t = make ~nshards ?compiled ?obs ~allow_rollback:false h spec in
-  (detector ~name:(Fmt.str "fwd-gk-sharded(%s)" (Spec.adt spec)) t, t)
-
-(** Footprint-sharded general gatekeeper: the active table is sharded (the
-    scan narrows to own shard + overflow) but the gatekeeper keeps its
-    single guard — past-state reconstruction needs a globally ordered
-    mutation log. *)
-let general_sharded ?(nshards = 16) ?compiled ?obs ~hooks:h (spec : Spec.t) :
-    Detector.t * t =
-  let t = make ~nshards ?compiled ?obs ~allow_rollback:true h spec in
-  (detector ~name:(Fmt.str "gen-gk-sharded(%s)" (Spec.adt spec)) t, t)
-
-module Private = struct
-  let forward = forward
-  let general = general
-end
+(** Forward ([~allow_rollback:false], paper §3.3.1) or general
+    ([~allow_rollback:true], §3.3.2) gatekeeper, footprint-sharded when
+    [nshards > 0]. *)
+let make ?(nshards = 0) ?obs ~allow_rollback ~hooks spec : Detector.t * t =
+  let t = create ~nshards ?obs ~allow_rollback hooks spec in
+  (detector t, t)

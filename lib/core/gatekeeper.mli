@@ -8,26 +8,31 @@
     raises {!Detector.Conflict} if any condition is false.  The whole
     sequence is atomic (one mutex per gatekeeper).
 
-    {b Forward} gatekeepers ({!forward}) require every condition to be
-    ONLINE-CHECKABLE (logic L3).  {b General} gatekeepers ({!general})
-    accept any L1 condition: functions of [s1] that need m2-information
-    (union-find's [rep(s1, c)]) are evaluated either by rolling the data
-    structure back — one batched reverse-chronological undo/redo sweep per
-    incoming invocation — or, when the ADT provides [sfun_at], by querying
-    a partially persistent representation directly.
+    {b Forward} gatekeepers ([~allow_rollback:false]) require every
+    condition to be ONLINE-CHECKABLE (logic L3).  {b General} gatekeepers
+    ([~allow_rollback:true]) accept any L1 condition: functions of [s1]
+    that need m2-information (union-find's [rep(s1, c)]) are evaluated
+    either by rolling the data structure back — one batched
+    reverse-chronological undo/redo sweep per incoming invocation — or,
+    when the ADT provides [sfun_at], by querying a partially persistent
+    representation directly.
 
-    {b Footprint sharding} ({!forward_sharded}, {!general_sharded}): the
-    active-invocation table is split into hash shards keyed by the
-    {!Footprint} analysis, plus one overflow shard for keyless methods.  A
-    keyed incoming invocation is checked only against its own shard and the
-    overflow shard — the analysis guarantees invocations in other keyed
-    shards commute with it.  When the spec additionally needs no rollback
-    and every condition is state-free, the shards are {e striped} under
-    per-shard {!Guard.t}s, so same-ADT-different-key invocations no longer
+    Conditions are evaluated through {!Compile}: state-free ones by their
+    zero-environment closures, state-dependent ones by {!Formula.eval}
+    over the log-backed environment.
+
+    {b Footprint sharding} ([nshards > 0]): the active-invocation table is
+    split into hash shards keyed by the {!Footprint} analysis, plus one
+    overflow shard for keyless methods.  A keyed incoming invocation is
+    checked only against its own shard and the overflow shard — the
+    analysis guarantees invocations in other keyed shards commute with
+    it.  When the spec additionally needs no rollback and every condition
+    is state-free, the shards are {e striped} under per-shard
+    {!Guard.t}s, so same-ADT-different-key invocations no longer
     serialize on a single gatekeeper mutex.
 
     Most callers should construct detectors through {!Commlat_runtime}'s
-    [Protect] module rather than these low-level entry points. *)
+    [Protect] module rather than calling {!make} directly. *)
 
 (** How a gatekeeper talks to the data structure it protects. *)
 type hooks = {
@@ -42,7 +47,7 @@ type hooks = {
           gatekeeper uses it instead of the undo/redo sweep. *)
   undo : Invocation.t -> unit;
       (** restore the state to just before this invocation ran (general
-          gatekeeping only; [forward] never calls it) *)
+          gatekeeping only; forward gatekeepers never call it) *)
   redo : Invocation.t -> unit;  (** re-apply an undone invocation *)
   forget : Invocation.t -> unit;
       (** the gatekeeper will never undo this invocation again: drop any
@@ -81,10 +86,6 @@ val footprint : t -> Footprint.t option
 (** Whether the gatekeeper runs the striped (per-shard guard) protocol
     rather than a single global guard. *)
 val striped : t -> bool
-
-(** Whether the gatekeeper was built with [~compiled:true] (state-free
-    conditions check through {!Compile}'s zero-environment closures). *)
-val is_compiled : t -> bool
 
 (** Batch log scan: check one {e executed} incoming invocation against
     every active invocation it can conflict with — its own shard plus the
@@ -133,46 +134,31 @@ val active_invocations : t -> Invocation.t list
     epoch barrier produces, and for state-free (forward/striped) specs. *)
 val adopt : t -> Invocation.t list -> unit
 
-(** Footprint-sharded forward gatekeeper ([nshards] defaults to 16).  When
-    every condition is state-free the shards are striped under per-shard
-    guards; otherwise sharding only narrows the check scan.  Equivalent to
-    {!forward} in the conflicts it reports; [Footprint.all_keyless] specs
-    degenerate to a single overflow shard (= unsharded behavior). *)
-val forward_sharded :
+(** Build a gatekeeper over [spec] and its detector facade.  The detector
+    is named ["fwd-gk(ADT)"], ["gen-gk(ADT)"], ["fwd-gk-sharded(ADT)"] or
+    ["gen-gk-sharded(ADT)"]; rendered traces and DPOR fingerprints embed
+    that name.
+
+    - [~allow_rollback:false] is the forward gatekeeper (paper §3.3.1): it
+      raises [Invalid_argument] if the spec has non-ONLINE-CHECKABLE
+      conditions, and never uses [hooks.undo]/[redo], so bare [hooks sfun]
+      suffices.
+    - [~allow_rollback:true] is the general gatekeeper (paper §3.3.2): it
+      accepts any L1 spec and needs working [undo]/[redo] hooks (or
+      [sfun_at]).
+    - [nshards > 0] (default [0], unsharded) footprint-shards the active
+      table.  When every condition is state-free and no rollback is
+      allowed, the shards are striped under per-shard guards; otherwise
+      sharding only narrows the check scan, and a general gatekeeper keeps
+      its single guard because past-state reconstruction needs a globally
+      ordered mutation log.  Sharding reports exactly the conflicts of the
+      unsharded gatekeeper; [Footprint.all_keyless] specs degenerate to a
+      single overflow shard.
+    - [?obs] defaults to the [COMMLAT_OBS] environment toggle. *)
+val make :
   ?nshards:int ->
-  ?compiled:bool ->
   ?obs:bool ->
+  allow_rollback:bool ->
   hooks:hooks ->
   Spec.t ->
   Detector.t * t
-
-(** Footprint-sharded general gatekeeper: the check scan narrows to own
-    shard + overflow, but a single guard is kept — past-state
-    reconstruction needs a globally ordered mutation log. *)
-val general_sharded :
-  ?nshards:int ->
-  ?compiled:bool ->
-  ?obs:bool ->
-  hooks:hooks ->
-  Spec.t ->
-  Detector.t * t
-
-(** Unsharded single-scheme constructors.  These are implementation detail
-    of {!Commlat_runtime.Protect} (schemes [Forward_gk] / [General_gk]) and
-    of this library's own tests; application code should construct
-    detectors through [Protect.protect] / [Protect.protect_gatekeeper],
-    which is why they no longer appear at the module's top level. *)
-module Private : sig
-  (** Forward gatekeeper (paper §3.3.1).  Raises [Invalid_argument] if the
-      spec has non-ONLINE-CHECKABLE conditions; [hooks.undo]/[redo] are
-      never used, so bare [hooks sfun] suffices.  [?obs] defaults to the
-      [COMMLAT_OBS] environment toggle; [?compiled] (default [false]) swaps
-      state-free conditions to {!Compile}d zero-allocation closures. *)
-  val forward :
-    ?compiled:bool -> ?obs:bool -> hooks:hooks -> Spec.t -> Detector.t * t
-
-  (** General gatekeeper (paper §3.3.2).  Accepts any L1 spec; needs
-      working [undo]/[redo] hooks (or [sfun_at]). *)
-  val general :
-    ?compiled:bool -> ?obs:bool -> hooks:hooks -> Spec.t -> Detector.t * t
-end

@@ -73,11 +73,6 @@ let all_conditions t =
 
 let pairs = all_conditions
 
-(** Interpretation of a pure value function, resolved once ([None] if the
-    spec does not define it) — the spec compiler calls this at compile
-    time instead of paying {!vfun}'s [List.assoc] on every evaluation. *)
-let vfun_impl t name = List.assoc_opt name t.vfuns
-
 (** Classification of a whole specification: the weakest scheme able to
     implement it (paper §3.4's hierarchy).  A spec is SIMPLE iff all its
     conditions are; ONLINE-CHECKABLE iff all conditions are at most

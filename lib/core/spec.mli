@@ -53,12 +53,6 @@ val all_conditions : t -> ((string * string) * Formula.t) list
 (** Alias of {!all_conditions} (historical name). *)
 val pairs : t -> ((string * string) * Formula.t) list
 
-(** Interpretation of a pure value function, resolved once; [None] if the
-    spec does not define it.  The spec compiler ({!Compile}) uses this at
-    compile time instead of paying {!vfun}'s [List.assoc] per
-    evaluation. *)
-val vfun_impl : t -> string -> (Value.t list -> Value.t) option
-
 (** Classification of a whole specification: the weakest scheme able to
     implement it (paper §3.4's hierarchy).  SIMPLE iff all conditions are;
     ONLINE-CHECKABLE iff all are at most online-checkable; GENERAL

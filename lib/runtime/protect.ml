@@ -7,7 +7,10 @@
     gatekeeping, the STM baseline — and [Sharded (s, n)] overlays footprint
     sharding/striping on a base scheme.  An {!adt} record carries whatever
     the data structure offers a detector: gatekeeper hooks, and/or a
-    memory-trace connector for the STM.  {!protect} puts them together. *)
+    memory-trace connector for the STM.  {!protect} puts them together by
+    calling the one constructor each detector module exposes:
+    [Detector.global_lock], [Abstract_lock.detector], [Gatekeeper.make]
+    (always through {!protect_gatekeeper}) and [Stm.create]. *)
 
 open Commlat_core
 open Commlat_adts
@@ -90,24 +93,43 @@ type adt = {
 
 let adt ?hooks ?connect_tracer () = { hooks; connect_tracer }
 
-let require_hooks name = function
+let require_hooks s = function
   | { hooks = Some h; _ } -> h
-  | _ -> invalid_arg (Fmt.str "Protect.protect: %s needs adt hooks" name)
+  | _ ->
+      invalid_arg
+        (Fmt.str "Protect.protect: %s needs adt hooks" (scheme_name s))
+
+(** The gatekeeper schemes, each as one {!Gatekeeper.make} call: the
+    scheme fixes [allow_rollback] (forward vs general) and [nshards]
+    (unsharded vs footprint-sharded).  Also hands back the
+    {!Gatekeeper.t} so embedders that manage their own admission (the
+    server's batched read path uses {!Gatekeeper.batch_check}) can reach
+    past the {!Detector.t} facade.  Raises [Invalid_argument] on
+    non-gatekeeper schemes. *)
+let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
+    (s : scheme) : Detector.t * Gatekeeper.t =
+  let allow_rollback, nshards =
+    match s with
+    | Forward_gk -> (false, 0)
+    | General_gk -> (true, 0)
+    | Sharded (Forward_gk, n) when n > 0 -> (false, n)
+    | Sharded (General_gk, n) when n > 0 -> (true, n)
+    | s ->
+        invalid_arg
+          (Fmt.str "Protect.protect_gatekeeper: %s is not a gatekeeper scheme"
+             (scheme_name s))
+  in
+  Gatekeeper.make ~nshards ?obs ~allow_rollback ~hooks spec
 
 (** Build a detector for [spec] over [adt] with the given scheme.  [?obs]
     enables/disables the detector's observability registry.
-    [?reduce_scheme] is forwarded to {!Abstract_lock.Private.detector}.
+    [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.
 
-    [?compiled] (default [true]) routes conflict checks through the spec
-    compiler ({!Commlat_core.Compile}): gatekeepers evaluate state-free
-    conditions with zero-environment, zero-allocation closures, and
-    abstract locks compute lock keys the same way.  Verdicts are identical
-    to the interpreter's on every input (differential-tested), and the
-    compiled path is 3.4x faster geomean (BENCH_compile.json), so it is
-    the default; pass [~compiled:false] to select the interpreter
-    explicitly (the cross-executor equivalence matrix runs both ways).
-    [Global_lock] and [Stm] never evaluate conditions, so they ignore
-    it.
+    Every scheme that evaluates commutativity conditions does so through
+    the spec compiler ({!Commlat_core.Compile}): gatekeepers check
+    state-free conditions with zero-environment, zero-allocation closures
+    and state-dependent ones with {!Formula.eval} over their logs;
+    abstract locks compute lock keys with {!Compile.key}.
 
     Raises [Invalid_argument] when the scheme needs something the [adt]
     record doesn't offer (gatekeeper hooks, an STM tracer connector), when
@@ -115,62 +137,27 @@ let require_hooks name = function
     [Abstract_lock], non-ONLINE-CHECKABLE under [Forward_gk]), or on a
     malformed [Sharded] scheme ([Sharded] applies to gatekeepers and
     abstract locking only, and does not nest). *)
-let protect ?obs ?reduce_scheme ?(compiled = true) ~(spec : Spec.t)
-    ~(adt : adt) (s : scheme) : Detector.t =
+let protect ?obs ?reduce_scheme ~(spec : Spec.t) ~(adt : adt) (s : scheme) :
+    Detector.t =
   match s with
-  | Global_lock -> Detector.Private.global_lock ?obs ()
-  | Abstract_lock -> Abstract_lock.Private.detector ?reduce_scheme ~compiled ?obs spec
-  | Forward_gk ->
-      fst
-        (Gatekeeper.Private.forward ~compiled ?obs
-           ~hooks:(require_hooks "fwd-gk" adt) spec)
-  | General_gk ->
-      fst
-        (Gatekeeper.Private.general ~compiled ?obs
-           ~hooks:(require_hooks "gen-gk" adt) spec)
+  | Global_lock -> Detector.global_lock ?obs ()
+  | Abstract_lock -> Abstract_lock.detector ?reduce_scheme ?obs spec
   | Stm -> (
       match adt.connect_tracer with
       | None -> invalid_arg "Protect.protect: stm needs adt connect_tracer"
       | Some connect ->
-          let det, tracer = Stm.Private.create ?obs () in
+          let det, tracer = Stm.create ?obs () in
           connect tracer;
           det)
-  | Sharded (base, n) -> (
-      if n <= 0 then
-        invalid_arg "Protect.protect: shard count must be positive";
-      match base with
-      | Forward_gk ->
-          fst
-            (Gatekeeper.forward_sharded ~nshards:n ~compiled ?obs
-               ~hooks:(require_hooks "fwd-gk-sharded" adt) spec)
-      | General_gk ->
-          fst
-            (Gatekeeper.general_sharded ~nshards:n ~compiled ?obs
-               ~hooks:(require_hooks "gen-gk-sharded" adt) spec)
-      | Abstract_lock ->
-          Abstract_lock.Private.detector ?reduce_scheme ~stripes:n ~compiled ?obs spec
-      | Global_lock | Stm | Sharded _ ->
-          invalid_arg
-            (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base)))
-
-(** Like {!protect} for the gatekeeper schemes, but also hand back the
-    {!Gatekeeper.t} so embedders that manage their own admission (the
-    server's batched read path uses {!Gatekeeper.batch_check}) can reach
-    past the {!Detector.t} facade.  Raises [Invalid_argument] on
-    non-gatekeeper schemes. *)
-let protect_gatekeeper ?obs ?(compiled = true) ~(hooks : Gatekeeper.hooks)
-    ~(spec : Spec.t) (s : scheme) : Detector.t * Gatekeeper.t =
-  match s with
-  | Forward_gk -> Gatekeeper.Private.forward ~compiled ?obs ~hooks spec
-  | General_gk -> Gatekeeper.Private.general ~compiled ?obs ~hooks spec
-  | Sharded (Forward_gk, n) when n > 0 ->
-      Gatekeeper.forward_sharded ~nshards:n ~compiled ?obs ~hooks spec
-  | Sharded (General_gk, n) when n > 0 ->
-      Gatekeeper.general_sharded ~nshards:n ~compiled ?obs ~hooks spec
-  | s ->
+  | Sharded (_, n) when n <= 0 ->
+      invalid_arg "Protect.protect: shard count must be positive"
+  | Sharded (Abstract_lock, n) ->
+      Abstract_lock.detector ?reduce_scheme ~stripes:n ?obs spec
+  | Sharded ((Global_lock | Stm | Sharded _) as base, _) ->
       invalid_arg
-        (Fmt.str "Protect.protect_gatekeeper: %s is not a gatekeeper scheme"
-           (scheme_name s))
+        (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base))
+  | Forward_gk | General_gk | Sharded ((Forward_gk | General_gk), _) ->
+      fst (protect_gatekeeper ?obs ~hooks:(require_hooks s adt) ~spec s)
 
 (** Every base scheme, in lattice-ish order (coarsest first). *)
 let all_schemes = [ Global_lock; Abstract_lock; Forward_gk; General_gk; Stm ]

@@ -2,9 +2,9 @@
     detection scheme the library offers.
 
     Instead of hand-rolling a dispatch over [Detector.global_lock],
-    [Abstract_lock.detector], [Gatekeeper.forward]/[general] and
-    [Stm.create], applications describe {e what the ADT offers} ({!adt})
-    and {e which scheme they want} ({!scheme}) and call {!protect}:
+    [Abstract_lock.detector], [Gatekeeper.make] and [Stm.create],
+    applications describe {e what the ADT offers} ({!adt}) and {e which
+    scheme they want} ({!scheme}) and call {!protect}:
 
     {[
       let det =
@@ -54,17 +54,19 @@ val adt :
 
 (** Build a detector for [spec] over [adt] with the given scheme.  [?obs]
     enables/disables the detector's observability registry;
-    [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.
+    [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.  Every
+    gatekeeper scheme goes through {!protect_gatekeeper}.
 
-    [?compiled] (default [true]) routes conflict checks through the spec
-    compiler ({!Commlat_core.Compile}): gatekeepers evaluate state-free
-    conditions with zero-environment, zero-allocation closures, and
-    abstract locks compute lock keys the same way.  Verdicts are identical
-    to the interpreter's (differential-tested; see the [compile] bench for
-    the throughput gap), so compilation is on by default; pass
-    [~compiled:false] to opt out into the interpreter (the cross-executor
-    equivalence matrix exercises both paths).  [Global_lock] and [Stm]
-    never evaluate conditions, so they ignore it.
+    Conditions are evaluated through the spec compiler
+    ({!Commlat_core.Compile}): gatekeepers check state-free conditions
+    with zero-environment, zero-allocation closures and state-dependent
+    ones with {!Commlat_core.Formula.eval} over their logs; abstract locks
+    compute lock keys the same way.  [test/test_compile.ml] pins verdict
+    identity against {!Commlat_core.Formula.eval} for every condition.
+
+    The detector's name is ["global-lock"], ["abslock(ADT)"],
+    ["abslock-striped(ADT)"], ["fwd-gk(ADT)"], ["gen-gk(ADT)"],
+    ["fwd-gk-sharded(ADT)"], ["gen-gk-sharded(ADT)"] or ["stm"].
 
     Raises [Invalid_argument] when the scheme needs something the [adt]
     record doesn't offer, when the spec is outside the scheme's logic
@@ -72,7 +74,6 @@ val adt :
 val protect :
   ?obs:bool ->
   ?reduce_scheme:bool ->
-  ?compiled:bool ->
   spec:Spec.t ->
   adt:adt ->
   scheme ->
@@ -82,11 +83,10 @@ val protect :
     [General_gk], and their [Sharded] variants), returning the underlying
     {!Gatekeeper.t} alongside the detector — for embedders that need the
     gatekeeper's own surface (e.g. {!Gatekeeper.batch_check} on the
-    server's batched read path).  [?compiled] defaults to [true], as in
-    {!protect}.  Raises [Invalid_argument] on non-gatekeeper schemes. *)
+    server's batched read path).  Raises [Invalid_argument] on
+    non-gatekeeper schemes. *)
 val protect_gatekeeper :
   ?obs:bool ->
-  ?compiled:bool ->
   hooks:Gatekeeper.hooks ->
   spec:Spec.t ->
   scheme ->

@@ -168,7 +168,3 @@ let detector (t : t) : Detector.t =
 let create ?obs () =
   let t = make ?obs () in
   (detector t, tracer t)
-
-module Private = struct
-  let create = create
-end

@@ -14,23 +14,10 @@
 open Commlat_core
 open Commlat_adts
 
-(** STM state: the cell ownership table and the per-invocation read/write
-    accumulators (internal). *)
-type t
-
-(** [?obs] enables/disables the observability registry (scope ["stm"]:
-    [invocations], [conflicts], [read_set]/[write_set] distributions). *)
-val make : ?obs:bool -> unit -> t
-
-(** The memory-trace sink ADTs report their concrete reads/writes to. *)
-val tracer : t -> Mem_trace.t
-
-val detector : t -> Detector.t
-
-(** Implementation detail of {!Protect} (scheme [Stm]) and of the runtime's
-    own tests; application code should construct detectors through
-    [Protect.protect] with an [adt] carrying a [connect_tracer]. *)
-module Private : sig
-  (** Convenience: a fresh STM with its detector and tracer. *)
-  val create : ?obs:bool -> unit -> Detector.t * Mem_trace.t
-end
+(** A fresh STM: its detector, named ["stm"], and the memory-trace sink
+    ADTs report their concrete reads/writes to.  [?obs] enables/disables
+    the observability registry (scope ["stm"]: [invocations],
+    [conflicts], [read_set]/[write_set] distributions).  Most callers
+    should go through [Protect.protect] with an [adt] carrying a
+    [connect_tracer]. *)
+val create : ?obs:bool -> unit -> Detector.t * Mem_trace.t

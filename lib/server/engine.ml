@@ -3,12 +3,13 @@
     workers can group-commit a whole epoch.
 
     Each exposed ADT is built through
-    {!Commlat_runtime.Protect.protect_gatekeeper} (spec compilation on by
-    default): kvmap, set and orset sit behind footprint-sharded {e
-    forward} gatekeepers (their precise specs are online-checkable, and —
-    per the scalable-commutativity rule — their commuting requests touch
-    disjoint shards), union-find behind a {e general} gatekeeper (its
-    conditions need state functions and rollback).
+    {!Commlat_runtime.Protect.protect_gatekeeper}, so its conditions are
+    checked through the spec compiler: kvmap, set and orset sit behind
+    footprint-sharded {e forward} gatekeepers (their precise specs are
+    online-checkable, and — per the scalable-commutativity rule — their
+    commuting requests touch disjoint shards), union-find behind a {e
+    general} gatekeeper (its conditions need state functions and
+    rollback).
 
     Failure containment (the server-edge contract): {!try_req} turns {e
     any} per-request failure — unknown ADT or method, wrong arity,

@@ -62,7 +62,7 @@ let test_rejects_non_simple () =
    (This is the pairwise statement of soundness + completeness; longer
    histories are covered by the executor serializability tests.) *)
 let lock_conflicts_iff_formula ~spec ~set (m1, a1) (m2, a2) =
-  let det = Abstract_lock.Private.detector (spec ()) in
+  let det = Abstract_lock.detector (spec ()) in
   (* fresh set per trial keeps ground truth well-defined *)
   Iset.clear set;
   ignore (Iset.add set (Value.Int 0));
@@ -121,7 +121,7 @@ let theorem1_test name specf =
 
 let test_release_on_end () =
   let set = Iset.create () in
-  let det = Abstract_lock.Private.detector (Iset.simple_spec ()) in
+  let det = Abstract_lock.detector (Iset.simple_spec ()) in
   let add txn v =
     let inv = Invocation.make ~txn Iset.m_add [| Value.Int v |] in
     ignore (det.Detector.on_invoke inv (fun () -> Iset.exec set "add" inv.Invocation.args))
@@ -136,7 +136,7 @@ let test_release_on_end () =
 
 let test_reentrant_same_txn () =
   let set = Iset.create () in
-  let det = Abstract_lock.Private.detector (Iset.exclusive_spec ()) in
+  let det = Abstract_lock.detector (Iset.exclusive_spec ()) in
   let add txn v =
     let inv = Invocation.make ~txn Iset.m_add [| Value.Int v |] in
     ignore (det.Detector.on_invoke inv (fun () -> Iset.exec set "add" inv.Invocation.args))
@@ -151,7 +151,7 @@ let test_partition_collisions () =
      partitioned scheme *)
   let nparts = 2 in
   let set = Iset.create () in
-  let det = Abstract_lock.Private.detector (Iset.partitioned_spec ~nparts ()) in
+  let det = Abstract_lock.detector (Iset.partitioned_spec ~nparts ()) in
   (* find two ints with equal hash mod nparts but different values *)
   let k1 = 0 in
   let k2 =
@@ -175,7 +175,7 @@ let test_partition_collisions () =
   det.Detector.on_commit 1
 
 let test_global_lock_detector () =
-  let det = Detector.Private.global_lock () in
+  let det = Detector.global_lock () in
   let touch txn =
     let inv = Invocation.make ~txn (Invocation.meth "op" 0) [||] in
     ignore (det.Detector.on_invoke inv (fun () -> Value.Unit))

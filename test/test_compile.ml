@@ -1,6 +1,6 @@
-(* Differential tests of the spec compiler (Compile, ROADMAP item 3):
-   compiled checks must be verdict- and exception-identical to the Formula
-   interpreter on every input — randomized invocations over every shipped
+(* Differential tests of the spec compiler (Compile): compiled checks
+   must be verdict- and exception-identical to the oracle, Formula.eval,
+   on every input — randomized invocations over every shipped
    and file-parsed spec, reference-domain scenarios with real executed
    return values, the total division-by-zero semantics, and the
    out-of-range argument error path.  Plus Bitmat unit tests and the
@@ -319,12 +319,13 @@ let rec gen_formula rng depth =
     | 4 -> Or (gen_formula rng (depth - 1), gen_formula rng (depth - 1))
     | _ -> cmp ()
 
-let run_check spec check i1 i2 =
-  match check with
-  | Compile.Static b -> b
-  | Compile.Fast g -> g i1 i2
-  | Compile.Interp (_, staged) ->
-      staged (Invocation.env ~sfun:sfun_pure ~vfun:(Spec.vfun spec) i1 i2)
+(* [f] compiled as the (m, n) condition of a fresh [rand_spec], through
+   the same Compile.of_spec every detector builds. *)
+let compile_one f =
+  let spec = rand_spec () in
+  Spec.add_directed spec ~first:"m" ~second:"n" f;
+  let cspec = Compile.of_spec spec in
+  Compile.check_pure cspec (Compile.condition cspec ~first:"m" ~second:"n")
 
 let test_differential_random_formulas () =
   let rng = Random.State.make [| 0xf0f; 3 |] in
@@ -332,11 +333,11 @@ let test_differential_random_formulas () =
   let m = Spec.find_meth spec "m" and n = Spec.find_meth spec "n" in
   for _ = 1 to 500 do
     let f = gen_formula rng 3 in
-    let check = Compile.compile_condition spec f in
+    let check = compile_one f in
     for _ = 1 to 20 do
       let i1 = rand_inv rng ~txn:1 m and i2 = rand_inv rng ~txn:2 n in
       let want = interp_outcome spec f i1 i2 in
-      let got = outcome (fun () -> run_check spec check i1 i2) in
+      let got = outcome (fun () -> check i1 i2) in
       if want <> got then
         Alcotest.failf "random formula %s: interpreter %s, compiled %s on@.  %a@.  %a"
           (Formula.to_string f) (pp_outcome want) (pp_outcome got)
@@ -358,9 +359,7 @@ let test_div_by_zero_total () =
   let spec = rand_spec () in
   let both f i1 i2 =
     let want = interp_outcome spec f i1 i2 in
-    let got =
-      outcome (fun () -> run_check spec (Compile.compile_condition spec f) i1 i2)
-    in
+    let got = outcome (fun () -> compile_one f i1 i2) in
     check_bool ("agree on " ^ Formula.to_string f) true (want = got);
     want
   in
@@ -396,10 +395,7 @@ let test_arg_out_of_range () =
   List.iter
     (fun f ->
       let want = interp_outcome spec f i1 i2 in
-      let got =
-        outcome (fun () ->
-            run_check spec (Compile.compile_condition spec f) i1 i2)
-      in
+      let got = outcome (fun () -> compile_one f i1 i2) in
       check_bool
         (Formula.to_string f ^ ": both raise Type_error")
         true
@@ -455,44 +451,34 @@ let test_kinds () =
 (* ------------------------------------------------------------- *)
 
 let test_batch_check () =
-  List.iter
-    (fun compiled ->
-      let set = Iset.create () in
-      let det, gk =
-        Gatekeeper.Private.forward ~compiled ~hooks:(Iset.hooks set)
-          (Iset.precise_spec ())
-      in
-      check_bool "is_compiled reflects the flag" compiled
-        (Gatekeeper.is_compiled gk);
-      (* txn 1 adds 1 through the normal invoke path; its entry stays
-         active (no commit) *)
-      let meth m =
-        List.find (fun (x : Invocation.meth) -> x.Invocation.name = m)
-          Iset.methods
-      in
-      let inv1 = Invocation.make ~txn:1 (meth "add") [| Value.Int 1 |] in
-      ignore
-        (det.Detector.on_invoke inv1 (fun () ->
-             Iset.exec set "add" inv1.Invocation.args));
-      (* an executed invocation checked through the batch scan directly *)
-      let mk m v =
-        let inv = Invocation.make ~txn:2 (meth m) [| Value.Int v |] in
-        inv.Invocation.ret <- Iset.exec set m inv.Invocation.args;
-        inv
-      in
-      check_bool
-        (Fmt.str "disjoint add passes the batch scan (compiled=%b)" compiled)
-        true
-        (match Gatekeeper.batch_check gk (mk "add" 2) with
-        | () -> true
-        | exception Detector.Conflict _ -> false);
-      check_bool
-        (Fmt.str "remove of active element conflicts (compiled=%b)" compiled)
-        true
-        (match Gatekeeper.batch_check gk (mk "remove" 1) with
-        | () -> false
-        | exception Detector.Conflict _ -> true))
-    [ false; true ]
+  let set = Iset.create () in
+  let det, gk =
+    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set)
+      (Iset.precise_spec ())
+  in
+  (* txn 1 adds 1 through the normal invoke path; its entry stays active
+     (no commit) *)
+  let meth m =
+    List.find (fun (x : Invocation.meth) -> x.Invocation.name = m) Iset.methods
+  in
+  let inv1 = Invocation.make ~txn:1 (meth "add") [| Value.Int 1 |] in
+  ignore
+    (det.Detector.on_invoke inv1 (fun () ->
+         Iset.exec set "add" inv1.Invocation.args));
+  (* an executed invocation checked through the batch scan directly *)
+  let mk m v =
+    let inv = Invocation.make ~txn:2 (meth m) [| Value.Int v |] in
+    inv.Invocation.ret <- Iset.exec set m inv.Invocation.args;
+    inv
+  in
+  check_bool "disjoint add passes the batch scan" true
+    (match Gatekeeper.batch_check gk (mk "add" 2) with
+    | () -> true
+    | exception Detector.Conflict _ -> false);
+  check_bool "remove of active element conflicts" true
+    (match Gatekeeper.batch_check gk (mk "remove" 1) with
+    | () -> false
+    | exception Detector.Conflict _ -> true)
 
 let suite =
   [

@@ -171,25 +171,6 @@ let set_detectors : (string * (Iset.t -> Detector.t)) list =
       fun _ ->
         Protect.protect ~spec:(Iset.simple_spec ()) ~adt:(Protect.adt ())
           (Protect.Sharded (Protect.Abstract_lock, 8)) );
-    (* [Protect.protect] compiles conditions by default; the explicit
-       [~compiled:false] interpreter variants must be
-       conflict-for-conflict identical (the spec compiler's contract),
-       so the matrix keeps running both evaluation paths *)
-    ( "fwd-gk-interp",
-      fun set ->
-        Protect.protect ~compiled:false ~spec:(Iset.precise_spec ())
-          ~adt:(Protect.adt ~hooks:(Iset.hooks set) ())
-          Protect.Forward_gk );
-    ( "fwd-gk-sharded-interp",
-      fun set ->
-        Protect.protect ~compiled:false ~spec:(Iset.precise_spec ())
-          ~adt:(Protect.adt ~hooks:(Iset.hooks set) ())
-          (Protect.Sharded (Protect.Forward_gk, 8)) );
-    ( "abslock-rw-striped-interp",
-      fun _ ->
-        Protect.protect ~compiled:false ~spec:(Iset.simple_spec ())
-          ~adt:(Protect.adt ())
-          (Protect.Sharded (Protect.Abstract_lock, 8)) );
   ]
 
 (* Multi-op transactions on a kvmap, overlapping key ranges plus a keyless

@@ -210,7 +210,7 @@ let test_runtime_keyless_routing () =
   let spec = load "accumulator.spec" in
   let acc = ref 0 in
   let det, _gk =
-    Gatekeeper.forward_sharded ~nshards:8 ~obs:true
+    Gatekeeper.make ~allow_rollback:false ~nshards:8 ~obs:true
       ~hooks:(Gatekeeper.hooks (fun _ _ -> Value.Unit))
       spec
   in

@@ -10,7 +10,10 @@ let check_bool = Alcotest.(check bool)
 
 let mk_set_gk ?(impl = `Hash) () =
   let set = Iset.create ~impl () in
-  let det, gk = Gatekeeper.Private.forward ~hooks:(Iset.hooks set) (Iset.precise_spec ()) in
+  let det, gk =
+    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set)
+      (Iset.precise_spec ())
+  in
   (set, det, gk)
 
 let invoke det set txn m v =
@@ -129,7 +132,10 @@ let test_impl_agnostic =
 let test_forward_rejects_general () =
   let uf = Union_find.create () in
   check_bool "union-find spec needs general gatekeeper" true
-    (match Gatekeeper.Private.forward ~hooks:(Union_find.hooks uf) (Union_find.spec ()) with
+    (match
+       Gatekeeper.make ~allow_rollback:false ~hooks:(Union_find.hooks uf)
+         (Union_find.spec ())
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -197,7 +203,8 @@ let test_executor_serializable =
 let test_cm_union_find () =
   let uf = Union_find.create () in
   let _det, gk =
-    Gatekeeper.Private.general ~hooks:(Union_find.hooks uf) (Union_find.spec ())
+    Gatekeeper.make ~allow_rollback:true ~hooks:(Union_find.hooks uf)
+      (Union_find.spec ())
   in
   let open Formula in
   Alcotest.(check bool)
@@ -232,7 +239,7 @@ let test_adopt_open_txns () =
   (* successor over the same live set; give it activity of its own FIRST
      so restamping provably appends after existing seqs *)
   let det_b, gk_b =
-    Gatekeeper.Private.forward ~hooks:(Iset.hooks set) (Iset.precise_spec ())
+    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set) (Iset.precise_spec ())
   in
   ignore (invoke det_b set 10 "contains" 0);
   Gatekeeper.adopt gk_b invs;
@@ -263,9 +270,10 @@ let test_adopt_open_txns () =
    predecessor and successor use. *)
 let test_adopt_striped_coarse () =
   let mk_coarse set =
-    Gatekeeper.Private.forward ~hooks:(Iset.hooks set) (Iset.precise_spec ())
+    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set)
+      (Iset.precise_spec ())
   and mk_striped set =
-    Gatekeeper.forward_sharded ~nshards:4 ~hooks:(Iset.hooks set)
+    Gatekeeper.make ~allow_rollback:false ~nshards:4 ~hooks:(Iset.hooks set)
       (Iset.precise_spec ())
   in
   let scenario mk_from mk_to =

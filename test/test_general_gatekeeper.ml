@@ -11,7 +11,10 @@ let check_bool = Alcotest.(check bool)
 let mk ?(elements = 8) () =
   let uf = Union_find.create () in
   ignore (Union_find.create_elements uf elements);
-  let det, gk = Gatekeeper.Private.general ~hooks:(Union_find.hooks uf) (Union_find.spec ()) in
+  let det, gk =
+    Gatekeeper.make ~allow_rollback:true ~hooks:(Union_find.hooks uf)
+      (Union_find.spec ())
+  in
   (uf, det, gk)
 
 let invoke det uf txn name args =

@@ -242,7 +242,10 @@ let test_abstract_lock_snapshot () =
 
 let test_gatekeeper_snapshot () =
   let set = Iset.create () in
-  let det, gk = Gatekeeper.Private.forward ~hooks:(Iset.hooks set) (Iset.precise_spec ()) in
+  let det, gk =
+    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set)
+      (Iset.precise_spec ())
+  in
   let s =
     Executor.run_rounds ~processors:4 ~detector:det
       ~operator:(set_operator set det)
@@ -265,7 +268,8 @@ let test_general_gatekeeper_rollbacks () =
   let mesh = Mesh.generate ~rows:8 ~cols:8 () in
   let t = Boruvka.create ~mesh () in
   let det, gk =
-    Gatekeeper.Private.general ~hooks:(Union_find.hooks t.Boruvka.uf) (Union_find.spec ())
+    Gatekeeper.make ~allow_rollback:true
+      ~hooks:(Union_find.hooks t.Boruvka.uf) (Union_find.spec ())
   in
   let _s =
     Executor.run_rounds ~processors:8

@@ -209,6 +209,38 @@ let test_mem_trace_collector () =
   Mem_trace.clear c;
   Alcotest.(check (list int)) "cleared" [] (Mem_trace.read_list c)
 
+(* The detector name of every scheme Protect builds.  Rendered traces and
+   DPOR sleep-set fingerprints (Trace.fingerprint) embed these names, so a
+   rename would silently change both. *)
+let test_protect_names () =
+  let adt =
+    Protect.adt
+      ~hooks:(Gatekeeper.hooks (fun _ _ -> Value.Unit))
+      ~connect_tracer:ignore ()
+  in
+  List.iter
+    (fun (want, spec, scheme) ->
+      Alcotest.(check string)
+        (Protect.scheme_name scheme)
+        want
+        (Protect.protect ~spec ~adt scheme).Detector.name)
+    [
+      ("global-lock", Iset.exclusive_spec (), Protect.Global_lock);
+      ("abslock(set_rw)", Iset.simple_spec (), Protect.Abstract_lock);
+      ( "abslock-striped(set_rw)",
+        Iset.simple_spec (),
+        Protect.Sharded (Protect.Abstract_lock, 8) );
+      ("fwd-gk(set)", Iset.precise_spec (), Protect.Forward_gk);
+      ( "fwd-gk-sharded(kvmap)",
+        Kvmap.precise_spec (),
+        Protect.Sharded (Protect.Forward_gk, 16) );
+      ("gen-gk(union_find)", Union_find.spec (), Protect.General_gk);
+      ( "gen-gk-sharded(union_find)",
+        Union_find.spec (),
+        Protect.Sharded (Protect.General_gk, 4) );
+      ("stm", Iset.precise_spec (), Protect.Stm);
+    ]
+
 let suite =
   [
     Alcotest.test_case "txn rollback order" `Quick test_txn_rollback_order;
@@ -226,4 +258,6 @@ let suite =
     test_stats_invariants;
     Alcotest.test_case "performance model" `Quick test_model_runtime;
     Alcotest.test_case "mem-trace collector" `Quick test_mem_trace_collector;
+    Alcotest.test_case "protect: detector name per scheme" `Quick
+      test_protect_names;
   ]

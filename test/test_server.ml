@@ -392,9 +392,8 @@ let test_set_level_mid_stream () =
   (match Engine.set_level eng "queue" 0 with
   | () -> Alcotest.fail "set_level unknown adt must raise"
   | exception Invalid_argument _ -> ());
-  (* swapped-in detectors come up compiled: moving levels must not cost
-     the interpreter path its checks_avoided fast path.  The level
-     snapshot exists and is parseable evidence the detector is live. *)
+  (* the level snapshot exists and is parseable evidence the swapped-in
+     detector is live *)
   ignore (Engine.level_snapshot eng "kvmap");
   (* flow-graph joins the dance too *)
   ignore

@@ -124,7 +124,8 @@ let test_gatekeepers_agree =
              let uf = Union_find.create () in
              ignore (Union_find.create_elements uf n);
              let det, _ =
-               Gatekeeper.Private.general ~hooks:(Union_find.hooks uf) (Union_find.spec ())
+               Gatekeeper.make ~allow_rollback:true
+                 ~hooks:(Union_find.hooks uf) (Union_find.spec ())
              in
              (det, (fun inv -> Union_find.exec_logged uf inv), Union_find.undo uf)
            in
@@ -132,7 +133,7 @@ let test_gatekeepers_agree =
              let t = Union_find_versioned.create () in
              ignore (Union_find_versioned.create_elements t n);
              let det, _ =
-               Gatekeeper.Private.general
+               Gatekeeper.make ~allow_rollback:true
                  ~hooks:(Union_find_versioned.hooks t)
                  (Union_find.spec ())
              in

@@ -1523,8 +1523,6 @@ let adaptive_bench scale =
 (* Parallel exploration benchmark (BENCH_explore.json)                 *)
 (* ------------------------------------------------------------------ *)
 
-module Sched_pexplore = Commlat_sched.Pexplore
-
 let explore_gate_failed = ref false
 
 (* Schedules/sec of the work-stealing explorer at 1/2/4 domains over the
@@ -1600,43 +1598,42 @@ let explore_bench scale =
         (fun domains ->
           let config =
             {
-              Sched_pexplore.base =
-                {
-                  Sched_explore.default_config with
-                  Sched_explore.max_schedules = budget;
-                };
+              Sched_explore.default_config with
+              Sched_explore.max_schedules = budget;
               domains;
               dedup = true;
             }
           in
           let obs = Obs.create ~enabled:true "explore" in
           let t0 = Unix.gettimeofday () in
-          let r = Sched_pexplore.explore ~config ~obs w.Sched_workload.make in
+          let r = Sched_explore.explore ~config ~obs w.Sched_workload.make in
           let dt = Unix.gettimeofday () -. t0 in
-          let runs = r.Sched_pexplore.c.Sched_explore.runs in
+          let runs = r.Sched_explore.c.Sched_explore.runs in
+          (* dedup is on, so the search counted its states *)
+          let states = Option.get r.Sched_explore.states in
           let violations =
-            match r.Sched_pexplore.verdict with None -> 0 | Some _ -> 1
+            match r.Sched_explore.verdict with None -> 0 | Some _ -> 1
           in
           let rate = if dt > 0.0 then float_of_int runs /. dt else 0.0 in
           pf
             "  %-22s domains=%d  %5d runs  %4d states  %s  %8.0f \
              schedules/s%s@."
-            label domains runs r.Sched_pexplore.states
-            (if r.Sched_pexplore.exhausted then "exhausted" else "budget-cut")
+            label domains runs states
+            (if r.Sched_explore.exhausted then "exhausted" else "budget-cut")
             rate
             (if violations > 0 then "  VIOLATION" else "");
-          if expect_exhaust && not r.Sched_pexplore.exhausted then
+          if expect_exhaust && not r.Sched_explore.exhausted then
             gate_fail "%s: expected to exhaust within %d schedules at %d \
                        domains"
               label budget domains;
           (match !baseline with
-          | None -> baseline := Some (r.Sched_pexplore.states, violations)
+          | None -> baseline := Some (states, violations)
           | Some (states1, viol1) ->
-              if r.Sched_pexplore.exhausted && expect_exhaust then begin
-                if r.Sched_pexplore.states <> states1 then
+              if r.Sched_explore.exhausted && expect_exhaust then begin
+                if states <> states1 then
                   gate_fail
-                    "%s: states at %d domains = %d, expected %d (sequential)"
-                    label domains r.Sched_pexplore.states states1;
+                    "%s: states at %d domains = %d, expected %d (1 domain)"
+                    label domains states states1;
                 if violations <> viol1 then
                   gate_fail
                     "%s: violations at %d domains = %d, expected %d"
@@ -1652,10 +1649,11 @@ let explore_bench scale =
                 ("txns", Jsonx.Int w.Sched_workload.w_txns);
                 ("domains", Jsonx.Int domains);
                 ("schedules", Jsonx.Int runs);
-                ("states", Jsonx.Int r.Sched_pexplore.states);
-                ("dedup_hits", Jsonx.Int r.Sched_pexplore.dedup_hits);
+                ("states", Jsonx.Int states);
+                ( "dedup_hits",
+                  Jsonx.Int r.Sched_explore.c.Sched_explore.dedup_hits );
                 ("violations", Jsonx.Int violations);
-                ("exhausted", Jsonx.Bool r.Sched_pexplore.exhausted);
+                ("exhausted", Jsonx.Bool r.Sched_explore.exhausted);
                 ("wall_s", Jsonx.Float dt);
                 ("schedules_per_sec", Jsonx.Float rate);
                 ("obs", Obs.snapshot_to_json (Obs.snapshot obs));
@@ -1667,16 +1665,11 @@ let explore_bench scale =
      replayable *)
   let abba () = Commlat_sched.Seeded.workload ~buggy:true () in
   let r =
-    Sched_pexplore.explore
-      ~config:
-        {
-          Sched_pexplore.base = Sched_explore.default_config;
-          domains = 4;
-          dedup = true;
-        }
+    Sched_explore.explore
+      ~config:{ Sched_explore.default_config with domains = 4; dedup = true }
       abba
   in
-  (match r.Sched_pexplore.verdict with
+  (match r.Sched_explore.verdict with
   | None -> gate_fail "abba-buggy: deadlock not found at 4 domains"
   | Some f ->
       if f.Sched_explore.f_kind <> "deadlock" then

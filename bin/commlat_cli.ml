@@ -846,68 +846,14 @@ let explore_cmd =
               || r.Sched.Scheduler.oracle_failure <> None
             in
             exit (if failed then 1 else 0)
-        | None when domains > 1 ->
-            let config =
-              {
-                Sched.Pexplore.base =
-                  {
-                    Sched.Explore.por = not no_por;
-                    max_schedules;
-                    max_steps = steps;
-                  };
-                domains;
-                dedup = true;
-              }
-            in
-            let obs = Obs.create ~enabled:true "explore" in
-            let report =
-              Sched.Pexplore.explore ~config ~obs w.Sched.Workload.make
-            in
-            let c = report.Sched.Pexplore.c in
-            Fmt.pr
-              "workload %s, detector %s, %d transactions, por=%b, %d domains@.\
-               schedules: %d run, %d pruned (commutativity), %d sleep-set \
-               hits, %d shrink runs@.\
-               states: %d distinct canonical traces, %d dedup hits@.\
-               steps: %d total, %d truncated runs; search %s@."
-              w.Sched.Workload.w_name w.Sched.Workload.w_detector
-              w.Sched.Workload.w_txns (not no_por) domains c.Sched.Explore.runs
-              c.Sched.Explore.pruned c.Sched.Explore.sleep_hits
-              c.Sched.Explore.shrink_runs report.Sched.Pexplore.states
-              report.Sched.Pexplore.dedup_hits c.Sched.Explore.steps
-              c.Sched.Explore.truncated
-              (if report.Sched.Pexplore.exhausted then "exhausted"
-               else "cut short by --max-schedules");
-            (match report.Sched.Pexplore.verdict with
-            | None -> Fmt.pr "verdict: ok (no counterexample)@."
-            | Some f ->
-                Fmt.pr
-                  "verdict: counterexample (%s): %s@.\
-                   schedule (shrunk %d -> %d choices): %s@.%s"
-                  f.Sched.Explore.f_kind f.Sched.Explore.f_detail
-                  f.Sched.Explore.f_shrunk_from
-                  (List.length f.Sched.Explore.f_schedule)
-                  (String.concat ","
-                     (List.map string_of_int f.Sched.Explore.f_schedule))
-                  f.Sched.Explore.f_trace);
-            (match json_out with
-            | Some path ->
-                let doc =
-                  Sched.Pexplore.json_of_report
-                    ~workload:w.Sched.Workload.w_name
-                    ~detector:w.Sched.Workload.w_detector
-                    ~txns:w.Sched.Workload.w_txns ~config
-                    ~obs_snapshot:(Obs.snapshot obs) report
-                in
-                write_out path (Jsonx.to_string doc ^ "\n")
-            | None -> ());
-            exit (if report.Sched.Pexplore.verdict = None then 0 else 1)
         | None ->
             let config =
               {
                 Sched.Explore.por = not no_por;
                 max_schedules;
                 max_steps = steps;
+                domains;
+                dedup = domains > 1;
               }
             in
             let obs = Obs.create ~enabled:true "explore" in
@@ -916,15 +862,20 @@ let explore_cmd =
             in
             let c = report.Sched.Explore.c in
             Fmt.pr
-              "workload %s, detector %s, %d transactions, por=%b@.\
+              "workload %s, detector %s, %d transactions, por=%b, domains=%d@.\
                schedules: %d run, %d pruned (commutativity), %d sleep-set \
-               hits, %d shrink runs@.\
-               steps: %d total, %d truncated runs; search %s@."
+               hits, %d shrink runs@."
               w.Sched.Workload.w_name w.Sched.Workload.w_detector
-              w.Sched.Workload.w_txns (not no_por) c.Sched.Explore.runs
+              w.Sched.Workload.w_txns (not no_por) domains c.Sched.Explore.runs
               c.Sched.Explore.pruned c.Sched.Explore.sleep_hits
-              c.Sched.Explore.shrink_runs c.Sched.Explore.steps
-              c.Sched.Explore.truncated
+              c.Sched.Explore.shrink_runs;
+            (match report.Sched.Explore.states with
+            | Some states ->
+                Fmt.pr "states: %d distinct canonical traces, %d dedup hits@."
+                  states c.Sched.Explore.dedup_hits
+            | None -> ());
+            Fmt.pr "steps: %d total, %d truncated runs; search %s@."
+              c.Sched.Explore.steps c.Sched.Explore.truncated
               (if report.Sched.Explore.exhausted then "exhausted"
                else "cut short by --max-schedules");
             (match report.Sched.Explore.verdict with
@@ -1011,11 +962,10 @@ let explore_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains for the search. $(b,1) (default) runs the \
-             sequential explorer; $(b,N>1) work-steals schedule prefixes \
-             across N domains with canonical-trace deduplication — same \
-             verdicts, same explored states, wall-clock divided by the \
-             available cores.")
+            "Worker domains for the search. $(b,N>1) work-steals schedule \
+             prefixes across N domains with canonical-trace deduplication \
+             (except under $(b,--no-por)) — same verdicts, same explored \
+             states, wall-clock divided by the available cores.")
   in
   Cmd.v
     (Cmd.info "explore" ~exits

@@ -10,8 +10,8 @@
 
     The hook is {e domain-local} and unsynchronized within its domain:
     each domain may install at most one hook, and emissions only reach the
-    hook installed on the emitting domain.  This is what lets the parallel
-    explorer ([Commlat_sched.Pexplore]) run one virtual scheduler per
+    hook installed on the emitting domain.  This is what lets the
+    explorer ([Commlat_sched.Explore]) run one virtual scheduler per
     domain concurrently; exploration still never shares a domain with
     [Executor.run_domains]. *)
 

@@ -22,6 +22,7 @@
 
 open Commlat_core
 module Obs = Commlat_obs.Obs
+module Wsdeque = Commlat_wsdeque.Wsdeque
 
 type stats = {
   committed : int;  (** iterations that committed *)

@@ -14,9 +14,9 @@
       {!Parameter}).
     - {!run_domains} — real concurrency on OCaml 5 domains; interleaving
       is at method-invocation granularity.  Work is spread over per-domain
-      {!Wsdeque}s with stealing, aborts are made atomic by taking every
-      involved detector guard, and termination is exact (a pending count
-      plus a versioned sleep/wake protocol).
+      {!Commlat_wsdeque.Wsdeque}s with stealing, aborts are made atomic by
+      taking every involved detector guard, and termination is exact (a
+      pending count plus a versioned sleep/wake protocol).
 
     The operator {b must} register an undo action with its transaction for
     every mutation it performs, so aborts can roll back. *)

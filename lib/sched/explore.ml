@@ -37,21 +37,55 @@
 
     Failing runs (deadlock, crash, oracle violation) are shrunk greedily —
     prefix truncation, then single-choice deletion to a fixpoint — and
-    reported with a replayable schedule and a rendered trace. *)
+    reported with a replayable schedule and a rendered trace.
+
+    {b Domains.}  A node's children are a deterministic function of the
+    node alone ({!Scheduler.run} is deterministic and {!expand} is pure),
+    so any domain can process any frontier node.  Each of
+    [config.domains] workers owns a {!Wsdeque} of nodes: it pops from the
+    front (depth-first), pushes a node's children back to the front, and
+    when empty steals from another deque.  {!Schedpoint} hooks are
+    domain-local, so each worker replays schedules through its own
+    virtual scheduler.  All cross-domain state is explicit: an atomic
+    run-ticket counter makes [max_schedules] exact, an atomic pending-node
+    count gives exact termination (a node is pending from push until its
+    children are pushed), and a mutex-claimed first-failure slot lets the
+    winner stop the fleet and shrink alone.  With one domain the worker
+    visits nodes in plain depth-first order, so every counter, the first
+    failure and its shrink are deterministic.
+
+    {b Dedup.}  With [config.dedup], a sharded seen-trace table keyed on
+    the {e canonical linearization} of each run's happens-before order
+    ({!canonical_key}) counts distinct Mazurkiewicz traces ("states") and
+    skips expanding a trace some domain already expanded.  Without it no
+    key is computed and no states are counted. *)
 
 open Commlat_core
 module Obs = Commlat_obs.Obs
 module Jsonx = Commlat_obs.Jsonx
-module Diagnostic = Commlat_analysis.Diagnostic
+module Wsdeque = Commlat_wsdeque.Wsdeque
 
 type config = {
   por : bool;  (** commutativity pruning (false = explore everything) *)
   max_schedules : int;  (** run budget for the exploration phase *)
   max_steps : int;  (** per-run step budget (catches retry livelocks) *)
+  domains : int;  (** worker domains *)
+  dedup : bool;
+      (** skip expanding a run whose canonical trace was already expanded,
+          and count distinct traces.  Ignored without [por]: the unpruned
+          search is the ground truth and runs every branch. *)
 }
 
-let default_config = { por = true; max_schedules = 2000; max_steps = 2000 }
+let default_config =
+  {
+    por = true;
+    max_schedules = 2000;
+    max_steps = 2000;
+    domains = 1;
+    dedup = false;
+  }
 
+(** One domain's counters; the report also carries their sum. *)
 type counters = {
   mutable runs : int;  (** schedules actually executed *)
   mutable pruned : int;  (** branches dropped by commutativity pruning *)
@@ -59,6 +93,11 @@ type counters = {
   mutable steps : int;  (** total steps across all runs *)
   mutable truncated : int;  (** runs that hit the step budget *)
   mutable shrink_runs : int;  (** extra runs spent shrinking *)
+  mutable expanded : int;  (** nodes whose children were generated *)
+  mutable pushed : int;  (** children pushed to the local deque *)
+  mutable steals : int;  (** successful steals from other deques *)
+  mutable steal_misses : int;  (** full sweeps that found nothing *)
+  mutable dedup_hits : int;  (** runs not expanded: trace already seen *)
 }
 
 type failure = {
@@ -71,9 +110,27 @@ type failure = {
 
 type report = {
   verdict : failure option;  (** [None] = no counterexample found *)
-  c : counters;
+  c : counters;  (** summed across domains *)
+  per_domain : counters array;
+  states : int option;
+      (** distinct canonical traces; [None] when the search did not dedup *)
   exhausted : bool;  (** false: the run budget cut the search short *)
 }
+
+let fresh_counters () =
+  {
+    runs = 0;
+    pruned = 0;
+    sleep_hits = 0;
+    steps = 0;
+    truncated = 0;
+    shrink_runs = 0;
+    expanded = 0;
+    pushed = 0;
+    steals = 0;
+    steal_misses = 0;
+    dedup_hits = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The independence relation                                           *)
@@ -230,9 +287,8 @@ type expansion = {
 (** Generate the backtrack children of [node] from the run [r] it
     produced: for every decision at or beyond the prefix and every enabled
     alternative fiber, a child prefix — unless partial-order reduction or
-    the sleep set proves the branch redundant.  Pure with respect to the
-    caller's bookkeeping; shared by the sequential DFS below and the
-    parallel explorer ({!Pexplore}). *)
+    the sleep set proves the branch redundant.  Pure, so any domain can
+    expand any node. *)
 let expand ~por ~spec (r : Scheduler.result) (node : node) : expansion =
   let x_pruned = ref 0 and x_sleep_hits = ref 0 in
   let steps = Array.of_list r.Scheduler.steps in
@@ -314,55 +370,148 @@ let expand ~por ~spec (r : Scheduler.result) (node : node) : expansion =
     x_sleep_hits = !x_sleep_hits;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Canonical trace keys                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** The canonical linearization of a run's happens-before partial order:
+    greedy smallest-tid topological sort over program order +
+    {!dependent} edges (within one thread only the earliest unscheduled
+    event is ready, so the choice is total), rendered with
+    {!Trace.render}'s first-appearance normalization.  Two runs are
+    Mazurkiewicz-equivalent iff their keys are equal. *)
+let canonical_key spec (r : Scheduler.result) : string =
+  let arr = Array.of_list r.Scheduler.steps in
+  let n = Array.length arr in
+  let succs = Array.make n [] in
+  let indeg = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      if
+        arr.(i).Trace.s_tid = arr.(j).Trace.s_tid
+        || dependent spec r.Scheduler.executed arr.(i).Trace.s_info
+             arr.(j).Trace.s_info
+      then begin
+        succs.(i) <- j :: succs.(i);
+        indeg.(j) <- indeg.(j) + 1
+      end
+    done
+  done;
+  let module Ready = Set.Make (struct
+    type t = int * int (* (tid, step index) *)
+
+    let compare = compare
+  end) in
+  let ready = ref Ready.empty in
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then ready := Ready.add (arr.(i).Trace.s_tid, i) !ready
+  done;
+  let order = ref [] in
+  while not (Ready.is_empty !ready) do
+    let ((_, i) as e) = Ready.min_elt !ready in
+    ready := Ready.remove e !ready;
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then ready := Ready.add (arr.(j).Trace.s_tid, j) !ready)
+      succs.(i)
+  done;
+  Trace.render (List.rev_map (fun i -> arr.(i)) !order)
+
+(** The sharded seen-trace table. *)
+module Seen = struct
+  type t = {
+    tables : (string, unit) Hashtbl.t array;
+    locks : Mutex.t array;
+  }
+
+  let shards = 64 (* power of two *)
+
+  let create () =
+    {
+      tables = Array.init shards (fun _ -> Hashtbl.create 64);
+      locks = Array.init shards (fun _ -> Mutex.create ());
+    }
+
+  (** [add t key] is [true] iff [key] was not present (first sighting). *)
+  let add t key =
+    let i = Hashtbl.hash key land (shards - 1) in
+    Mutex.protect t.locks.(i) (fun () ->
+        if Hashtbl.mem t.tables.(i) key then false
+        else begin
+          Hashtbl.replace t.tables.(i) key ();
+          true
+        end)
+
+  let cardinal t =
+    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.tables
+end
+
+(* ------------------------------------------------------------------ *)
+(* Exploration                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** Explore [mk]'s schedule tree on [config.domains] domains.  [obs], when
+    given, receives the [schedules_run] / [schedules_pruned] /
+    [sleep_set_hits] counters (bumped from all domains). *)
 let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     report =
-  let c =
-    {
-      runs = 0;
-      pruned = 0;
-      sleep_hits = 0;
-      steps = 0;
-      truncated = 0;
-      shrink_runs = 0;
-    }
-  in
-  let o_runs, o_pruned, o_sleep =
-    match obs with
-    | Some o ->
-        ( Some (Obs.counter o "schedules_run"),
-          Some (Obs.counter o "schedules_pruned"),
-          Some (Obs.counter o "sleep_set_hits") )
-    | None -> (None, None, None)
-  in
-  let bump cnt = match cnt with Some x -> Obs.incr x | None -> () in
-  let stack = ref [ { prefix = []; sleep = [] } ] in
-  let found : failure option ref = ref None in
+  let { por; max_schedules; max_steps; _ } = config in
+  let ndom = max 1 config.domains in
+  let counter name = Option.map (fun o -> Obs.counter o name) obs in
+  let o_runs = counter "schedules_run"
+  and o_pruned = counter "schedules_pruned"
+  and o_sleep = counter "sleep_set_hits" in
+  let bump cnt n = Option.iter (fun x -> Obs.add x n) cnt in
   let spec = (mk ()).Scheduler.spec in
-  while !found = None && !stack <> [] && c.runs < config.max_schedules do
-    match !stack with
-    | [] -> ()
-    | node :: rest ->
-        stack := rest;
-        let r =
-          Scheduler.run ~max_steps:config.max_steps ~schedule:node.prefix mk
-        in
-        c.runs <- c.runs + 1;
-        bump o_runs;
-        c.steps <- c.steps + List.length r.Scheduler.steps;
-        (if r.Scheduler.status = Scheduler.Truncated then
-           c.truncated <- c.truncated + 1);
-        (match failure_of_run r with
-        | Some (kind, _) ->
-            let sched, rr =
-              shrink ~max_steps:config.max_steps ~c mk kind
-                r.Scheduler.choices
-            in
+  let seen = if config.dedup && por then Some (Seen.create ()) else None in
+  let deques = Array.init ndom (fun _ -> Wsdeque.create ()) in
+  let per_domain = Array.init ndom (fun _ -> fresh_counters ()) in
+  (* nodes pushed but whose processing has not finished; exact because a
+     worker increments for every child BEFORE decrementing for the parent *)
+  let pending = Atomic.make 1 in
+  Wsdeque.push_front deques.(0) { prefix = []; sleep = [] };
+  let tickets = Atomic.make 0 in
+  let budget_hit = Atomic.make false in
+  let stop = Atomic.make false in
+  let found_mu = Mutex.create () in
+  let claimed = ref false (* protected by found_mu *) in
+  let failure : failure option ref =
+    ref None (* written by the claim winner only; read after joins *)
+  in
+  let process me node =
+    let d = per_domain.(me) in
+    if Atomic.get stop then ()
+    else if Atomic.fetch_and_add tickets 1 >= max_schedules then begin
+      (* budget honesty: this node was frontier work we did NOT run *)
+      Atomic.set budget_hit true;
+      Atomic.set stop true
+    end
+    else begin
+      let r = Scheduler.run ~max_steps ~schedule:node.prefix mk in
+      d.runs <- d.runs + 1;
+      bump o_runs 1;
+      d.steps <- d.steps + List.length r.Scheduler.steps;
+      if r.Scheduler.status = Scheduler.Truncated then
+        d.truncated <- d.truncated + 1;
+      match failure_of_run r with
+      | Some (kind, _) ->
+          let win =
+            Mutex.protect found_mu (fun () ->
+                let first = not !claimed in
+                claimed := true;
+                first)
+          in
+          if win then begin
+            Atomic.set stop true;
+            let sched, rr = shrink ~max_steps ~c:d mk kind r.Scheduler.choices in
             let detail =
               match failure_of_run rr with
-              | Some (_, d) -> d
+              | Some (_, dd) -> dd
               | None -> "failure did not reproduce on shrunk schedule"
             in
-            found :=
+            failure :=
               Some
                 {
                   f_kind = kind;
@@ -371,25 +520,108 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
                   f_trace = Trace.render rr.Scheduler.steps;
                   f_shrunk_from = List.length r.Scheduler.choices;
                 }
+          end
+      | None -> (
+          let fresh =
+            match seen with
+            | None -> true
+            | Some s -> Seen.add s (canonical_key spec r)
+          in
+          if not fresh then d.dedup_hits <- d.dedup_hits + 1
+          else
+            let x = expand ~por ~spec r node in
+            d.pruned <- d.pruned + x.x_pruned;
+            bump o_pruned x.x_pruned;
+            d.sleep_hits <- d.sleep_hits + x.x_sleep_hits;
+            bump o_sleep x.x_sleep_hits;
+            d.expanded <- d.expanded + 1;
+            match x.children with
+            | [] -> ()
+            | children ->
+                let k = List.length children in
+                ignore (Atomic.fetch_and_add pending k);
+                (* push in generation order: the LAST decision's branch ends
+                   up at the front, so it is explored first *)
+                List.iter (Wsdeque.push_front deques.(me)) children;
+                d.pushed <- d.pushed + k)
+    end
+  in
+  let worker me =
+    let d = per_domain.(me) in
+    let mine = deques.(me) in
+    let rec obtain () =
+      if Atomic.get stop then None
+      else
+        match Wsdeque.pop mine with
+        | Some n -> Some n
         | None ->
-            (* generate children at decisions >= |prefix| *)
-            let x = expand ~por:config.por ~spec r node in
-            c.pruned <- c.pruned + x.x_pruned;
-            for _ = 1 to x.x_pruned do
-              bump o_pruned
-            done;
-            c.sleep_hits <- c.sleep_hits + x.x_sleep_hits;
-            for _ = 1 to x.x_sleep_hits do
-              bump o_sleep
-            done;
-            (* depth-first: push children so the LAST decision's branches
-               are explored first *)
-            stack := List.rev_append x.children !stack)
-  done;
+            if Atomic.get pending = 0 then None
+            else begin
+              let stolen = ref None in
+              let k = ref 1 in
+              while !stolen = None && !k < ndom do
+                (match Wsdeque.steal deques.((me + !k) mod ndom) with
+                | Some n ->
+                    stolen := Some n;
+                    d.steals <- d.steals + 1
+                | None -> ());
+                incr k
+              done;
+              match !stolen with
+              | Some n -> Some n
+              | None ->
+                  d.steal_misses <- d.steal_misses + 1;
+                  Domain.cpu_relax ();
+                  obtain ()
+            end
+    in
+    let rec loop () =
+      match obtain () with
+      | None -> ()
+      | Some node ->
+          process me node;
+          Atomic.decr pending;
+          loop ()
+    in
+    loop ()
+  in
+  let safe_worker me () =
+    try worker me
+    with e ->
+      (* unblock the other workers before propagating *)
+      Atomic.set stop true;
+      raise e
+  in
+  let spawned =
+    Array.init (ndom - 1) (fun i -> Domain.spawn (safe_worker (i + 1)))
+  in
+  let errs = ref [] in
+  (try safe_worker 0 () with e -> errs := [ e ]);
+  Array.iter
+    (fun dmn -> try Domain.join dmn with e -> errs := !errs @ [ e ])
+    spawned;
+  (match !errs with e :: _ -> raise e | [] -> ());
+  let c = fresh_counters () in
+  Array.iter
+    (fun d ->
+      c.runs <- c.runs + d.runs;
+      c.pruned <- c.pruned + d.pruned;
+      c.sleep_hits <- c.sleep_hits + d.sleep_hits;
+      c.steps <- c.steps + d.steps;
+      c.truncated <- c.truncated + d.truncated;
+      c.shrink_runs <- c.shrink_runs + d.shrink_runs;
+      c.expanded <- c.expanded + d.expanded;
+      c.pushed <- c.pushed + d.pushed;
+      c.steals <- c.steals + d.steals;
+      c.steal_misses <- c.steal_misses + d.steal_misses;
+      c.dedup_hits <- c.dedup_hits + d.dedup_hits)
+    per_domain;
   {
-    verdict = !found;
+    verdict = !failure;
     c;
-    exhausted = (!found <> None) || !stack = [];
+    per_domain;
+    states = Option.map Seen.cardinal seen;
+    exhausted = !failure <> None || not (Atomic.get budget_hit);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -406,15 +638,25 @@ let replay ?(max_steps = default_config.max_steps) ~schedule mk :
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let diagnostics_of_failure ~workload (f : failure) : Diagnostic.t list =
-  [
-    Diagnostic.make ~spec:workload ~sev:Diagnostic.Error ~code:f.f_kind
-      "schedule %s: %s (shrunk from %d to %d choices)"
-      (String.concat "," (List.map string_of_int f.f_schedule))
-      f.f_detail f.f_shrunk_from
-      (List.length f.f_schedule);
-  ]
+let json_of_domain i (d : counters) : Jsonx.t =
+  Jsonx.Obj
+    [
+      ("domain", Jsonx.Int i);
+      ("runs", Jsonx.Int d.runs);
+      ("steps", Jsonx.Int d.steps);
+      ("truncated", Jsonx.Int d.truncated);
+      ("pruned", Jsonx.Int d.pruned);
+      ("sleep_hits", Jsonx.Int d.sleep_hits);
+      ("expanded", Jsonx.Int d.expanded);
+      ("pushed", Jsonx.Int d.pushed);
+      ("steals", Jsonx.Int d.steals);
+      ("steal_misses", Jsonx.Int d.steal_misses);
+      ("dedup_hits", Jsonx.Int d.dedup_hits);
+      ("shrink_runs", Jsonx.Int d.shrink_runs);
+    ]
 
+(** JSON document (schema ["commlat-explore/1"]).  [states], [dedup_hits]
+    and [dedup_rate] appear only when the search deduplicated. *)
 let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
     (r : report) : Jsonx.t =
   let fail_json =
@@ -431,13 +673,28 @@ let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
             ("trace", Jsonx.Str f.f_trace);
           ]
   in
+  let dedup_json =
+    match r.states with
+    | None -> []
+    | Some states ->
+        [
+          ("states", Jsonx.Int states);
+          ("dedup_hits", Jsonx.Int r.c.dedup_hits);
+          ( "dedup_rate",
+            Jsonx.Float
+              (if r.c.runs = 0 then 0.0
+               else float_of_int r.c.dedup_hits /. float_of_int r.c.runs) );
+        ]
+  in
   Jsonx.Obj
     ([
        ("schema", Jsonx.Str "commlat-explore/1");
        ("workload", Jsonx.Str workload);
        ("detector", Jsonx.Str detector);
        ("txns", Jsonx.Int txns);
+       ("domains", Jsonx.Int (Array.length r.per_domain));
        ("por", Jsonx.Bool config.por);
+       ("dedup", Jsonx.Bool (r.states <> None));
        ("max_schedules", Jsonx.Int config.max_schedules);
        ("max_steps", Jsonx.Int config.max_steps);
        ("schedules_run", Jsonx.Int r.c.runs);
@@ -446,12 +703,18 @@ let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
        ("steps_total", Jsonx.Int r.c.steps);
        ("truncated_runs", Jsonx.Int r.c.truncated);
        ("shrink_runs", Jsonx.Int r.c.shrink_runs);
-       ("exhausted", Jsonx.Bool r.exhausted);
-       ( "verdict",
-         Jsonx.Str (match r.verdict with None -> "ok" | Some _ -> "counterexample")
-       );
-       ("counterexample", fail_json);
      ]
-    @ match obs_snapshot with
-      | Some s -> [ ("obs", Obs.snapshot_to_json s) ]
-      | None -> [])
+    @ dedup_json
+    @ [
+        ("exhausted", Jsonx.Bool r.exhausted);
+        ( "verdict",
+          Jsonx.Str
+            (match r.verdict with None -> "ok" | Some _ -> "counterexample") );
+        ("counterexample", fail_json);
+        ( "per_domain",
+          Jsonx.List (Array.to_list (Array.mapi json_of_domain r.per_domain)) );
+      ]
+    @
+    match obs_snapshot with
+    | Some s -> [ ("obs", Obs.snapshot_to_json s) ]
+    | None -> [])

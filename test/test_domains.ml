@@ -46,9 +46,6 @@ let test_guard_mutual_exclusion () =
   List.iter Domain.join ds;
   check_int "4 domains x 5000 guarded increments" 20_000 !counter
 
-(* (The Wsdeque unit tests moved to test_wsdeque.ml when the deque became
-   its own library under lib/wsdeque.) *)
-
 (* ------------------------------------------------------------- *)
 (* Honest stats (satellite: rounds/makespan/parallelism)          *)
 (* ------------------------------------------------------------- *)

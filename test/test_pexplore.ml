@@ -1,7 +1,8 @@
-(* Parallel DPOR explorer (lib/sched/pexplore): sequential equivalence at
-   domains=1, domain-count invariance of explored states and violations,
-   canonical-trace dedup keys, and the seeded ABBA bug under parallel
-   search. *)
+(* The DPOR explorer across domains (lib/sched/explore.ml): pinned
+   one-domain counters and counterexample, domain-count invariance of
+   explored states and violations, canonical-trace dedup keys, the
+   unpruned search at any domain count, and the seeded ABBA bug under
+   parallel search. *)
 
 open Commlat_runtime
 open Commlat_sched
@@ -19,67 +20,52 @@ let mk_uf seed =
   | Error e -> Alcotest.fail e
 
 let pconfig ?(por = true) ?(max_schedules = 2000) ?(dedup = true) domains =
-  {
-    Pexplore.base = { Explore.default_config with por; max_schedules };
-    domains;
-    dedup;
-  }
+  { Explore.default_config with por; max_schedules; domains; dedup }
 
-(* ---- domains=1 (dedup off) is the sequential explorer, counter for
-   counter and verdict for verdict ---- *)
+(* ---- one domain, no dedup (the CLI's default): the counters and the
+   counterexample are pinned ---- *)
 
-let test_seq_equiv_clean () =
+let test_one_domain_counters () =
   List.iter
-    (fun scheme ->
-      let w = mk_set scheme in
-      let name = Protect.scheme_name scheme in
-      let cfg = { Explore.default_config with max_schedules = 400 } in
-      let rs = Explore.explore ~config:cfg w.Workload.make in
-      let rp =
-        Pexplore.explore
-          ~config:{ Pexplore.base = cfg; domains = 1; dedup = false }
+    (fun (name, scheme, seed, (runs, pruned, sleep_hits, steps)) ->
+      let w =
+        match Workload.by_name ~txns:2 ~seed name scheme with
+        | Ok w -> w
+        | Error e -> Alcotest.fail e
+      in
+      let r =
+        Explore.explore
+          ~config:{ Explore.default_config with max_schedules = 1_000_000 }
           w.Workload.make
       in
-      Alcotest.(check bool)
-        (name ^ ": verdict matches sequential")
-        true
-        (rs.Explore.verdict = rp.Pexplore.verdict);
-      Alcotest.(check int)
-        (name ^ ": runs match sequential")
-        rs.Explore.c.Explore.runs rp.Pexplore.c.Explore.runs;
-      Alcotest.(check int)
-        (name ^ ": pruned match sequential")
-        rs.Explore.c.Explore.pruned rp.Pexplore.c.Explore.pruned;
-      Alcotest.(check int)
-        (name ^ ": sleep hits match sequential")
-        rs.Explore.c.Explore.sleep_hits rp.Pexplore.c.Explore.sleep_hits;
-      Alcotest.(check int)
-        (name ^ ": steps match sequential")
-        rs.Explore.c.Explore.steps rp.Pexplore.c.Explore.steps;
-      Alcotest.(check bool)
-        (name ^ ": exhausted matches sequential")
-        rs.Explore.exhausted rp.Pexplore.exhausted)
-    [ Protect.Forward_gk; Protect.Abstract_lock ]
+      let c = r.Explore.c in
+      Alcotest.(check bool) (name ^ ": no counterexample") true
+        (r.Explore.verdict = None);
+      Alcotest.(check bool) (name ^ ": exhausted") true r.Explore.exhausted;
+      Alcotest.(check int) (name ^ ": runs") runs c.Explore.runs;
+      Alcotest.(check int) (name ^ ": pruned") pruned c.Explore.pruned;
+      Alcotest.(check int) (name ^ ": sleep hits") sleep_hits
+        c.Explore.sleep_hits;
+      Alcotest.(check int) (name ^ ": steps") steps c.Explore.steps;
+      Alcotest.(check (option int)) (name ^ ": no states without dedup") None
+        r.Explore.states)
+    [
+      ("union-find", Protect.General_gk, 1, (2182, 39, 0, 39276));
+      ("delaunay", Protect.Forward_gk, 17, (918, 0, 0, 41310));
+    ]
 
-let test_seq_equiv_abba () =
-  let buggy () = Seeded.workload ~buggy:true () in
-  let rs = Explore.explore buggy in
-  let rp =
-    Pexplore.explore
-      ~config:
-        { Pexplore.base = Explore.default_config; domains = 1; dedup = false }
-      buggy
-  in
-  match (rs.Explore.verdict, rp.Pexplore.verdict) with
-  | Some fs, Some fp ->
-      Alcotest.(check string) "same kind" fs.Explore.f_kind fp.Explore.f_kind;
+let test_one_domain_abba () =
+  let r = Explore.explore (fun () -> Seeded.workload ~buggy:true ()) in
+  match r.Explore.verdict with
+  | None -> Alcotest.fail "seeded ABBA deadlock not found"
+  | Some f ->
+      Alcotest.(check string) "kind" "deadlock" f.Explore.f_kind;
       Alcotest.(check (list int))
-        "same shrunk schedule" fs.Explore.f_schedule fp.Explore.f_schedule;
-      Alcotest.(check string) "same trace" fs.Explore.f_trace fp.Explore.f_trace;
-      Alcotest.(check int)
-        "same runs before the failure" rs.Explore.c.Explore.runs
-        rp.Pexplore.c.Explore.runs
-  | _ -> Alcotest.fail "both explorers must find the seeded ABBA deadlock"
+        "shrunk to the pinned schedule"
+        (Test_sched.read_schedule (Test_sched.schedule_file "abba.schedule"))
+        f.Explore.f_schedule;
+      Alcotest.(check int) "shrunk from" 19 f.Explore.f_shrunk_from;
+      Alcotest.(check int) "runs before the failure" 5 r.Explore.c.Explore.runs
 
 (* ---- the search tree is fixed, so states and violations cannot depend
    on the domain count (the BENCH gate, in-process) ---- *)
@@ -112,67 +98,104 @@ let test_domain_count_invariance () =
   List.iter
     (fun (name, w) ->
       let base =
-        Pexplore.explore
+        Explore.explore
           ~config:(pconfig ~max_schedules:25000 1)
           (w ()).Workload.make
       in
       Alcotest.(check bool) (name ^ ": baseline exhausts") true
-        base.Pexplore.exhausted;
+        base.Explore.exhausted;
       List.iter
         (fun domains ->
           let r =
-            Pexplore.explore
+            Explore.explore
               ~config:(pconfig ~max_schedules:25000 domains)
               (w ()).Workload.make
           in
           Alcotest.(check bool)
             (Fmt.str "%s: exhausted at %d domains" name domains)
-            true r.Pexplore.exhausted;
-          Alcotest.(check int)
-            (Fmt.str "%s: states at %d domains match sequential" name domains)
-            base.Pexplore.states r.Pexplore.states;
+            true r.Explore.exhausted;
+          Alcotest.(check (option int))
+            (Fmt.str "%s: states at %d domains match 1 domain" name domains)
+            base.Explore.states r.Explore.states;
           Alcotest.(check bool)
             (Fmt.str "%s: no violation at %d domains" name domains)
             true
-            (r.Pexplore.verdict = None && base.Pexplore.verdict = None))
+            (r.Explore.verdict = None && base.Explore.verdict = None))
         [ 2; 4 ])
     workloads
 
-(* ---- canonical keys quotient by Mazurkiewicz equivalence: turning POR
-   off explores more interleavings but the same set of traces ---- *)
+(* ---- canonical keys quotient by Mazurkiewicz equivalence: the search
+   with no reduction at all reaches more interleavings but the same set
+   of traces as the pruned, deduplicated one ---- *)
+
+(* The unreduced search written out: every branch, no POR, no dedup.
+   Returns (runs, distinct canonical keys, runs whose key was seen). *)
+let unreduced_states mk =
+  let spec = (mk ()).Scheduler.spec in
+  let keys = Hashtbl.create 1024 in
+  let runs = ref 0 and hits = ref 0 in
+  let rec go node =
+    let r =
+      Scheduler.run ~max_steps:Explore.default_config.Explore.max_steps
+        ~schedule:node.Explore.prefix mk
+    in
+    incr runs;
+    if r.Scheduler.status <> Scheduler.Completed then
+      Alcotest.fail (Fmt.str "%a" Scheduler.pp_status r.Scheduler.status);
+    let k = Explore.canonical_key spec r in
+    if Hashtbl.mem keys k then incr hits else Hashtbl.replace keys k ();
+    List.iter go (Explore.expand ~por:false ~spec r node).Explore.children
+  in
+  go { Explore.prefix = []; sleep = [] };
+  (!runs, Hashtbl.length keys, !hits)
 
 let test_states_por_invariant () =
   let w () = mk_uf 1 in
   let rp =
-    Pexplore.explore
+    Explore.explore
       ~config:(pconfig ~por:true ~max_schedules:25000 1)
       (w ()).Workload.make
   in
-  let rn =
-    Pexplore.explore
-      ~config:(pconfig ~por:false ~dedup:false ~max_schedules:25000 1)
-      (w ()).Workload.make
-  in
-  Alcotest.(check bool) "por run exhausts" true rp.Pexplore.exhausted;
-  Alcotest.(check bool) "no-por run exhausts" true rn.Pexplore.exhausted;
-  Alcotest.(check int)
+  let runs, states, hits = unreduced_states (w ()).Workload.make in
+  Alcotest.(check bool) "por run exhausts" true rp.Explore.exhausted;
+  Alcotest.(check (option int))
     (Fmt.str "same canonical states with and without POR (%d runs vs %d)"
-       rp.Pexplore.c.Explore.runs rn.Pexplore.c.Explore.runs)
-    rp.Pexplore.states rn.Pexplore.states;
+       rp.Explore.c.Explore.runs runs)
+    (Some states) rp.Explore.states;
   (* without pruning, equivalent interleavings are re-executed — the
      canonical key must recognize them *)
   Alcotest.(check bool)
-    (Fmt.str "no-por run dedups equivalent traces (%d hits)"
-       rn.Pexplore.dedup_hits)
-    true
-    (rn.Pexplore.dedup_hits > 0)
+    (Fmt.str "unreduced search re-runs equivalent traces (%d)" hits)
+    true (hits > 0)
+
+(* ---- --no-por is the ground truth at any domain count: the engine
+   builds no seen table without POR, even when dedup is asked for ---- *)
+
+let test_no_por_domains () =
+  List.iter
+    (fun domains ->
+      let r =
+        Explore.explore
+          ~config:(pconfig ~por:false ~max_schedules:100_000 domains)
+          (mk_uf 1).Workload.make
+      in
+      Alcotest.(check bool)
+        (Fmt.str "exhausted at %d domains" domains)
+        true r.Explore.exhausted;
+      Alcotest.(check int)
+        (Fmt.str "every branch run at %d domains" domains)
+        3116 r.Explore.c.Explore.runs;
+      Alcotest.(check (option int))
+        (Fmt.str "no states counted at %d domains" domains)
+        None r.Explore.states)
+    [ 1; 2 ]
 
 (* ---- the seeded ABBA bug under parallel search ---- *)
 
 let test_abba_parallel () =
   let buggy () = Seeded.workload ~buggy:true () in
-  let r = Pexplore.explore ~config:(pconfig 4) buggy in
-  match r.Pexplore.verdict with
+  let r = Explore.explore ~config:(pconfig 4) buggy in
+  match r.Explore.verdict with
   | None -> Alcotest.fail "seeded ABBA deadlock not found at 4 domains"
   | Some f ->
       Alcotest.(check string) "kind is deadlock" "deadlock" f.Explore.f_kind;
@@ -195,26 +218,28 @@ let test_budget_exact () =
     (fun domains ->
       let w = mk_set ~keys:2 ~seed:3 Protect.Forward_gk in
       let r =
-        Pexplore.explore
+        Explore.explore
           ~config:(pconfig ~max_schedules:5 domains)
           w.Workload.make
       in
       Alcotest.(check int)
         (Fmt.str "exactly 5 runs at %d domains" domains)
-        5 r.Pexplore.c.Explore.runs;
+        5 r.Explore.c.Explore.runs;
       Alcotest.(check bool)
         (Fmt.str "budget cut reported at %d domains" domains)
-        false r.Pexplore.exhausted)
+        false r.Explore.exhausted)
     [ 1; 2; 4 ]
 
 let suite =
   [
-    Alcotest.test_case "pexplore-seq-equiv-clean" `Quick test_seq_equiv_clean;
-    Alcotest.test_case "pexplore-seq-equiv-abba" `Quick test_seq_equiv_abba;
+    Alcotest.test_case "pexplore-one-domain-counters" `Quick
+      test_one_domain_counters;
+    Alcotest.test_case "pexplore-one-domain-abba" `Quick test_one_domain_abba;
     Alcotest.test_case "pexplore-domain-invariance" `Quick
       test_domain_count_invariance;
     Alcotest.test_case "pexplore-states-por-invariant" `Quick
       test_states_por_invariant;
+    Alcotest.test_case "pexplore-no-por-domains" `Quick test_no_por_domains;
     Alcotest.test_case "pexplore-abba-parallel" `Quick test_abba_parallel;
     Alcotest.test_case "pexplore-budget-exact" `Quick test_budget_exact;
   ]

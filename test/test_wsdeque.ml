@@ -1,8 +1,3 @@
-(* The work-stealing deque as a standalone library (lib/wsdeque): these
-   tests target Commlat_wsdeque directly — the runtime re-exports it
-   unchanged, and lib/sched's parallel explorer depends on it without
-   pulling the rest of the runtime in. *)
-
 open Commlat_wsdeque
 
 let check_int = Alcotest.(check int)
@@ -52,18 +47,10 @@ let test_concurrent_drain () =
   check_int "each item taken exactly once" n (Atomic.get taken);
   check_int "deque empty" 0 (Wsdeque.size d)
 
-let test_runtime_reexport () =
-  (* Commlat_runtime.Wsdeque is the same module: values flow across *)
-  let d = Commlat_runtime.Wsdeque.create () in
-  Commlat_runtime.Wsdeque.push_front d 9;
-  Alcotest.(check (option int)) "re-export is the same deque" (Some 9)
-    (Wsdeque.pop d)
-
 let suite =
   [
     Alcotest.test_case "wsdeque: order" `Quick test_order;
     Alcotest.test_case "wsdeque: steal falls back to front" `Quick
       test_steal_falls_back_to_front;
     Alcotest.test_case "wsdeque: concurrent drain" `Quick test_concurrent_drain;
-    Alcotest.test_case "wsdeque: runtime re-export" `Quick test_runtime_reexport;
   ]

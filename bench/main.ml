@@ -13,7 +13,8 @@
 
    [--seed N] re-seeds every workload generator (default 42); the seed is
    stamped into --json documents and required by `commlat stats
-   --validate`.  [--json FILE] and [--detector SCHEME] as before. *)
+   --validate`.  [--json FILE] writes the experiment's commlat-bench/1
+   document. *)
 
 open Commlat_core
 open Commlat_adts
@@ -87,14 +88,9 @@ let header title =
    observability snapshot under "obs", wrapped in a schema-stamped document
    that `commlat stats --validate` checks in CI. *)
 let json_doc ~experiment ~full rows =
-  Jsonx.Obj
-    [
-      ("schema", Jsonx.Str "commlat-bench/1");
-      ("experiment", Jsonx.Str experiment);
-      ("seed", Jsonx.Int !run_seed);
-      ("scale", Jsonx.Str (if full then "full" else "default"));
-      ("rows", Jsonx.List rows);
-    ]
+  Obs.bench_doc ~experiment ~seed:!run_seed
+    ~scale:(if full then "full" else "default")
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Application plumbing                                                *)
@@ -747,12 +743,7 @@ let bechamel () =
 
    Each (workload, detector, domains) cell reports the best of [reps] runs;
    [speedup_vs_1] is relative to the same pair's 1-domain cell. *)
-let filter_detectors ?detector list =
-  match detector with
-  | None -> list
-  | Some d -> List.filter (fun (name, _) -> name = d) list
-
-let scaling ?detector scale =
+let scaling scale =
   header
     "Scaling: run_domains wall-clock speedup vs 1 domain\n\
      latency workload: 2ms sleep per transaction (overlaps across domains)\n\
@@ -766,7 +757,6 @@ let scaling ?detector scale =
                Protect.protect ~spec:(spec ())
                  ~adt:(Protect.adt ~hooks:(Iset.hooks set) ())
                  scheme ))
-    |> filter_detectors ?detector
   in
   let run_cell ~delay ~items mk_det domains =
     let best = ref None in
@@ -851,7 +841,7 @@ let scaling ?detector scale =
    overlap; on the 1-core container the win is the scan reduction.  Rows
    carry [speedup_vs_unsharded]: same workload and domain count, unsharded
    wall over this detector's wall. *)
-let sharding ?detector scale =
+let sharding scale =
   header
     "Footprint sharding: sharded vs unsharded forward gatekeeper\n\
      multi-op transactions on disjoint per-transaction key blocks:\n\
@@ -862,7 +852,6 @@ let sharding ?detector scale =
   let schemes =
     [ Protect.Forward_gk; Protect.Sharded (Protect.Forward_gk, Protect.default_nshards) ]
     |> List.map (fun s -> (Protect.scheme_name s, s))
-    |> filter_detectors ?detector
   in
   (* one cell: fresh ADT + detector, [ntxn] transactions of [ops_per_txn]
      mutations each, best wall of [reps] runs *)
@@ -1235,22 +1224,9 @@ let compile_bench scale =
     pf "GATE FAILED: divergence or allocation on a state-free condition@.";
   json_doc ~experiment:"compile" ~full:(scale == full_scale) !rows
 
-(* ------------------------------------------------------------------ *)
-(* Serve: the service under open-loop load (DESIGN.md §11)             *)
-(* ------------------------------------------------------------------ *)
-
-module Load = Commlat_server.Load
-module Histo = Commlat_obs.Histo
-
-(* Same cells as `commlat load --self-serve`: each (domain count, mix)
-   pair gets a freshly spawned `commlat serve` child on a private Unix
-   socket, so what is measured is the real CLI binary over a real
-   socket, not an in-process shortcut.  A nonzero server exit fails the
-   run.  Default scale keeps CI-sized cells (1 s each); --full matches
-   the committed BENCH_serve.json (8000 req/s, 2 s, all four mixes). *)
-(* Resolve the real CLI binary next to the bench executable: the serve
-   and adaptive experiments measure the shipped `commlat serve` over a
-   socket, not an in-process shortcut. *)
+(* Resolve the real CLI binary next to the bench executable: the adaptive
+   experiment measures the shipped `commlat serve` over a socket, not an
+   in-process shortcut. *)
 let cli_exe () =
   let cand =
     Filename.concat
@@ -1263,55 +1239,11 @@ let cli_exe () =
       "bench: bin/commlat_cli.exe not found next to the bench binary (run \
        `dune build` first)"
 
-let serve_bench scale =
-  header "SERVE: open-loop load, commuting vs non-commuting mixes";
-  let full = scale == full_scale in
-  let exe = cli_exe () in
-  let rate = if full then 8000.0 else 4000.0 in
-  let duration = if full then 2.0 else 1.0 in
-  let mixes =
-    if full then Load.all_mixes
-    else [ Load.Read_heavy; Load.Commuting; Load.Non_commuting ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun mix ->
-          let cfg =
-            {
-              Load.default_config with
-              Load.rate;
-              duration;
-              mix;
-              keys = 200 (* hot key space: contention must be possible *);
-              seed = !run_seed;
-            }
-          in
-          let r, status =
-            Load.with_server ~exe ~domains (fun addr ->
-                Load.run { cfg with Load.addr = addr })
-          in
-          (match status with
-          | Unix.WEXITED 0 -> ()
-          | _ -> failwith "bench serve: server child exited abnormally");
-          let q ql = float_of_int (Histo.quantile r.Load.hist ql) *. 1e-6 in
-          pf
-            "  %-13s %d domains: %5d/%-5d ok (%d errors), %6.0f req/s, p50 \
-             %.3fms p99 %.3fms p999 %.3fms@."
-            (Load.mix_name mix) domains r.Load.completed r.Load.sent
-            r.Load.errors
-            (float_of_int r.Load.completed /. r.Load.elapsed)
-            (q 0.50) (q 0.99) (q 0.999);
-          rows := Load.row_json ~cfg ~domains r :: !rows)
-        mixes)
-    [ 2; 4 ];
-  json_doc ~experiment:"serve" ~full (List.rev !rows)
-
 (* ------------------------------------------------------------------ *)
 (* Adaptive: online lattice navigation (DESIGN.md §12)                 *)
 (* ------------------------------------------------------------------ *)
 
+module Load = Commlat_server.Load
 module Sched_workload = Commlat_sched.Workload
 module Sched_explore = Commlat_sched.Explore
 
@@ -1334,8 +1266,8 @@ let snap_counter (snap : Jsonx.t option) name =
      - the controller's walk really moved both directions
        (>=1 strengthen and >=1 weaken over the run);
      - zero client-visible errors under the controller;
-     - the swap-protocol explorer sweep reports zero serializability
-       violations across its seeds. *)
+     - the swap-protocol explorer sweep exercises at least one swap and
+       reports zero serializability violations across its seeds. *)
 let adaptive_bench scale =
   header "ADAPTIVE: online lattice navigation vs every fixed level";
   let full = scale == full_scale in
@@ -1459,27 +1391,15 @@ let adaptive_bench scale =
     (sum (fun (_, r, _, _) -> r))
     (sum (fun (_, _, s, _) -> s))
     (sum (fun (_, _, _, v) -> v));
+  if sum (fun (_, _, s, _) -> s) = 0 then
+    gate_fail "swap explorer never exercised a swap";
   let rows =
     List.concat_map
       (fun (name, per_phase) ->
         List.map
-          (fun ((p : Load.phase), r, _) ->
-            let cfg =
-              {
-                base with
-                Load.mix = p.Load.p_mix;
-                theta = p.Load.p_theta;
-                keys = p.Load.p_keys;
-                duration = p.Load.p_duration;
-                burst = p.Load.p_burst;
-              }
-            in
-            match Load.row_json ~cfg ~domains r with
-            | Jsonx.Obj fields ->
-                Jsonx.Obj
-                  (("variant", Jsonx.Str name)
-                  :: ("phase", Jsonx.Str p.Load.p_name)
-                  :: fields)
+          (fun (phase, r, _) ->
+            match Load.row_json ~phase ~domains r with
+            | Jsonx.Obj fields -> Jsonx.Obj (("variant", Jsonx.Str name) :: fields)
             | j -> j)
           per_phase)
       results
@@ -1723,7 +1643,6 @@ let () =
       | None ->
           pf "--seed needs an integer, got %S@." s;
           exit 1));
-  let detector, args = grab "--detector" args in
   let what = match args with [] -> "all" | w :: _ -> w in
   let emit json =
     match json_file with
@@ -1747,8 +1666,8 @@ let () =
     ignore (fig10 scale);
     ignore (fig11 scale);
     ignore (fig12 scale);
-    ignore (scaling ?detector scale);
-    ignore (sharding ?detector scale);
+    ignore (scaling scale);
+    ignore (sharding scale);
     ignore (compile_bench scale);
     model scale;
     ablation scale;
@@ -1764,9 +1683,8 @@ let () =
   | "fig11" -> emit (json_doc ~experiment:"fig11" ~full (fig11 scale))
   | "fig12" -> emit (json_doc ~experiment:"fig12" ~full (fig12 scale))
   | "figs" -> emit (figs scale)
-  | "scaling" -> emit (scaling ?detector scale)
-  | "sharding" -> emit (sharding ?detector scale)
-  | "serve" -> emit (serve_bench scale)
+  | "scaling" -> emit (scaling scale)
+  | "sharding" -> emit (sharding scale)
   | "adaptive" ->
       let doc = adaptive_bench scale in
       emit doc;
@@ -1785,6 +1703,6 @@ let () =
   | other ->
       pf
         "unknown experiment %S; one of \
-         all|table1|table2|fig10|fig11|fig12|figs|scaling|sharding|serve|adaptive|compile|explore|model|ablation|bechamel@."
+         all|table1|table2|fig10|fig11|fig12|figs|scaling|sharding|adaptive|compile|explore|model|ablation|bechamel@."
         other;
       exit 1

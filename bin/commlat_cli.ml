@@ -19,11 +19,11 @@
                                   commutativity (DPOR-style) pruning and
                                   replayable, shrunk counterexamples
 
-   Flag conventions shared with bench/main.exe: [--json FILE] writes the
-   machine-readable form of a subcommand's report next to its text output,
-   and [--detector SCHEME] uses the canonical scheme spellings of
-   {!Commlat_runtime.Protect.scheme_of_string} (global-lock, abslock,
-   fwd-gk, gen-gk, stm, with an optional -sharded[:N] suffix).
+   Flag conventions: [--json FILE] writes the machine-readable form of a
+   subcommand's report next to its text output (the same spelling as
+   bench/main.exe), and [--detector SCHEME] uses the canonical scheme
+   spellings of {!Commlat_runtime.Protect.scheme_of_string} (global-lock,
+   abslock, fwd-gk, gen-gk, stm, with an optional -sharded[:N] suffix).
 
    Exit codes: 0 success; 1 analysis errors (lint), validation failures or
    unsupported detector schemes; 2 unreadable/unparsable input (with a
@@ -33,6 +33,8 @@ open Commlat_core
 open Commlat_runtime
 open Commlat_analysis
 open Cmdliner
+module Obs = Commlat_obs.Obs
+module Jsonx = Commlat_obs.Jsonx
 
 (* Shared exit-code documentation, rendered in every subcommand's --help. *)
 let exits =
@@ -94,7 +96,7 @@ let json_file_arg =
           "Also write the report as machine-readable JSON to $(docv) (the \
            same flag spelling as $(b,bench/main.exe --json)).")
 
-(* [--detector SCHEME]: same spellings as bench/main.exe --detector. *)
+(* [--detector SCHEME]: the canonical spellings of Protect.scheme_of_string. *)
 let scheme_conv : Protect.scheme Arg.conv =
   let parse s =
     match Protect.scheme_of_string s with
@@ -111,8 +113,7 @@ let detector_arg =
         ~doc:
           "A detector scheme (canonical spellings: $(b,global-lock), \
            $(b,abslock), $(b,fwd-gk), $(b,gen-gk), $(b,stm), optionally \
-           with a $(b,-sharded[:N]) suffix — shared with \
-           $(b,bench/main.exe --detector)).")
+           with a $(b,-sharded[:N]) suffix).")
 
 (* Can [scheme] soundly detect conflicts for a spec of classification
    [cls]?  Mirrors what Protect.protect would accept. *)
@@ -369,11 +370,14 @@ let lint_cmd =
       @ detector_diags @ parse_errors
     in
     let diags = Diagnostic.sort diags in
+    let json_doc () =
+      Jsonx.to_string (Jsonx.List (List.map Diagnostic.to_json diags))
+    in
     (match json with
     | None -> ()
-    | Some file -> write_out file (Diagnostic.list_to_json diags));
+    | Some file -> write_out file (json_doc ()));
     (match format with
-    | `Json -> Fmt.pr "%s@." (Diagnostic.list_to_json diags)
+    | `Json -> print_string (json_doc ())
     | `Text ->
         List.iter (fun d -> Fmt.pr "@[<v>%a@]@." Diagnostic.pp d) diags;
         let e, w, i = Diagnostic.count diags in
@@ -447,23 +451,26 @@ let synth_cmd =
     | "triset" -> Some (Commlat_adts.Triset.precise_spec ())
     | _ -> None
   in
-  let jstr s = "\"" ^ Diagnostic.json_escape s ^ "\"" in
-  let jpair (m1, m2) = Fmt.str "[%s,%s]" (jstr m1) (jstr m2) in
-  let jverdict = function
-    | Verify.Proved n -> Fmt.str "{\"verdict\":\"proved\",\"cases\":%d}" n
-    | Verify.Refuted r ->
-        Fmt.str
-          "{\"verdict\":\"refuted\",\"case\":%s,\"setup\":[%s],\"args1\":%s,\"args2\":%s,\"trace\":%s}"
-          (jstr r.Verify.rf_case)
-          (String.concat ","
-             (List.map
-                (fun (m, args) -> Fmt.str "[%s,%s]" (jstr m) (jstr (Fmt.str "%a" Fmt.(list ~sep:comma Value.pp) args)))
-                r.Verify.rf_setup))
-          (jstr (Fmt.str "%a" Fmt.(list ~sep:comma Value.pp) r.Verify.rf_args1))
-          (jstr (Fmt.str "%a" Fmt.(list ~sep:comma Value.pp) r.Verify.rf_args2))
-          (jstr (Fmt.str "%a" Verify.pp_verdict (Verify.Refuted r)))
+  let jpair (m1, m2) = Jsonx.List [ Jsonx.Str m1; Jsonx.Str m2 ] in
+  let jformula f = Jsonx.Str (Formula.to_string f) in
+  let jargs args = Jsonx.Str (Fmt.str "%a" Fmt.(list ~sep:comma Value.pp) args) in
+  let verdict_fields = function
+    | Verify.Proved n -> [ ("verdict", Jsonx.Str "proved"); ("cases", Jsonx.Int n) ]
+    | Verify.Refuted r as v ->
+        [
+          ("verdict", Jsonx.Str "refuted");
+          ("case", Jsonx.Str r.Verify.rf_case);
+          ( "setup",
+            Jsonx.List
+              (List.map
+                 (fun (m, args) -> Jsonx.List [ Jsonx.Str m; jargs args ])
+                 r.Verify.rf_setup) );
+          ("args1", jargs r.Verify.rf_args1);
+          ("args2", jargs r.Verify.rf_args2);
+          ("trace", Jsonx.Str (Fmt.str "%a" Verify.pp_verdict v));
+        ]
     | Verify.Unknown reason ->
-        Fmt.str "{\"verdict\":\"unknown\",\"reason\":%s}" (jstr reason)
+        [ ("verdict", Jsonx.Str "unknown"); ("reason", Jsonx.Str reason) ]
   in
   let run spec_path adt batch json out =
     let reference =
@@ -549,55 +556,61 @@ let synth_cmd =
         (match json with
         | None -> ()
         | Some file ->
-            let pairs_json =
-              List.map
-                (fun (p : Synth.pair_result) ->
-                  Fmt.str
-                    "{\"pair\":%s,\"condition\":%s,\"iterations\":%d,\"samples\":%d,\"scenarios\":%d,\"residual_incomplete\":%d,\"converged\":%b}"
-                    (jpair p.Synth.sy_pair)
-                    (jstr (Formula.to_string p.Synth.sy_cond))
-                    p.Synth.sy_iterations p.Synth.sy_samples p.Synth.sy_scenarios
-                    p.Synth.sy_residual_incomplete p.Synth.sy_converged)
-                r.Synth.sy_results
+            let cegis (p : Synth.pair_result) =
+              Jsonx.Obj
+                [
+                  ("pair", jpair p.Synth.sy_pair);
+                  ("condition", jformula p.Synth.sy_cond);
+                  ("iterations", Jsonx.Int p.Synth.sy_iterations);
+                  ("samples", Jsonx.Int p.Synth.sy_samples);
+                  ("scenarios", Jsonx.Int p.Synth.sy_scenarios);
+                  ("residual_incomplete", Jsonx.Int p.Synth.sy_residual_incomplete);
+                  ("converged", Jsonx.Bool p.Synth.sy_converged);
+                ]
             in
-            let verify_json =
-              List.map
-                (fun (p : Verify.pair_verdict) ->
-                  Fmt.str "{\"pair\":%s,\"condition\":%s,%s}"
-                    (jpair p.Verify.vf_pair)
-                    (jstr (Formula.to_string p.Verify.vf_cond))
-                    (String.sub (jverdict p.Verify.vf_verdict) 1
-                       (String.length (jverdict p.Verify.vf_verdict) - 2)))
-                ver.Verify.vf_pairs
+            let verified (p : Verify.pair_verdict) =
+              Jsonx.Obj
+                ([
+                   ("pair", jpair p.Verify.vf_pair);
+                   ("condition", jformula p.Verify.vf_cond);
+                 ]
+                @ verdict_fields p.Verify.vf_verdict)
             in
-            let diff_json =
-              List.map
-                (fun (e : Equiv.pair_relation) ->
-                  Fmt.str
-                    "{\"pair\":%s,\"relation\":%s,\"syntactic_equal\":%b,\"envs\":%d,\"reference\":%s,\"synthesized\":%s}"
-                    (jpair e.Equiv.eq_pair)
-                    (jstr (Equiv.relation_name e.Equiv.eq_relation))
-                    e.Equiv.eq_syntactic_equal e.Equiv.eq_envs
-                    (jstr (Formula.to_string e.Equiv.eq_hand))
-                    (jstr (Formula.to_string e.Equiv.eq_synth)))
-                rels
+            let diff (e : Equiv.pair_relation) =
+              Jsonx.Obj
+                [
+                  ("pair", jpair e.Equiv.eq_pair);
+                  ("relation", Jsonx.Str (Equiv.relation_name e.Equiv.eq_relation));
+                  ("syntactic_equal", Jsonx.Bool e.Equiv.eq_syntactic_equal);
+                  ("envs", Jsonx.Int e.Equiv.eq_envs);
+                  ("reference", jformula e.Equiv.eq_hand);
+                  ("synthesized", jformula e.Equiv.eq_synth);
+                ]
             in
             write_out file
-              (Fmt.str
-                 "{\"schema\":\"commlat-synth/1\",\"adt\":%s,\"domain\":%s,\"converged\":%b,\"refuted\":%b,\"acceptable\":%b,\"ok\":%b,\n\
-                  \"cegis\":[%s],\n\
-                  \"verify\":{\"family\":%s,\"frame\":%s,\"pairs\":[%s]},\n\
-                  \"diff\":[%s]}"
-                 (jstr (Spec.adt reference))
-                 (jstr dom.Domain.dom_name)
-                 converged refuted acceptable ok
-                 (String.concat ",\n " pairs_json)
-                 (match ver.Verify.vf_family with
-                 | Some f -> jstr f
-                 | None -> "null")
-                 (jstr ver.Verify.vf_frame)
-                 (String.concat ",\n " verify_json)
-                 (String.concat ",\n " diff_json)));
+              (Jsonx.to_string
+                 (Jsonx.Obj
+                    [
+                      ("schema", Jsonx.Str "commlat-synth/1");
+                      ("adt", Jsonx.Str (Spec.adt reference));
+                      ("domain", Jsonx.Str dom.Domain.dom_name);
+                      ("converged", Jsonx.Bool converged);
+                      ("refuted", Jsonx.Bool refuted);
+                      ("acceptable", Jsonx.Bool acceptable);
+                      ("ok", Jsonx.Bool ok);
+                      ("cegis", Jsonx.List (List.map cegis r.Synth.sy_results));
+                      ( "verify",
+                        Jsonx.Obj
+                          [
+                            ( "family",
+                              match ver.Verify.vf_family with
+                              | Some f -> Jsonx.Str f
+                              | None -> Jsonx.Null );
+                            ("frame", Jsonx.Str ver.Verify.vf_frame);
+                            ("pairs", Jsonx.List (List.map verified ver.Verify.vf_pairs));
+                          ] );
+                      ("diff", Jsonx.List (List.map diff rels));
+                    ])));
         if ok then exit 0 else exit 1
   in
   let spec_path =
@@ -671,9 +684,6 @@ let order_cmd =
     Term.(const run $ spec_file_arg ~pos:0 () $ spec_file_arg ~pos:1 ())
 
 (* ---- stats ---- *)
-
-module Obs = Commlat_obs.Obs
-module Jsonx = Commlat_obs.Jsonx
 
 let stats_cmd =
   let run path validate =
@@ -877,6 +887,7 @@ let explore_cmd =
             Fmt.pr "steps: %d total, %d truncated runs; search %s@."
               c.Sched.Explore.steps c.Sched.Explore.truncated
               (if report.Sched.Explore.exhausted then "exhausted"
+               else if c.Sched.Explore.truncated > 0 then "cut short by --steps"
                else "cut short by --max-schedules");
             (match report.Sched.Explore.verdict with
             | None -> Fmt.pr "verdict: ok (no counterexample)@."
@@ -924,7 +935,10 @@ let explore_cmd =
     Arg.(
       value & opt int 2000
       & info [ "steps" ] ~docv:"N"
-          ~doc:"Per-run step budget (catches retry livelocks).")
+          ~doc:
+            "Per-run step budget (catches retry livelocks). A run that hits \
+             it is truncated, and the search is then not reported as \
+             exhausted.")
   in
   let max_schedules =
     Arg.(
@@ -1067,6 +1081,19 @@ let addr_args () =
   in
   Term.(const combine $ socket $ host $ port)
 
+(* Counts and rates a server or a load run cannot work with are usage
+   errors (exit 124), caught before any server is spawned. *)
+let positive of_string ~zero pp what =
+  let parse s =
+    match of_string s with
+    | Some v when v > zero -> Ok v
+    | _ -> Error (`Msg (Fmt.str "%S is not a positive %s" s what))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int = positive int_of_string_opt ~zero:0 Fmt.int "integer"
+let positive_float = positive float_of_string_opt ~zero:0.0 Fmt.float "number"
+
 let domains_list_arg =
   let dlist_conv =
     let parse s =
@@ -1107,13 +1134,13 @@ let serve_cmd =
   in
   let batch =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "batch" ] ~docv:"N"
           ~doc:"Epoch size: max requests a worker drains per group commit.")
   in
   let shards =
     Arg.(
-      value & opt int Engine.default_nshards
+      value & opt positive_int Engine.default_nshards
       & info [ "shards" ] ~docv:"N" ~doc:"Detector shards per exposed ADT.")
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No startup banner.") in
@@ -1199,117 +1226,80 @@ let load_cmd =
     if adaptive && server_level <> None then (
       Fmt.epr "load: --adaptive and --level are mutually exclusive@.";
       exit 2);
+    if not self_serve then (
+      if addr = None then (
+        Fmt.epr
+          "load: need --socket or --port (or --self-serve to spawn the \
+           server)@.";
+        exit 2);
+      if List.length domains <> 1 then (
+        Fmt.epr "load: --domains takes a single value without --self-serve@.";
+        exit 2));
     let extra_args =
       (if adaptive then [ "--adaptive" ] else [])
       @ match server_level with Some l -> [ "--level"; l ] | None -> []
     in
-    let cfg_of mix =
-      { Load.default_config with conns; rate; duration; keys; theta; seed;
-        mix; burst }
-    in
     let failed = ref false in
+    (* run [f] against a fresh self-served server (its exit status
+       checked), or against the --socket/--port server *)
+    let on_server ~domains f =
+      match addr with
+      | Some addr when not self_serve -> (
+          try f addr
+          with Unix.Unix_error (e, _, _) ->
+            Fmt.epr "load: cannot reach the server at %a: %s@." Server.pp_addr
+              addr (Unix.error_message e);
+            exit 1)
+      | _ ->
+          let r, status =
+            Load.with_server ~exe:Sys.executable_name ~domains ~extra_args f
+          in
+          if status <> Unix.WEXITED 0 then (
+            Fmt.epr "load: server exited abnormally@.";
+            failed := true);
+          r
+    in
     let rows = ref [] in
-    let report ~domains name (r : Load.result) =
+    let record ?phase ~domains (r : Load.result) =
       Fmt.pr
         "%-14s %d domains: %6d/%d ok (%d errors), %8.0f req/s, p50 %.3fms \
          p99 %.3fms p999 %.3fms@."
-        name domains r.Load.completed r.Load.sent r.Load.errors
+        (match phase with
+        | Some p -> "phase:" ^ p.Load.p_name
+        | None -> Load.mix_name r.Load.cfg.Load.mix)
+        domains r.Load.completed r.Load.sent r.Load.errors
         (float_of_int r.Load.completed /. r.Load.elapsed)
         (float_of_int (Commlat_obs.Histo.quantile r.Load.hist 0.5) *. 1e-6)
         (float_of_int (Commlat_obs.Histo.quantile r.Load.hist 0.99) *. 1e-6)
         (float_of_int (Commlat_obs.Histo.quantile r.Load.hist 0.999) *. 1e-6);
-      if r.Load.completed = 0 then failed := true
+      if r.Load.completed = 0 then failed := true;
+      rows := Load.row_json ?phase ~domains r :: !rows
     in
-    let check_status = function
-      | Unix.WEXITED 0 -> ()
-      | _ ->
-          Fmt.epr "load: server exited abnormally@.";
-          failed := true
+    let base =
+      { Load.default_config with conns; rate; duration; keys; theta; seed; burst }
     in
-    let phase_rows ~domains prs =
-      List.iter
-        (fun (p, r) ->
-          report ~domains ("phase:" ^ p.Load.p_name) r;
-          let cfg =
-            { (cfg_of p.Load.p_mix) with
-              Load.theta = p.Load.p_theta; keys = p.Load.p_keys;
-              duration = p.Load.p_duration; burst = p.Load.p_burst }
-          in
-          let row =
-            match Load.row_json ~cfg ~domains r with
-            | Jsonx.Obj fields ->
-                Jsonx.Obj (("phase", Jsonx.Str p.Load.p_name) :: fields)
-            | j -> j
-          in
-          rows := row :: !rows)
-        prs
-    in
-    (if self_serve then
-       let exe = Sys.executable_name in
-       List.iter
-         (fun d ->
-           if phases then (
-             let r, status =
-               Load.with_server ~exe ~domains:d ~extra_args (fun addr ->
-                   Load.run_phases
-                     { (cfg_of Load.Put) with Load.addr }
-                     (Load.default_phases ~duration ()))
-             in
-             check_status status;
-             phase_rows ~domains:d r)
-           else
-             List.iter
-               (fun mix ->
-                 let cfg = cfg_of mix in
-                 let r, status =
-                   Load.with_server ~exe ~domains:d ~extra_args (fun addr ->
-                       Load.run { cfg with addr })
-                 in
-                 check_status status;
-                 report ~domains:d (Load.mix_name mix) r;
-                 rows := Load.row_json ~cfg ~domains:d r :: !rows)
-               mixes)
-         domains
-     else
-       let addr =
-         match addr with
-         | Some a -> a
-         | None ->
-             Fmt.epr
-               "load: need --socket or --port (or --self-serve to spawn the \
-                server)@.";
-             exit 2
-       in
-       let d = match domains with [ d ] -> d | _ ->
-         Fmt.epr "load: --domains takes a single value without --self-serve@.";
-         exit 2
-       in
-       if phases then
-         phase_rows ~domains:d
-           (Load.run_phases
-              { (cfg_of Load.Put) with Load.addr }
-              (Load.default_phases ~duration ()))
-       else
-         List.iter
-           (fun mix ->
-             let cfg = { (cfg_of mix) with Load.addr } in
-             let r = Load.run cfg in
-             report ~domains:d (Load.mix_name mix) r;
-             rows := Load.row_json ~cfg ~domains:d r :: !rows)
-           mixes);
+    List.iter
+      (fun domains ->
+        if phases then
+          on_server ~domains (fun addr ->
+              Load.run_phases { base with Load.addr }
+                (Load.default_phases ~duration ()))
+          |> List.iter (fun (p, r) -> record ~phase:p ~domains r)
+        else
+          List.iter
+            (fun mix ->
+              record ~domains
+                (on_server ~domains (fun addr ->
+                     Load.run { base with Load.addr; mix })))
+            mixes)
+      domains;
     (match json_file with
     | None -> ()
     | Some file ->
         let doc =
-          Jsonx.Obj
-            [
-              ("schema", Jsonx.Str "commlat-bench/1");
-              ( "experiment",
-                Jsonx.Str (if phases then "load-phases" else "serve") );
-              ("seed", Jsonx.Int seed);
-              ("scale", Jsonx.Str "default");
-              ("rows", Jsonx.List (List.rev !rows));
-            ]
+          Obs.bench_doc
+            ~experiment:(if phases then "load-phases" else "serve")
+            ~seed ~scale:"default" (List.rev !rows)
         in
         write_out file (Jsonx.to_string doc ^ "\n"));
     if !failed then exit 1
@@ -1360,7 +1350,7 @@ let load_cmd =
   in
   let rate =
     Arg.(
-      value & opt float 2000.0
+      value & opt positive_float 2000.0
       & info [ "rate" ] ~docv:"RPS"
           ~doc:"Aggregate open-loop target rate (requests/second).")
   in
@@ -1370,7 +1360,9 @@ let load_cmd =
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Scheduled load per cell.")
   in
   let conns =
-    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"N" ~doc:"Client connections.")
+    Arg.(
+      value & opt positive_int 4
+      & info [ "conns" ] ~docv:"N" ~doc:"Client connections.")
   in
   let keys =
     Arg.(
@@ -1384,7 +1376,7 @@ let load_cmd =
   in
   let burst =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "burst" ] ~docv:"N"
           ~doc:
             "Schedule arrivals in groups of $(docv) at the same instant \

@@ -64,41 +64,21 @@ let pp ppf d =
 
 (* ---- JSON ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let fields =
-    [
-      Some (Fmt.str "\"severity\":\"%a\"" pp_severity d.sev);
-      Some ("\"code\":" ^ str d.code);
-      Some ("\"spec\":" ^ str d.spec);
-      Option.map (fun f -> "\"file\":" ^ str f) d.file;
-      Option.map
-        (fun (p : Spec_lang.pos) -> Fmt.str "\"line\":%d,\"col\":%d" p.line p.col)
-        d.pos;
-      Option.map
-        (fun (m1, m2) -> Fmt.str "\"pair\":[%s,%s]" (str m1) (str m2))
-        d.pair;
-      Some ("\"message\":" ^ str d.msg);
-    ]
-  in
-  "{" ^ String.concat "," (List.filter_map Fun.id fields) ^ "}"
-
-let list_to_json ds = "[" ^ String.concat ",\n " (List.map to_json ds) ^ "]"
+let to_json d : Commlat_obs.Jsonx.t =
+  let open Commlat_obs.Jsonx in
+  let opt f = function Some x -> f x | None -> [] in
+  Obj
+    ([
+       ("severity", Str (Fmt.str "%a" pp_severity d.sev));
+       ("code", Str d.code);
+       ("spec", Str d.spec);
+     ]
+    @ opt (fun f -> [ ("file", Str f) ]) d.file
+    @ opt
+        (fun (p : Spec_lang.pos) -> [ ("line", Int p.line); ("col", Int p.col) ])
+        d.pos
+    @ opt (fun (m1, m2) -> [ ("pair", List [ Str m1; Str m2 ]) ]) d.pair
+    @ [ ("message", Str d.msg) ])
 
 (** Summary counts as (errors, warnings, infos). *)
 let count ds =

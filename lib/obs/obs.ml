@@ -445,3 +445,16 @@ let snapshot_of_json (j : Jsonx.t) : (snapshot, string) result =
 let is_snapshot_json (j : Jsonx.t) =
   Option.is_some (Jsonx.member "scope" j)
   && Option.is_some (Jsonx.member "counters" j)
+
+(** A [commlat-bench/1] document: the header [commlat stats --validate]
+    checks, then [rows], each of which carries its snapshot under
+    ["obs"].  [scale] names the input size ("default" or "full"). *)
+let bench_doc ~experiment ~seed ~scale rows : Jsonx.t =
+  Jsonx.Obj
+    [
+      ("schema", Jsonx.Str "commlat-bench/1");
+      ("experiment", Jsonx.Str experiment);
+      ("seed", Jsonx.Int seed);
+      ("scale", Jsonx.Str scale);
+      ("rows", Jsonx.List rows);
+    ]

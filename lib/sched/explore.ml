@@ -114,7 +114,9 @@ type report = {
   per_domain : counters array;
   states : int option;
       (** distinct canonical traces; [None] when the search did not dedup *)
-  exhausted : bool;  (** false: the run budget cut the search short *)
+  exhausted : bool;
+      (** false: the run budget cut the search short, or some run hit the
+          step budget (a truncated run is never counted as clean) *)
 }
 
 let fresh_counters () =
@@ -621,7 +623,8 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     c;
     per_domain;
     states = Option.map Seen.cardinal seen;
-    exhausted = !failure <> None || not (Atomic.get budget_hit);
+    exhausted =
+      !failure <> None || ((not (Atomic.get budget_hit)) && c.truncated = 0);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -57,8 +57,6 @@ let mix_of_string = function
             non-commuting, put)"
            s)
 
-let all_mixes = [ Read_heavy; Write_heavy; Commuting; Non_commuting ]
-
 type config = {
   addr : Server.addr;
   conns : int;
@@ -91,6 +89,7 @@ let default_config =
   }
 
 type result = {
+  cfg : config;  (** the config this result ran *)
   sent : int;
   completed : int;
   errors : int;  (** [Err] responses (incl. conflict-retry exhaustion) *)
@@ -295,6 +294,7 @@ let run (cfg : config) : result =
     conn_threads;
   let elapsed = now () -. t0 in
   {
+    cfg;
     sent = Atomic.get sent;
     completed = Atomic.get completed;
     errors = Atomic.get errors;
@@ -335,9 +335,10 @@ let default_phases ?(burst = 32) ~duration () =
 (** Run the phases back to back against one live server (same detector
     state throughout — that continuity is the point: an adaptive server
     must renavigate the lattice as the regime under it shifts).  Returns
-    [(phase, result)] in order; each result's [server_obs] is the
-    {e cumulative} server snapshot at the end of that phase, so per-phase
-    counter deltas are the caller's subtraction. *)
+    [(phase, result)] in order; each result's [cfg] is [cfg] with that
+    phase's mix, keys, skew, duration and burst, and its [server_obs] is
+    the {e cumulative} server snapshot at the end of that phase, so
+    per-phase counter deltas are the caller's subtraction. *)
 let run_phases (cfg : config) (phases : phase list) : (phase * result) list =
   List.map
     (fun p ->
@@ -353,11 +354,13 @@ let run_phases (cfg : config) (phases : phase list) : (phase * result) list =
 (* BENCH row                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** One `commlat-bench/1` row.  Latencies are reported in milliseconds
-    (p50/p99/p999 both inside ["latency_ms"] and as top-level fields for
-    the CI gate); ["obs"] carries the server's merged snapshot, which is
-    what makes the row validate. *)
-let row_json ~(cfg : config) ~domains (r : result) : Jsonx.t =
+(** One `commlat-bench/1` row, describing the config [r] ran.  Latencies
+    are reported in milliseconds (p50/p99/p999 both inside ["latency_ms"]
+    and as top-level fields for the CI gate); ["obs"] carries the server's
+    merged snapshot, which is what makes the row validate.  With [phase],
+    the row starts with a ["phase"] field naming it. *)
+let row_json ?phase ~domains (r : result) : Jsonx.t =
+  let cfg = r.cfg in
   let q ql = float_of_int (Histo.quantile r.hist ql) *. 1e-6 in
   let obs =
     match r.server_obs with
@@ -367,29 +370,33 @@ let row_json ~(cfg : config) ~domains (r : result) : Jsonx.t =
            failed: an empty one is honest about what we got *)
         Commlat_obs.Obs.(snapshot_to_json (snapshot (create ~enabled:true "serve-load")))
   in
+  let phase_field =
+    match phase with Some p -> [ ("phase", Jsonx.Str p.p_name) ] | None -> []
+  in
   Jsonx.Obj
-    [
-      ("workload", Jsonx.Str ("serve-" ^ mix_name cfg.mix));
-      ("mix", Jsonx.Str (mix_name cfg.mix));
-      ("domains", Jsonx.Int domains);
-      ("conns", Jsonx.Int cfg.conns);
-      ("target_rate_rps", Jsonx.Float cfg.rate);
-      ("duration_s", Jsonx.Float cfg.duration);
-      ("keys", Jsonx.Int cfg.keys);
-      ("zipf_theta", Jsonx.Float cfg.theta);
-      ("burst", Jsonx.Int cfg.burst);
-      ("sent", Jsonx.Int r.sent);
-      ("completed", Jsonx.Int r.completed);
-      ("errors", Jsonx.Int r.errors);
-      ("elapsed_s", Jsonx.Float r.elapsed);
-      ( "throughput_rps",
-        Jsonx.Float (float_of_int r.completed /. r.elapsed) );
-      ("p50_ms", Jsonx.Float (q 0.50));
-      ("p99_ms", Jsonx.Float (q 0.99));
-      ("p999_ms", Jsonx.Float (q 0.999));
-      ("latency_ms", Histo.summary_json ~scale:1e-6 r.hist);
-      ("obs", obs);
-    ]
+    (phase_field
+    @ [
+        ("workload", Jsonx.Str ("serve-" ^ mix_name cfg.mix));
+        ("mix", Jsonx.Str (mix_name cfg.mix));
+        ("domains", Jsonx.Int domains);
+        ("conns", Jsonx.Int cfg.conns);
+        ("target_rate_rps", Jsonx.Float cfg.rate);
+        ("duration_s", Jsonx.Float cfg.duration);
+        ("keys", Jsonx.Int cfg.keys);
+        ("zipf_theta", Jsonx.Float cfg.theta);
+        ("burst", Jsonx.Int cfg.burst);
+        ("sent", Jsonx.Int r.sent);
+        ("completed", Jsonx.Int r.completed);
+        ("errors", Jsonx.Int r.errors);
+        ("elapsed_s", Jsonx.Float r.elapsed);
+        ( "throughput_rps",
+          Jsonx.Float (float_of_int r.completed /. r.elapsed) );
+        ("p50_ms", Jsonx.Float (q 0.50));
+        ("p99_ms", Jsonx.Float (q 0.99));
+        ("p999_ms", Jsonx.Float (q 0.999));
+        ("latency_ms", Histo.summary_json ~scale:1e-6 r.hist);
+        ("obs", obs);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Self-serve: spawn a server child per cell                           *)

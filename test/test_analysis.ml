@@ -314,15 +314,20 @@ let test_load_file_errors () =
           | Some p -> Alcotest.(check int) "error on line 3" 3 p.Spec_lang.line
           | None -> ()))
 
+(* every control character, quote and backslash survives the emitted
+   JSON text: parsing it back yields the exact message *)
 let test_json_roundtrip_escaping () =
+  let module Jsonx = Commlat_obs.Jsonx in
+  let msg = "line1\nline2 \"quoted\" \\ backslash\ttab\r\b\012\001 end" in
   let d =
-    Diagnostic.make ~spec:"t" ~sev:Diagnostic.Error ~code:"unsound"
-      "line1\nline2 \"quoted\" \\ backslash"
+    Diagnostic.make ~spec:"t" ~sev:Diagnostic.Error ~code:"unsound" "%s" msg
   in
-  let j = Diagnostic.to_json d in
-  check_bool "newline escaped" true (contains j "line1\\nline2");
-  check_bool "quote escaped" true (contains j "\\\"quoted\\\"");
-  check_bool "no raw newline in JSON" false (contains j "\n")
+  match Jsonx.parse (Jsonx.to_string (Diagnostic.to_json d)) with
+  | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e
+  | Ok j ->
+      let field k = Option.bind (Jsonx.member k j) Jsonx.to_str in
+      Alcotest.(check (option string)) "message" (Some msg) (field "message");
+      Alcotest.(check (option string)) "severity" (Some "error") (field "severity")
 
 let suite =
   [

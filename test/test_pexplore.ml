@@ -1,8 +1,8 @@
 (* The DPOR explorer across domains (lib/sched/explore.ml): pinned
    one-domain counters and counterexample, domain-count invariance of
    explored states and violations, canonical-trace dedup keys, the
-   unpruned search at any domain count, and the seeded ABBA bug under
-   parallel search. *)
+   unpruned search at any domain count, the seeded ABBA bug under
+   parallel search, and budget honesty (run and step budgets). *)
 
 open Commlat_runtime
 open Commlat_sched
@@ -230,6 +230,27 @@ let test_budget_exact () =
         false r.Explore.exhausted)
     [ 1; 2; 4 ]
 
+(* ---- a step-budget cut is reported, never counted as clean: every run
+   of the seeded ABBA workload needs more than 3 steps ---- *)
+
+let test_truncation_not_exhausted () =
+  List.iter
+    (fun domains ->
+      let r =
+        Explore.explore
+          ~config:
+            { Explore.default_config with max_steps = 3; domains;
+              dedup = domains > 1 }
+          (fun () -> Seeded.workload ~buggy:true ())
+      in
+      let c = r.Explore.c in
+      let at what = Fmt.str "%s at %d domains" what domains in
+      Alcotest.(check bool) (at "not exhausted") false r.Explore.exhausted;
+      Alcotest.(check int) (at "runs") 27 c.Explore.runs;
+      Alcotest.(check int) (at "every run truncated") 27 c.Explore.truncated;
+      Alcotest.(check bool) (at "no verdict") true (r.Explore.verdict = None))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "pexplore-one-domain-counters" `Quick
@@ -242,4 +263,6 @@ let suite =
     Alcotest.test_case "pexplore-no-por-domains" `Quick test_no_por_domains;
     Alcotest.test_case "pexplore-abba-parallel" `Quick test_abba_parallel;
     Alcotest.test_case "pexplore-budget-exact" `Quick test_budget_exact;
+    Alcotest.test_case "pexplore-truncation-not-exhausted" `Quick
+      test_truncation_not_exhausted;
   ]

@@ -1,13 +1,17 @@
 (* Wire-protocol codec properties and the in-process client/server
-   conformance suite: everything here runs single-threaded and
-   socket-free (pipes only, for the framing-cap tests), so tier-1 stays
-   deterministic.  The socket path proper is exercised by the CI serve
-   job. *)
+   conformance suite: these run single-threaded and socket-free (pipes
+   only, for the framing-cap tests), so tier-1 stays deterministic.  One
+   test drives a real server over a temporary Unix socket to pin what a
+   load row reports; the rest of the socket path is exercised by the CI
+   serve steps. *)
 
 open Commlat_core
 module Wire = Commlat_server.Wire
 module Engine = Commlat_server.Engine
+module Server = Commlat_server.Server
+module Load = Commlat_server.Load
 module Histo = Commlat_obs.Histo
+module Jsonx = Commlat_obs.Jsonx
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -448,6 +452,67 @@ let test_histo_merge_and_edges () =
   check_bool "bucketed quantile within bound" true
     (got >= v && float_of_int (got - v) /. float_of_int v < 2.0 /. 64.0)
 
+(* ------------------------------------------------------------- *)
+(* Load rows                                                      *)
+(* ------------------------------------------------------------- *)
+
+(* Each phase of a phase-shifting run must be reported with its own mix,
+   key space, skew, duration and burst, not the base config's: the base
+   below differs from every phase in each of them. *)
+let test_phase_rows () =
+  let path = Filename.temp_file "commlat-test-" ".sock" in
+  Sys.remove path;
+  let addr = Server.Unix_sock path in
+  let srv =
+    Thread.create
+      (fun () -> ignore (Server.run { Server.default_config with addr; domains = 1 }))
+      ()
+  in
+  let rec wait_ready n =
+    match Load.rpc addr (Wire.Ping 0) with
+    | _ -> ()
+    | exception _ when n > 0 ->
+        Unix.sleepf 0.02;
+        wait_ready (n - 1)
+  in
+  let base =
+    { Load.default_config with
+      Load.addr; conns = 2; rate = 1000.0; mix = Load.Write_heavy; keys = 7;
+      theta = 0.3; duration = 9.0; burst = 1 }
+  in
+  let phases = Load.default_phases ~burst:4 ~duration:0.1 () in
+  let prs =
+    Fun.protect
+      ~finally:(fun () ->
+        (try ignore (Load.rpc addr (Wire.Quit 0)) with _ -> ());
+        Thread.join srv)
+      (fun () ->
+        wait_ready 250;
+        Load.run_phases base phases)
+  in
+  check_int "one result per phase" (List.length phases) (List.length prs);
+  List.iter
+    (fun ((p : Load.phase), (r : Load.result)) ->
+      let row = Load.row_json ~phase:p ~domains:1 r in
+      let get conv k = Option.bind (Jsonx.member k row) conv in
+      let name = p.Load.p_name in
+      check_bool (name ^ ": phase is the first field") true
+        (match row with Jsonx.Obj (("phase", _) :: _) -> true | _ -> false);
+      check_bool (name ^ ": requests completed") true (r.Load.completed > 0);
+      Alcotest.(check (option string)) (name ^ ": phase") (Some name)
+        (get Jsonx.to_str "phase");
+      Alcotest.(check (option string)) (name ^ ": mix")
+        (Some (Load.mix_name p.Load.p_mix)) (get Jsonx.to_str "mix");
+      Alcotest.(check (option int)) (name ^ ": keys") (Some p.Load.p_keys)
+        (get Jsonx.to_int "keys");
+      Alcotest.(check (option (float 0.0))) (name ^ ": zipf_theta")
+        (Some p.Load.p_theta) (get Jsonx.to_float "zipf_theta");
+      Alcotest.(check (option (float 0.0))) (name ^ ": duration_s")
+        (Some p.Load.p_duration) (get Jsonx.to_float "duration_s");
+      Alcotest.(check (option int)) (name ^ ": burst") (Some p.Load.p_burst)
+        (get Jsonx.to_int "burst"))
+    prs
+
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -472,4 +537,6 @@ let suite =
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;
       Alcotest.test_case "histo: merge and edge cases" `Quick
         test_histo_merge_and_edges;
+      Alcotest.test_case "load: a phase row describes its own phase" `Quick
+        test_phase_rows;
     ]

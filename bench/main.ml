@@ -1043,7 +1043,7 @@ let compile_bench scale =
   let iters = max 50_000 (scale.micro_ops / 2) in
   (* Time and count minor words for [iters] calls of [f].  The allocation
      pass is separate from the timing passes so the boxed floats of
-     [Unix.gettimeofday] don't pollute the window; the [Gc.minor_words]
+     [Stats.now_s] don't pollute the window; the [Gc.minor_words]
      result boxes themselves contribute a constant few words, so the
      per-check verdict uses a 0.5-word threshold.  Timing takes the best
      of three passes after an explicit minor collection, so one path
@@ -1061,11 +1061,11 @@ let compile_bench scale =
     let best = ref infinity in
     for _ = 1 to 3 do
       Gc.minor ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Stats.now_s () in
       for _ = 1 to iters do
         ignore (Sys.opaque_identity (f () : bool))
       done;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Stats.now_s () -. t0 in
       if dt < !best then best := dt
     done;
     (!best /. float_of_int iters, dw /. float_of_int iters)
@@ -1525,9 +1525,9 @@ let explore_bench scale =
             }
           in
           let obs = Obs.create ~enabled:true "explore" in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Stats.now_s () in
           let r = Sched_explore.explore ~config ~obs w.Sched_workload.make in
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Stats.now_s () -. t0 in
           let runs = r.Sched_explore.c.Sched_explore.runs in
           (* dedup is on, so the search counted its states *)
           let states = Option.get r.Sched_explore.states in

@@ -39,10 +39,6 @@ let invoke_increment (det : Detector.t) t ~txn x =
   let inv = Invocation.make ~txn m_increment [| Value.Int x |] in
   ignore (det.Detector.on_invoke inv (fun () -> exec t "increment" inv.Invocation.args))
 
-let invoke_read (det : Detector.t) t ~txn =
-  let inv = Invocation.make ~txn m_read [||] in
-  Value.to_int (det.Detector.on_invoke inv (fun () -> exec t "read" inv.Invocation.args))
-
 let undo (t : t) (inv : Invocation.t) =
   match inv.Invocation.meth.name with
   | "increment" -> increment t (-Value.to_int inv.Invocation.args.(0))

@@ -84,7 +84,6 @@ let of_edges ~n (edges : (int * int * int) list) =
   }
 
 let set_tracer t tr = t.tracer <- tr
-let n_nodes t = t.n
 
 (* ------------------------------------------------------------------ *)
 (* Raw operations                                                      *)

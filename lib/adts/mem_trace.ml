@@ -11,20 +11,6 @@ type t = { read : int -> unit; write : int -> unit }
 
 let null = { read = ignore; write = ignore }
 
-(** Fan a cell's accesses out to both tracers — e.g. an STM's conflict
-    tracer and a profiling collector on the same ADT. *)
-let tee a b =
-  {
-    read =
-      (fun c ->
-        a.read c;
-        b.read c);
-    write =
-      (fun c ->
-        a.write c;
-        b.write c);
-  }
-
 (** A tracer that accumulates read/write sets, for profiling. *)
 type collector = {
   tracer : t;
@@ -55,5 +41,3 @@ let read_list c =
 
 let write_list c =
   Hashtbl.fold (fun k () acc -> k :: acc) c.writes [] |> List.sort Int.compare
-let read_count c = Hashtbl.length c.reads
-let write_count c = Hashtbl.length c.writes

@@ -259,10 +259,6 @@ let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
 let register names dom = List.iter (fun n -> Hashtbl.replace registry n dom) names
 
-(** Register a domain under additional ADT names (e.g. a strengthened spec
-    of a known ADT). *)
-let register_alias = register
-
 let () =
   register [ "set"; "set_rw"; "set_excl"; "set_part2"; "set_part4" ] set_domain;
   register [ "accumulator" ] accumulator_domain;

@@ -42,8 +42,6 @@ let relation_name = function
   | Incomparable -> "incomparable"
   | No_evidence -> "no-evidence"
 
-let pp_relation ppf r = Fmt.string ppf (relation_name r)
-
 type pair_relation = {
   eq_pair : string * string;
   eq_hand : Formula.t;

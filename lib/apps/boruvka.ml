@@ -195,20 +195,4 @@ let operator (t : t) (det : Detector.t) (txn : Txn.t) (item : int) : int list =
         [ new_rep ]
   end
 
-(** Run Boruvka to completion; returns the MST edges and executor stats. *)
-let run ?(processors = 4) ~detector (mesh : Mesh.t) : (int * int * int) list * Executor.stats =
-  let t = create ~mesh () in
-  let init = List.init mesh.Mesh.nodes Fun.id in
-  let stats =
-    Executor.run_rounds ~processors ~detector:(full_detector t detector)
-      ~operator:(operator t detector) init
-  in
-  (t.mst, stats)
-
-let profile ~detector (mesh : Mesh.t) : Parameter.profile =
-  let t = create ~mesh () in
-  let init = List.init mesh.Mesh.nodes Fun.id in
-  Parameter.profile ~detector:(full_detector t detector)
-    ~operator:(operator t detector) init
-
 let mst_weight mst = List.fold_left (fun acc (_, _, w) -> acc + w) 0 mst

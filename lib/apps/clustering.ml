@@ -98,20 +98,3 @@ let operator (t : t) (det : Detector.t) (txn : Txn.t) (p : Point.t) :
       in
       if live then [ p ] else []
   end
-
-(** Run clustering to completion; returns the dendrogram (oldest merge
-    first) and the executor stats. *)
-let run ?(processors = 4) ~detector ~(points : Point.t array) ~dims () :
-    (Point.t * Point.t * Point.t) list * Executor.stats =
-  let t = create ~dims () in
-  load t points;
-  let stats =
-    Executor.run_rounds ~processors ~detector ~operator:(operator t detector)
-      (Array.to_list points)
-  in
-  (List.rev t.dendrogram, stats)
-
-let profile ~detector ~(points : Point.t array) ~dims () : Parameter.profile =
-  let t = create ~dims () in
-  load t points;
-  Parameter.profile ~detector ~operator:(operator t detector) (Array.to_list points)

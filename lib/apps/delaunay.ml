@@ -509,8 +509,6 @@ let delaunay_violation t : string option =
     t.tris;
   !bad
 
-let delaunay_ok t = delaunay_violation t = None
-
 (** Total area of the live triangles — must equal [size²] whenever the
     mesh is quiescent (the box stays perfectly tiled). *)
 let area_total t =

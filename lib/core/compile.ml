@@ -19,11 +19,6 @@
     - {b vfuns resolved once}: a spec's value functions are collected into
       an array at compile time and each [Vfun] node captures its slot, so
       no name lookup happens per evaluation;
-    - {b int fast path}: comparisons over arithmetic sub-terms are fused
-      into unboxed [int] arithmetic when every leaf is an integer at run
-      time, falling back to the generic {!Formula.arith_op} path on the
-      first non-integer leaf so verdicts are bit-identical to the
-      interpreter (including the total division-by-zero semantics);
     - {b state-dependent conditions} (those with [Sfun]s) are recorded as
       [Interp] and evaluated with {!Formula.eval}: they need a
       gatekeeper's log-backed state oracle, and the environment and log
@@ -248,85 +243,16 @@ let flat_closure { fop; fl; fr } : Invocation.t -> Invocation.t -> bool =
          is not a leaf); the generic reader is fine here *)
       fun i1 i2 -> Formula.cmp_op op (read_leaf fl i1 i2) (read_leaf fr i1 i2)
 
-(* Unboxed-int fusion for comparisons over arithmetic.  [int_term] yields
-   a plain-int evaluator that raises [Not_an_int] on the first non-integer
-   leaf; the comparison wrapper catches it and re-runs the generic boxed
-   path, so the fast path can never change a verdict — only skip the
-   per-eval [Value.Int] boxes. *)
-exception Not_an_int
-
-let rec int_term vt (t : Formula.term) :
-    (Invocation.t -> Invocation.t -> int) option =
-  match t with
-  | Formula.Const (Value.Int n) -> Some (fun _ _ -> n)
-  | Formula.Const _ -> None
-  | Formula.Arg _ | Formula.Ret _ ->
-      let c = term vt t in
-      Some
-        (fun i1 i2 ->
-          match c i1 i2 with
-          | Value.Int n -> n
-          | _ -> raise_notrace Not_an_int)
-  | Formula.Arith (op, a, b) -> (
-      match (int_term vt a, int_term vt b) with
-      | Some ca, Some cb ->
-          Some
-            (match op with
-            | Formula.Add -> fun i1 i2 -> ca i1 i2 + cb i1 i2
-            | Formula.Sub -> fun i1 i2 -> ca i1 i2 - cb i1 i2
-            | Formula.Mul -> fun i1 i2 -> ca i1 i2 * cb i1 i2
-            | Formula.Div ->
-                (* Total semantics, matching Formula.arith_op: x/0 = 0.
-                   Evaluate the numerator first so a non-integer numerator
-                   falls back to the generic (float-coercing) path even
-                   when the denominator is 0. *)
-                fun i1 i2 ->
-                 let x = ca i1 i2 in
-                 let y = cb i1 i2 in
-                 if y = 0 then 0 else x / y)
-      | _ -> None)
-  | Formula.Sfun _ | Formula.Vfun _ -> None
-
-let rec term_has_arith = function
-  | Formula.Arith _ -> true
-  | Formula.Arg _ | Formula.Ret _ | Formula.Const _ -> false
-  | Formula.Sfun (_, _, args) | Formula.Vfun (_, args) ->
-      List.exists term_has_arith args
-
-let int_cmp : Formula.cmp -> int -> int -> bool = function
-  | Formula.Eq -> ( = )
-  | Formula.Ne -> ( <> )
-  | Formula.Lt -> ( < )
-  | Formula.Le -> ( <= )
-  | Formula.Gt -> ( > )
-  | Formula.Ge -> ( >= )
-
 let compile_cmp vt op a b : Invocation.t -> Invocation.t -> bool =
   match flat_cmp op a b with
-  (* leaf vs leaf — one flat closure, no inner calls (leaves are never
-     arithmetic, so fusion doesn't apply here) *)
+  (* leaf vs leaf — one flat closure, no inner calls *)
   | Some fl -> flat_closure fl
   | None -> (
-      let generic =
-        let ca = term vt a and cb = term vt b in
-        match op with
-        | Formula.Eq -> fun i1 i2 -> Value.equal (ca i1 i2) (cb i1 i2)
-        | Formula.Ne -> fun i1 i2 -> not (Value.equal (ca i1 i2) (cb i1 i2))
-        | op -> fun i1 i2 -> Formula.cmp_op op (ca i1 i2) (cb i1 i2)
-      in
-      (* The generic path is already allocation-free on Arg/Ret/Const leaves
-         (Value.equal/compare build nothing); fusion only pays where Arith
-         would otherwise box an intermediate Value.Int per evaluation. *)
-      if term_has_arith a || term_has_arith b then
-        match (int_term vt a, int_term vt b) with
-        | Some ia, Some ib ->
-            let c = int_cmp op in
-            fun i1 i2 -> (
-              match c (ia i1 i2) (ib i1 i2) with
-              | verdict -> verdict
-              | exception Not_an_int -> generic i1 i2)
-        | _ -> generic
-      else generic)
+      let ca = term vt a and cb = term vt b in
+      match op with
+      | Formula.Eq -> fun i1 i2 -> Value.equal (ca i1 i2) (cb i1 i2)
+      | Formula.Ne -> fun i1 i2 -> not (Value.equal (ca i1 i2) (cb i1 i2))
+      | op -> fun i1 i2 -> Formula.cmp_op op (ca i1 i2) (cb i1 i2))
 
 let rec formula vt (f : Formula.t) : Invocation.t -> Invocation.t -> bool =
   match f with

@@ -3,11 +3,9 @@
 
     Specializes each ordered method-pair commutativity condition into a
     flat closure over the two invocation records — no {!Formula.env}
-    construction, vfuns resolved once into an array, comparisons over
-    arithmetic fused to unboxed [int] code with an exact fallback to the
-    generic interpreter semantics.  State-free conditions check with zero
-    minor-heap allocations (vfun argument lists are the one documented
-    exception).  State-dependent conditions stay formulas ([Interp]):
+    construction, vfuns resolved once into an array.  State-free
+    conditions check with zero minor-heap allocations (vfun argument
+    lists are the one documented exception).  State-dependent conditions stay formulas ([Interp]):
     gatekeepers evaluate them with {!Formula.eval} over their log-backed
     environment.
 

@@ -34,7 +34,7 @@ type t = {
   guards : Guard.t list;
       (** the reentrant guards serializing this detector's internal state
           (and, during [on_invoke], the protected ADT's concrete state).
-          The domain executor takes all of them around a transaction's
+          [Boost.abort] takes all of them around a transaction's
           rollback + [on_abort] so no concurrent sweep or invocation can
           interleave with the undo log.  Empty for detectors with no
           internal state. *)

@@ -36,7 +36,7 @@ type t = {
   guards : Guard.t list;
       (** the reentrant guards serializing this detector's internal state
           (and, during [on_invoke], the protected ADT's concrete state).
-          The domain executor takes all of them ({!Guard.protect_all})
+          [Boost.abort] takes all of them ({!Guard.protect_all})
           around a doomed transaction's rollback + [on_abort] so nothing
           can interleave with the undo log; [on_abort]'s own acquisition
           then re-enters.  Empty for stateless/ad-hoc detectors. *)

@@ -145,15 +145,6 @@ let rec sfuns acc = function
 (** All [Sfun] occurrences in a formula, innermost first. *)
 let all_sfuns f = sfuns [] f
 
-let mentions_side side f =
-  let rec go = function
-    | True | False -> false
-    | Cmp (_, a, b) -> term_mentions_side side a || term_mentions_side side b
-    | Not f -> go f
-    | And (a, b) | Or (a, b) -> go a || go b
-  in
-  go f
-
 let mentions_ret side f =
   let rec go = function
     | True | False -> false

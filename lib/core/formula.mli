@@ -84,8 +84,6 @@ val term_has_sfun : term -> bool
     [(name, state, argument terms, canonical term)]. *)
 val all_sfuns : t -> (string * state * term list * term) list
 
-val mentions_side : side -> t -> bool
-
 (** Does the formula mention the return value of the given side ([r1]/[r2]),
     including inside function arguments? *)
 val mentions_ret : side -> t -> bool

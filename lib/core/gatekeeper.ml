@@ -80,18 +80,14 @@ type entry = {
 module Obs = Commlat_obs.Obs
 
 (* One slice of the active-invocation table.  An unsharded gatekeeper is a
-   single overflow shard; [s_guard] and [s_muts] are used only in striped
-   mode (coarse mode keeps the gatekeeper-global [mu] and [mutation_log]). *)
+   single overflow shard; [s_guard] is used only in striped mode (coarse
+   mode keeps the gatekeeper-global [mu]). *)
 type shard = {
   s_active : (string, entry list ref) Hashtbl.t;
       (** active invocations, bucketed by method name so that method pairs
           whose condition is [true] (e.g. find/find, nearest/nearest) are
           skipped without touching individual entries *)
   mutable s_n : int;
-  mutable s_muts : Invocation.t list;
-      (** striped mode: this shard's mutating invocations, newest first —
-          only ever [forget]-bookkeeping, dropped when their transaction
-          ends (striped gatekeepers never reconstruct past states) *)
   s_guard : Guard.t;
 }
 
@@ -126,7 +122,9 @@ type t = {
   cond_info : (string * string, cond_info) Hashtbl.t;
   false_info : cond_info;  (** for methods the spec never mentions *)
   mutable mutation_log : Invocation.t list;
-      (** coarse mode: mutating invocations, newest first *)
+      (** general gatekeepers: mutating invocations, newest first (a
+          forward gatekeeper never reconstructs a past state, so it keeps
+          none) *)
   mutable seq : int;  (** always stamped under [mu] *)
   mu : Guard.t;
       (** coarse mode: the gatekeeper-global guard.  Striped mode: the
@@ -442,7 +440,7 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
          (Spec.adt spec))
   in
   let fresh_shard () =
-    { s_active = Hashtbl.create 8; s_n = 0; s_muts = []; s_guard = Guard.create () }
+    { s_active = Hashtbl.create 8; s_n = 0; s_guard = Guard.create () }
   in
   (* shard guards first, [mu] last: protect_all's canonical (creation-id)
      order then agrees with the shard-guard-then-exec-guard nesting of the
@@ -570,7 +568,8 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
       populate_log t entry ~post_exec:false;
       let r = exec () in
       inv.Invocation.ret <- r;
-      if inv.Invocation.meth.rollback_log then t.mutation_log <- inv :: t.mutation_log;
+      if t.allow_rollback && inv.Invocation.meth.rollback_log then
+        t.mutation_log <- inv :: t.mutation_log;
       (* ... and ret-dependent ones after it returns (valid for read-only
          methods such as [nearest]; see Spec docs). *)
       populate_log t entry ~post_exec:true;
@@ -681,8 +680,6 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
               inv.Invocation.seq <- t.seq;
               let r = exec () in
               inv.Invocation.ret <- r;
-              if inv.Invocation.meth.rollback_log then
-                sh.s_muts <- inv :: sh.s_muts;
               r)
         with e ->
           (* a raising [exec] is an ADT/operator failure, not a conflict:
@@ -725,48 +722,44 @@ let prune (t : t) =
     t.mutation_log <- keep
   end
 
-let drop_txn_entries (sh : shard) txn =
+(* Remove the entries [gone] selects from a shard.  A forward gatekeeper
+   never reconstructs a past state, so it [forget]s a dropped mutation
+   right here; a general one keeps it in [mutation_log] for later sweeps. *)
+let drop_entries (t : t) (sh : shard) gone =
   Hashtbl.iter
     (fun _ bucket ->
-      let keep = List.filter (fun e -> e.inv.Invocation.txn <> txn) !bucket in
-      sh.s_n <- sh.s_n - (List.length !bucket - List.length keep);
+      let dropped, keep = List.partition gone !bucket in
+      if not t.allow_rollback then
+        List.iter
+          (fun e ->
+            if e.inv.Invocation.meth.rollback_log then t.hooks.forget e.inv)
+          dropped;
+      sh.s_n <- sh.s_n - List.length dropped;
       bucket := keep)
     sh.s_active
 
-(* End-of-transaction bookkeeping.  [drop_mutations] distinguishes abort
-   from commit: an {e aborted} transaction's mutations were just undone by
-   its rollback, so they leave the log (they never happened); a
-   {e committed} transaction's mutations are history and MUST stay — under
-   true concurrency an older transaction's invocation can still be active,
-   and reconstructing its pre-state [s1] requires undoing every later
-   mutation, committed or not.  (The round-based executor never exposed
-   this: there, every active invocation was newer than every committed
-   mutation.)  [prune] retires committed entries once no active invocation
-   predates them.
-
-   Striped gatekeepers never reconstruct, so a transaction's mutations are
-   forgotten as soon as it ends, commit or abort (an abort's rollback has
-   already run by the time [on_abort] gets here). *)
+(* End-of-transaction bookkeeping (paper §3.3: the transaction's active
+   invocations and logs go).  For a general gatekeeper [drop_mutations]
+   distinguishes abort from commit: an {e aborted} transaction's mutations
+   were just undone by its rollback, so they leave the log (they never
+   happened); a {e committed} transaction's mutations are history and MUST
+   stay — under true concurrency an older transaction's invocation can
+   still be active, and reconstructing its pre-state [s1] requires undoing
+   every later mutation, committed or not.  [prune] retires committed
+   entries once no active invocation predates them.  A forward gatekeeper,
+   coarse or striped, forgets its mutations with their entries, commit or
+   abort (an abort's rollback has already run by the time [on_abort] gets
+   here). *)
 let on_end ~drop_mutations (t : t) txn =
-  if t.striped then
-    Guard.protect_all
-      (Array.to_list (Array.map (fun s -> s.s_guard) t.shards))
-      (fun () ->
-        ignore drop_mutations;
-        Array.iter
-          (fun (sh : shard) ->
-            drop_txn_entries sh txn;
-            let keep, drop =
-              List.partition
-                (fun (i : Invocation.t) -> i.txn <> txn)
-                sh.s_muts
-            in
-            List.iter t.hooks.forget drop;
-            sh.s_muts <- keep)
-          t.shards)
-  else
-    Guard.protect t.mu (fun () ->
-        Array.iter (fun sh -> drop_txn_entries sh txn) t.shards;
+  let held =
+    if t.striped then Array.to_list (Array.map (fun s -> s.s_guard) t.shards)
+    else [ t.mu ]
+  in
+  Guard.protect_all held (fun () ->
+      Array.iter
+        (fun sh -> drop_entries t sh (fun e -> e.inv.Invocation.txn = txn))
+        t.shards;
+      if t.allow_rollback then begin
         if drop_mutations then
           t.mutation_log <-
             (let keep, drop =
@@ -774,7 +767,8 @@ let on_end ~drop_mutations (t : t) txn =
              in
              List.iter t.hooks.forget drop;
              keep);
-        prune t)
+        prune t
+      end)
 
 let rollback_count (t : t) = !(t.stats_rollbacks)
 let obs (t : t) = t.obs
@@ -793,43 +787,8 @@ let all_guards (t : t) =
     Array.to_list (Array.map (fun (s : shard) -> s.s_guard) t.shards) @ [ t.mu ]
   else [ t.mu ]
 
-(* ------------------------------------------------------------------ *)
-(* Live-state transfer (detector hot-swap)                             *)
-(* ------------------------------------------------------------------ *)
-
-let active_invocations (t : t) : Invocation.t list =
-  Guard.protect_all (all_guards t) (fun () ->
-      let acc = ref [] in
-      Array.iter
-        (fun (sh : shard) ->
-          Hashtbl.iter
-            (fun _ bucket -> List.iter (fun e -> acc := e.inv :: !acc) !bucket)
-            sh.s_active)
-        t.shards;
-      List.sort
-        (fun (a : Invocation.t) (b : Invocation.t) -> Int.compare a.seq b.seq)
-        !acc)
-
-let adopt (t : t) (invs : Invocation.t list) =
-  Guard.protect_all (all_guards t) (fun () ->
-      List.iter
-        (fun (inv : Invocation.t) ->
-          t.seq <- t.seq + 1;
-          inv.Invocation.seq <- t.seq;
-          let entry = { inv; log = Hashtbl.create 4 } in
-          (* both halves of the C_m log: the invocation has already
-             executed, so ret-mentioning argument terms are evaluable *)
-          populate_log t entry ~post_exec:false;
-          populate_log t entry ~post_exec:true;
-          if inv.Invocation.meth.rollback_log then begin
-            if t.striped then begin
-              let sh = t.shards.(shard_idx t inv) in
-              sh.s_muts <- inv :: sh.s_muts
-            end
-            else t.mutation_log <- inv :: t.mutation_log
-          end;
-          insert_entry t t.shards.(shard_idx t inv) entry)
-        invs)
+let active_count (t : t) =
+  Guard.protect_all (all_guards t) (fun () -> n_active t)
 
 let detector (t : t) : Detector.t =
   {
@@ -842,10 +801,8 @@ let detector (t : t) : Detector.t =
         Guard.protect_all (all_guards t) (fun () ->
             Array.iter
               (fun (sh : shard) ->
-                Hashtbl.reset sh.s_active;
-                sh.s_n <- 0;
-                List.iter t.hooks.forget sh.s_muts;
-                sh.s_muts <- [])
+                drop_entries t sh (fun _ -> true);
+                Hashtbl.reset sh.s_active)
               t.shards;
             List.iter t.hooks.forget t.mutation_log;
             t.mutation_log <- []));

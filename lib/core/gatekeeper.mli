@@ -8,6 +8,15 @@
     raises {!Detector.Conflict} if any condition is false.  The whole
     sequence is atomic (one mutex per gatekeeper).
 
+    When a transaction ends (the detector's [on_commit]/[on_abort]), its
+    entries leave the active table.  A forward gatekeeper, coarse or
+    striped, calls [hooks.forget] on the dropped [rollback_log]
+    invocations right then.  A general gatekeeper keeps a committed
+    transaction's mutations in its mutation log while an older active
+    invocation may need them undone to reach its [s1], and forgets them
+    once none does; an aborted transaction's mutations leave the log at
+    once.
+
     {b Forward} gatekeepers ([~allow_rollback:false]) require every
     condition to be ONLINE-CHECKABLE (logic L3).  {b General} gatekeepers
     ([~allow_rollback:true]) accept any L1 condition: functions of [s1]
@@ -110,29 +119,10 @@ val batch_check : t -> Invocation.t -> unit
     recorded on every invocation of that method.  Order is unspecified. *)
 val cm_functions : t -> string -> (string * Formula.term list) list
 
-(** {1 Live-state transfer}
-
-    Support for hot-swapping one gatekeeper for another over the same ADT
-    (the server's adaptive controller; see DESIGN.md §12).  The swap
-    protocol is: quiesce or hold every guard of the {e old} gatekeeper,
-    read {!active_invocations}, build the successor, {!adopt} the list,
-    install the successor's detector. *)
-
-(** Every entry in the active-invocation table, in seq (execution) order.
-    Takes the gatekeeper's guards, so it is safe to call concurrently —
-    though a meaningful swap reads it at a point where the caller knows no
-    new invocations can race in (e.g. the server's epoch barrier, where
-    every open transaction has just committed and the list is empty). *)
-val active_invocations : t -> Invocation.t list
-
-(** Re-home already-executed invocations into this gatekeeper: restamp
-    their [seq] (preserving relative order), rebuild their [C_m] logs
-    against the current state, and insert them into the active table (and
-    mutation log, for [rollback_log] methods).  Sound when the adopted
-    methods' log sets are empty or the underlying state has not mutated
-    since they executed — trivially true for the empty list the server's
-    epoch barrier produces, and for state-free (forward/striped) specs. *)
-val adopt : t -> Invocation.t list -> unit
+(** Number of entries in the active-invocation table (taken under the
+    gatekeeper's guards).  Zero means no open transaction holds state
+    here, the condition for swapping this gatekeeper out (DESIGN.md §12). *)
+val active_count : t -> int
 
 (** Build a gatekeeper over [spec] and its detector facade.  The detector
     is named ["fwd-gk(ADT)"], ["gen-gk(ADT)"], ["fwd-gk-sharded(ADT)"] or

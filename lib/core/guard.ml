@@ -5,7 +5,7 @@
     STM's cell table — behind one of these guards instead of a bare
     [Mutex.t].  Two properties make that swap worth a module:
 
-    - {b Reentrancy.}  The domain executor must run a doomed transaction's
+    - {b Reentrancy.}  Aborting a transaction ([Boost.abort]) must run its
       undo log and the detector's [on_abort] as {e one} atomic step (a
       general gatekeeper's undo/redo sweep would otherwise re-apply writes
       the rollback just reverted, from the aborted transaction's
@@ -71,7 +71,7 @@ let protect t f =
   Fun.protect ~finally:(fun () -> unlock t) f
 
 (** [protect_all ts f] runs [f] holding every guard in [ts], acquired in
-    canonical id order (duplicates are taken once).  This is the executor's
+    canonical id order (duplicates are taken once).  This is [Boost.abort]'s
     rollback primitive: with every involved detector's guard held, the undo
     log and [on_abort] form one atomic step. *)
 let protect_all ts f =

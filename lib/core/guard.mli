@@ -1,7 +1,7 @@
 (** Reentrant, canonically-ordered locks for detector-internal state.
 
     Conflict detectors serialize their critical sections behind a guard
-    instead of a bare [Mutex.t] so that (a) the domain executor can hold a
+    instead of a bare [Mutex.t] so that (a) [Boost.abort] can hold a
     detector's guard across a transaction rollback while the detector's
     own [on_abort] re-enters it, and (b) rollbacks spanning several
     detectors ({!Detector.compose}) can take all their guards in a globally

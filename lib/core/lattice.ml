@@ -18,7 +18,6 @@
 let meet f1 f2 = Formula.simplify (Formula.And (f1, f2))
 let join f1 f2 = Formula.simplify (Formula.Or (f1, f2))
 let bot = Formula.False
-let top_of f = f (* the precise condition plays the role of top *)
 
 (* --------------------------------------------------------------- *)
 (* Syntactic implication (sufficient, not complete)                 *)

@@ -19,9 +19,6 @@ val meet : Formula.t -> Formula.t -> Formula.t
 val join : Formula.t -> Formula.t -> Formula.t
 val bot : Formula.t
 
-(** The precise condition plays the role of top; identity placeholder. *)
-val top_of : Formula.t -> Formula.t
-
 (** Sufficient syntactic implication check: [leq_syntactic f1 f2 = true]
     implies [f1 => f2].  Covers dropped disjuncts, strengthened
     conjunctions and the partition rule [g(x) != g(y) => x != y]. *)

@@ -27,8 +27,6 @@ let point p = Point p
 let pair a b = Pair (a, b)
 let opt o = Opt o
 let list l = List l
-let true_ = Bool true
-let false_ = Bool false
 
 exception Type_error of string
 
@@ -122,7 +120,6 @@ let to_float = function
   | v -> type_error "expected float, got %a" pp v
 
 let to_point = function Point p -> p | v -> type_error "expected point, got %a" pp v
-let to_opt = function Opt o -> o | v -> type_error "expected option, got %a" pp v
 
 module As_key = struct
   type nonrec t = t

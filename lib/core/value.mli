@@ -29,8 +29,6 @@ val point : float array -> t
 val pair : t -> t -> t
 val opt : t option -> t
 val list : t list -> t
-val true_ : t
-val false_ : t
 
 (** {1 Errors} *)
 
@@ -65,7 +63,6 @@ val to_bool : t -> bool
 val to_int : t -> int
 val to_float : t -> float
 val to_point : t -> float array
-val to_opt : t -> t option
 
 (** {1 Containers keyed by values} *)
 

@@ -59,7 +59,6 @@ type t = {
 
 let default = ref true
 let set_default_enabled b = default := b
-let default_enabled () = !default
 
 let create ?enabled ?(trace = 0) scope =
   let enabled = match enabled with Some b -> b | None -> !default in

@@ -32,3 +32,22 @@ let invoke_ro (det : Detector.t) (txn : Txn.t) (meth : Invocation.meth)
   let inv = Invocation.make ~txn:(Txn.id txn) meth args in
   Txn.register_guards txn det.Detector.guards;
   det.Detector.on_invoke inv (fun () -> exec inv)
+
+(** End [txn] as committed: the detector releases the transaction's
+    locks and log entries first, then the undo log is discarded.  If
+    [on_commit] raises, the undo log is still intact, so the caller can
+    {!abort}. *)
+let commit (det : Detector.t) (txn : Txn.t) =
+  det.Detector.on_commit (Txn.id txn);
+  Txn.commit txn
+
+(** End [txn] as aborted: replay its undo log, then release its detector
+    state, as one step under every guard the transaction registered plus
+    the detector's own ({!Guard.protect_all}), so no concurrent
+    invocation or general-gatekeeper sweep sees the state in between. *)
+let abort (det : Detector.t) (txn : Txn.t) =
+  Guard.protect_all
+    (Txn.guards txn @ det.Detector.guards)
+    (fun () ->
+      Txn.rollback txn;
+      det.Detector.on_abort (Txn.id txn))

@@ -32,3 +32,14 @@ val invoke_ro :
   Value.t array ->
   (Invocation.t -> Value.t) ->
   Value.t
+
+(** End [txn] as committed: [on_commit], then [Txn.commit].  A raising
+    [on_commit] leaves the undo log intact, so the caller can still
+    {!abort}.  With {!abort}, the one way the executors, the server
+    engine and the schedule explorer end a transaction. *)
+val commit : Detector.t -> Txn.t -> unit
+
+(** End [txn] as aborted: [Txn.rollback], then [on_abort], as one step
+    under {!Guard.protect_all} over the transaction's registered guards
+    and the detector's own. *)
+val abort : Detector.t -> Txn.t -> unit

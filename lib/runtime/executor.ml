@@ -165,8 +165,7 @@ let run_rounds ?(processors = 4) ?(cost = fun _ -> 1.0) ?obs
         | produced -> survivors := (txn, produced) :: !survivors
         | exception Detector.Conflict { reason; _ } ->
             incr aborted;
-            Txn.rollback txn;
-            detector.Detector.on_abort (Txn.id txn);
+            Boost.abort detector txn;
             (match oh with
             | Some h ->
                 Obs.incr h.o_abort;
@@ -180,8 +179,7 @@ let run_rounds ?(processors = 4) ?(cost = fun _ -> 1.0) ?obs
     List.iter
       (fun (txn, produced) ->
         incr committed;
-        Txn.commit txn;
-        detector.Detector.on_commit (Txn.id txn);
+        Boost.commit detector txn;
         List.iter push_back produced)
       (List.rev !survivors);
     (match oh with
@@ -252,12 +250,11 @@ let domain_hooks = function
       internal {!Guard.t} (its [on_invoke] executes the method inside its
       critical section, so concurrent transactions interleave at
       method-invocation granularity, exactly the atomicity §2.1 assumes);
-    - {e the undo log}: private to its transaction until an abort, when the
-      executor replays it while holding {e every} involved detector's guard
-      ({!Guard.protect_all} over the transaction's registered guards plus
-      the detector's own), so a concurrent general-gatekeeper undo/redo
-      sweep can never interleave with — and re-apply — writes the rollback
-      is reverting; [on_abort] then re-enters those guards;
+    - {e the undo log}: private to its transaction until an abort, when
+      {!Boost.abort} replays it while holding {e every} involved detector's
+      guard, so a concurrent general-gatekeeper undo/redo sweep can never
+      interleave with — and re-apply — writes the rollback is reverting;
+      [on_abort] then re-enters those guards;
     - {e the work supply}: one {!Wsdeque} per domain (owner pops the front,
       retries go back to the front, new work to the back; idle domains
       steal from other deques' backs).
@@ -271,8 +268,8 @@ let domain_hooks = function
     version and the sleep is skipped, so wakeups cannot be missed.  The
     worker that drives [pending] to zero broadcasts, and everyone exits.
 
-    Commit order: the detector's [on_commit] runs first (releasing
-    locks/log entries), then [Txn.commit] discards the undo log, and only
+    Commit order: {!Boost.commit} runs the detector's [on_commit]
+    (releasing locks/log entries) before discarding the undo log, and only
     then are the commit counters incremented — a raising commit hook finds
     stats untouched and the undo log intact, so the transaction is rolled
     back before the failure propagates.
@@ -316,15 +313,6 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
     Atomic.set stop true;
     notify ()
   in
-  (* Roll a doomed transaction back and release its detector state as ONE
-     step with respect to every detector it touched. *)
-  let abort_atomically txn =
-    Guard.protect_all
-      (Txn.guards txn @ det.Detector.guards)
-      (fun () ->
-        Txn.rollback txn;
-        det.Detector.on_abort (Txn.id txn))
-  in
   let domain_commits = Array.make n 0 in
   let busy = Array.make n 0.0 in
   let t0 = Stats.now_s () in
@@ -356,10 +344,7 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
       let txn = Txn.fresh () in
       (match operator txn item with
       | produced -> (
-          match
-            det.Detector.on_commit (Txn.id txn);
-            Txn.commit txn
-          with
+          match Boost.commit det txn with
           | () ->
               setbacks := 0;
               Atomic.incr committed;
@@ -381,10 +366,10 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
           | exception e ->
               (* raising commit hook: stats untouched, undo log intact *)
               let bt = Printexc.get_raw_backtrace () in
-              abort_atomically txn;
+              Boost.abort det txn;
               record_failure e bt)
       | exception Detector.Conflict { reason; _ } ->
-          abort_atomically txn;
+          Boost.abort det txn;
           Atomic.incr aborted;
           (match dh with
           | Some h ->
@@ -412,7 +397,7 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
           end
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          abort_atomically txn;
+          Boost.abort det txn;
           record_failure e bt);
       busy.(me) <- busy.(me) +. (Stats.now_s () -. t_item)
     in

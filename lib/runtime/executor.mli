@@ -15,7 +15,7 @@
     - {!run_domains} — real concurrency on OCaml 5 domains; interleaving
       is at method-invocation granularity.  Work is spread over per-domain
       {!Commlat_wsdeque.Wsdeque}s with stealing, aborts are made atomic by
-      taking every involved detector guard, and termination is exact (a
+      {!Boost.abort}, and termination is exact (a
       pending count plus a versioned sleep/wake protocol).
 
     The operator {b must} register an undo action with its transaction for

@@ -26,27 +26,7 @@ let time_median ?(reps = 3) f =
   in
   List.nth samples (reps / 2)
 
-(** Overhead of a conflict-detection scheme: single-threaded speculative
-    runtime over plain sequential runtime (the paper's [o_d]). *)
-let overhead ~sequential_s ~single_thread_s =
-  if sequential_s <= 0.0 then nan else single_thread_s /. sequential_s
-
 (** The paper's simple model of best-case parallel runtime on [p]
     processors: [T · o_d / min(a_d, p)]. *)
 let model_runtime ~t_seq ~overhead:od ~parallelism:ad ~processors:p =
   t_seq *. od /. Float.min ad (float_of_int p)
-
-type row = {
-  label : string;
-  path_length : int;
-  parallelism : float;
-  overhead : float;
-}
-
-let pp_row ppf r =
-  Fmt.pf ppf "%-12s path=%-10d parallelism=%-10.2f overhead=%.2f" r.label
-    r.path_length r.parallelism r.overhead
-
-let pp_table ppf rows =
-  Fmt.pf ppf "%-12s %-12s %-12s %s@." "variant" "path" "parallelism" "overhead";
-  List.iter (fun r -> Fmt.pf ppf "%a@." pp_row r) rows

@@ -6,8 +6,8 @@
     state the transaction saw when it started.
 
     It also accumulates the {!Commlat_core.Guard.t}s of every detector it
-    invoked through ({!register_guards}, called by {!Boost}).  The domain
-    executor takes all of them around [rollback] + [on_abort], making the
+    invoked through ({!register_guards}, called by {!Boost}).  {!Boost.abort}
+    takes all of them around [rollback] + [on_abort], making the
     whole abort one atomic step with respect to each involved detector —
     without this, a general gatekeeper's undo/redo sweep on another domain
     could re-apply writes the rollback had just reverted. *)

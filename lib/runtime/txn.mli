@@ -5,8 +5,8 @@
     invocations; {!rollback} runs them newest-first, restoring the abstract
     state the transaction saw when it started.  It also accumulates the
     {!Commlat_core.Guard.t}s of every detector it invoked through
-    ({!register_guards}, called by {!Boost}): the domain executor takes all
-    of them around [rollback] + [on_abort], making the whole abort one
+    ({!register_guards}, called by {!Boost}): {!Boost.abort} takes all of
+    them around [rollback] + [on_abort], making the whole abort one
     atomic step with respect to each involved detector. *)
 
 open Commlat_core

@@ -20,12 +20,12 @@
     inversion (the Abstract_lock ABBA bug the previous release fixed)
     surfaces deterministically.
 
-    The transaction protocol mirrors [Executor.run_domains]: the body runs
-    under a fresh [Txn.t]; on success the detector commits; on
-    {!Detector.Conflict} the fiber rolls back atomically under every
-    involved guard ([Guard.protect_all]) — whose acquisitions are
-    themselves yield points, which is precisely what lets the explorer
-    interleave an abort against a concurrent invocation — and retries. *)
+    Transactions end through the same code the executors and the server
+    use: the body runs under a fresh [Txn.t]; on success {!Boost.commit}; on
+    {!Detector.Conflict} {!Boost.abort} rolls back under every involved
+    guard — whose acquisitions are themselves yield points, which is
+    precisely what lets the explorer interleave an abort against a
+    concurrent invocation — and the fiber retries. *)
 
 open Commlat_core
 open Commlat_runtime
@@ -177,15 +177,10 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
       let txn = Txn.fresh () in
       match task.body ~det:idet ~txn with
       | () ->
-          idet.Detector.on_commit (Txn.id txn);
-          Txn.commit txn;
+          Boost.commit idet txn;
           committed_acc := !committed_acc @ List.rev fib.invs
       | exception Detector.Conflict _ ->
-          Guard.protect_all
-            (Txn.guards txn @ idet.Detector.guards)
-            (fun () ->
-              Txn.rollback txn;
-              idet.Detector.on_abort (Txn.id txn));
+          Boost.abort idet txn;
           attempt (n + 1)
     in
     attempt 1

@@ -47,7 +47,6 @@ type exposed = {
           is the finest, so it stays valid at every coarser level *)
   lookup : string -> Invocation.meth option;
   exec_inv : Invocation.t -> Value.t;
-  undo_inv : Invocation.t -> unit;
   batchable : bool;
       (** forward/striped gatekeeper: {!Gatekeeper.batch_check}'s
           no-state-reconstruction precondition holds, enabling the
@@ -148,8 +147,7 @@ let flow_levels () =
       Flow_graph.spec_partitioned ~nparts:default_nparts ~n:flow_nodes () );
   ]
 
-let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~undo_inv ~hooks ~batchable
-    levels : exposed =
+let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~hooks levels : exposed =
   let levels =
     Array.of_list
       (List.map (fun (n, s) -> { l_name = n; l_spec = s; l_built = None }) levels)
@@ -165,8 +163,10 @@ let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~undo_inv ~hooks ~batchable
     fp = Footprint.analyze levels.(0).l_spec;
     lookup = meth_finder meths;
     exec_inv;
-    undo_inv;
-    batchable;
+    batchable =
+      (match scheme with
+      | Protect.Forward_gk | Protect.Sharded (Protect.Forward_gk, _) -> true
+      | _ -> false);
     levels;
     cur = 0;
     scheme;
@@ -199,14 +199,14 @@ let current_level_index (t : t) adt = (find_exposed t adt).cur
 let level_snapshot (t : t) adt : Obs.snapshot =
   (find_exposed t adt).det.Detector.snapshot ()
 
-(** Hot-swap one ADT's detector to the chain level at [idx], replaying any
-    live gatekeeper state into the successor.  The caller must guarantee
-    no invocation races with the swap — the server calls this inside an
-    all-workers epoch barrier (where every open transaction has just
-    committed, so the replayed list is empty); single-threaded embedders
-    (tests, the conformance path) may call it between requests.  Levels
-    are built on first entry and cached, so obs counters and [Stats]
-    totals survive revisits. *)
+(** Hot-swap one ADT's detector to the chain level at [idx].  A swap
+    needs quiescence and transfers nothing: it raises [Invalid_argument]
+    if the outgoing gatekeeper still holds an active invocation.  The
+    server calls this inside an all-workers epoch barrier, where every
+    open transaction has just committed; single-threaded embedders
+    (tests, the conformance path) call it between requests.  Levels are
+    built on first entry and cached, so obs counters and [Stats] totals
+    survive revisits. *)
 let set_level (t : t) adt idx =
   let ex = find_exposed t adt in
   if idx < 0 || idx >= Array.length ex.levels then
@@ -214,7 +214,10 @@ let set_level (t : t) adt idx =
       (Fmt.str "Engine.set_level: %s has %d levels, got %d" adt
          (Array.length ex.levels) idx);
   if idx <> ex.cur then begin
-    let live = Gatekeeper.active_invocations ex.gk in
+    let live = Gatekeeper.active_count ex.gk in
+    if live > 0 then
+      invalid_arg
+        (Fmt.str "Engine.set_level: %s has %d active invocations" adt live);
     let det, gk =
       match ex.levels.(idx).l_built with
       | Some dg -> dg
@@ -226,7 +229,6 @@ let set_level (t : t) adt idx =
           ex.levels.(idx).l_built <- Some dg;
           dg
     in
-    Gatekeeper.adopt gk live;
     let dir = if idx > ex.cur then t.c_strengthens else t.c_weakens in
     ex.det <- det;
     ex.gk <- gk;
@@ -274,33 +276,28 @@ let create ?obs:obs_enabled ?(nshards = default_nshards)
               ~meths:Kvmap.methods
               ~exec_inv:(fun inv ->
                 Kvmap.exec kv inv.Invocation.meth.name inv.Invocation.args)
-              ~undo_inv:(Kvmap.undo kv) ~hooks:(Kvmap.hooks kv) ~batchable:true
-              (kvmap_levels ()) );
+              ~hooks:(Kvmap.hooks kv) (kvmap_levels ()) );
           ( "set",
             mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"set"
               ~meths:Iset.methods
               ~exec_inv:(fun inv ->
                 Iset.exec set inv.Invocation.meth.name inv.Invocation.args)
-              ~undo_inv:(Iset.undo set) ~hooks:(Iset.hooks set) ~batchable:true
-              (set_levels ()) );
+              ~hooks:(Iset.hooks set) (set_levels ()) );
           ( "orset",
             mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"orset"
               ~meths:Orset.methods ~exec_inv:(Orset.exec_logged ors)
-              ~undo_inv:(Orset.undo ors) ~hooks:(Orset.hooks ors)
-              ~batchable:true (orset_levels ()) );
+              ~hooks:(Orset.hooks ors) (orset_levels ()) );
           ( "union-find",
             mk_exposed ?obs:obs_enabled ~scheme:Protect.General_gk
               ~ename:"union-find" ~meths:Union_find.methods
               ~exec_inv:(Union_find.exec_logged uf)
-              ~undo_inv:(Union_find.undo uf) ~hooks:(Union_find.hooks uf)
-              ~batchable:false (* general gk: conditions reconstruct state *)
+              ~hooks:(Union_find.hooks uf)
               [ ("precise", Union_find.spec ()) ] );
           ( "flow-graph",
             mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"flow-graph"
               ~meths:Flow_graph.methods
               ~exec_inv:(fun inv ->
                 Flow_graph.exec fg inv.Invocation.meth.name inv.Invocation.args)
-              ~undo_inv:(Flow_graph.undo fg)
               ~hooks:
                 (Gatekeeper.hooks
                    ~undo:(Flow_graph.undo fg)
@@ -310,7 +307,7 @@ let create ?obs:obs_enabled ?(nshards = default_nshards)
                           inv.Invocation.args))
                    (fun name _ ->
                      raise (Formula.Unsupported ("flow-graph sfun " ^ name))))
-              ~batchable:true (flow_levels ()) );
+              (flow_levels ()) );
         ];
       orset = ors;
       obs;
@@ -337,21 +334,11 @@ let create ?obs:obs_enabled ?(nshards = default_nshards)
 let exposed_names t = List.map fst t.exposed
 let orset_handle t = t.orset
 
-(* Roll a doomed request's transaction back and release its detector state
-   as one atomic step (same protocol as the domain executor). *)
-let abort_atomically (p : pending) =
-  Guard.protect_all
-    (Txn.guards p.txn @ p.pdet.Detector.guards)
-    (fun () ->
-      Txn.rollback p.txn;
-      p.pdet.Detector.on_abort (Txn.id p.txn))
-
-(** Commit one epoch-open transaction: detector first (releases locks and
-    active-table entries — for the orset this is where the [forget] hook
-    drops its presence-log entries), then the transaction's own log. *)
+(** Commit one epoch-open transaction through {!Boost.commit} (for the
+    orset, the gatekeeper's [forget] hook drops its presence-log entries
+    here). *)
 let commit (t : t) (p : pending) =
-  p.pdet.Detector.on_commit (Txn.id p.txn);
-  Txn.commit p.txn;
+  Boost.commit p.pdet p.txn;
   Obs.incr t.c_commits
 
 let err t id fmt =
@@ -408,15 +395,15 @@ let try_invoke (t : t) ~id adt meth args : outcome =
           | Some outcome -> outcome
           | None -> (
               let txn = Txn.fresh () in
-              let p = { txn; pdet = ex.det } in
               match
                 if ro then
                   Boost.invoke_ro ex.det txn m args ex.exec_inv
-                else Boost.invoke ex.det txn ~undo:ex.undo_inv m args ex.exec_inv
+                else
+                  Boost.invoke ex.det txn ~undo:ex.hooks.undo m args ex.exec_inv
               with
-              | r -> Done (Some p, Wire.Reply (id, r))
+              | r -> Done (Some { txn; pdet = ex.det }, Wire.Reply (id, r))
               | exception Detector.Conflict { reason; _ } ->
-                  abort_atomically p;
+                  Boost.abort ex.det txn;
                   Obs.incr t.c_aborts;
                   Conflicted reason
               | exception e ->
@@ -424,7 +411,7 @@ let try_invoke (t : t) ~id adt meth args : outcome =
                      [Value.Type_error], an out-of-bounds index, an
                      [Unsupported] state function) doom this transaction
                      only — roll it back and answer with an error frame *)
-                  abort_atomically p;
+                  Boost.abort ex.det txn;
                   err t id "%s.%s: %s" adt meth (Printexc.to_string e))))
 
 (** One merged snapshot: the engine's own counters plus every {e built}

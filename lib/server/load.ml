@@ -34,6 +34,7 @@
 open Commlat_core
 module Histo = Commlat_obs.Histo
 module Jsonx = Commlat_obs.Jsonx
+module Stats = Commlat_runtime.Stats
 
 type mix = Read_heavy | Write_heavy | Commuting | Non_commuting | Put
 
@@ -217,8 +218,6 @@ let fetch_stats addr : Jsonx.t option =
 (* The run                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let now = Unix.gettimeofday
-
 (** Run one load phase against a live server.  Blocks for roughly
     [cfg.duration] (longer if the server lags — that lag is the measured
     latency). *)
@@ -233,7 +232,8 @@ let run (cfg : config) : result =
   let completed = Atomic.make 0 in
   let errors = Atomic.make 0 in
   if cfg.burst < 1 then invalid_arg "Load.run: burst must be >= 1";
-  let t0 = now () +. 0.05 (* let every sender arm before the first slot *) in
+  (* let every sender arm before the first slot *)
+  let t0 = Stats.now_s () +. 0.05 in
   (* burst > 1 quantizes the schedule: ops [k*burst, (k+1)*burst) share
      slot k.  The receiver recovers the same instant from the op id, so
      latency still measures from the scheduled arrival. *)
@@ -253,7 +253,7 @@ let run (cfg : config) : result =
           let st = Random.State.make [| cfg.seed; c; 0xbeef |] in
           List.iter
             (fun op ->
-              let dt = sched_of op -. now () in
+              let dt = sched_of op -. Stats.now_s () in
               if dt > 0.0 then Unix.sleepf dt;
               let req = request_of cfg cdf st ~op in
               (try Wire.write_frame fd (Wire.encode_req req)
@@ -273,7 +273,7 @@ let run (cfg : config) : result =
                       (match resp with
                       | Wire.Err _ -> Atomic.incr errors
                       | _ -> ());
-                      let lat_s = now () -. sched_of id in
+                      let lat_s = Stats.now_s () -. sched_of id in
                       Histo.record hist
                         (int_of_float (Float.max 0.0 lat_s *. 1e9));
                       Atomic.incr completed
@@ -292,7 +292,7 @@ let run (cfg : config) : result =
       Thread.join rt;
       try Unix.close fd with _ -> ())
     conn_threads;
-  let elapsed = now () -. t0 in
+  let elapsed = Stats.now_s () -. t0 in
   {
     cfg;
     sent = Atomic.get sent;
@@ -424,9 +424,10 @@ let with_server ~exe ~domains ?(nshards = Engine.default_nshards) ?(batch = 64)
       @ extra_args)
   in
   let pid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in
-  let deadline = now () +. 10.0 in
+  let deadline = Stats.now_s () +. 10.0 in
   let rec wait_ready () =
-    if now () > deadline then failwith "server did not come up within 10s";
+    if Stats.now_s () > deadline then
+      failwith "server did not come up within 10s";
     match rpc (Server.Unix_sock path) (Wire.Ping 0) with
     | Wire.Reply _ -> ()
     | _ -> failwith "server refused ping"

@@ -223,15 +223,8 @@ let outbox ep conn =
       ep.outboxes := (conn, b) :: !(ep.outboxes);
       b
 
-let stage ep conn resp =
-  let payload = Wire.encode_resp resp in
-  let b = outbox ep conn in
-  (* frame = length prefix + payload, accumulated for one write *)
-  Buffer.add_uint8 b ((String.length payload lsr 24) land 0xff);
-  Buffer.add_uint8 b ((String.length payload lsr 16) land 0xff);
-  Buffer.add_uint8 b ((String.length payload lsr 8) land 0xff);
-  Buffer.add_uint8 b (String.length payload land 0xff);
-  Buffer.add_string b payload
+(* frames accumulate per connection for one write at the epoch boundary *)
+let stage ep conn resp = Wire.add_frame (outbox ep conn) (Wire.encode_resp resp)
 
 (* Group commit + response flush: the epoch boundary. *)
 let flush_epoch eng ep =

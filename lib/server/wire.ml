@@ -29,9 +29,10 @@
 
     The codec is pure (strings in, strings out) so the round-trip property
     tests and the in-process conformance test run in tier-1 without
-    touching a socket; {!read_frame}/{!write_frame} add the [Unix]
-    framing on top.  Every decoder is total: malformed input raises
-    {!Malformed}, never [Invalid_argument] or an out-of-bounds crash. *)
+    touching a socket; {!add_frame} builds a frame and
+    {!read_frame}/{!write_frame} add the [Unix] framing on top.  Every
+    decoder is total: malformed input raises {!Malformed}, never
+    [Invalid_argument] or an out-of-bounds crash. *)
 
 open Commlat_core
 
@@ -58,7 +59,6 @@ type resp =
           server lives on *)
 
 let req_id = function Invoke { id; _ } | Stats id | Quit id | Ping id -> id
-let resp_id = function Reply (id, _) | Err (id, _) -> id
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -322,14 +322,19 @@ let really_read fd buf ofs len =
   in
   go ofs len
 
-(** Write one frame (length prefix + payload) as a single [write] burst. *)
-let write_frame fd (payload : string) =
+(** Append one frame (length prefix + payload) to [b].  Raises
+    [Malformed] on a payload over {!max_frame}. *)
+let add_frame b (payload : string) =
   let n = String.length payload in
-  if n > max_frame then malformed "write_frame: payload %dB exceeds cap" n;
-  let buf = Bytes.create (4 + n) in
-  Bytes.set_int32_be buf 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 buf 4 n;
-  really_write fd buf 0 (4 + n)
+  if n > max_frame then malformed "add_frame: payload %dB exceeds cap" n;
+  Buffer.add_int32_be b (Int32.of_int n);
+  Buffer.add_string b payload
+
+(** Write one frame as a single [write] burst. *)
+let write_frame fd (payload : string) =
+  let b = Buffer.create (4 + String.length payload) in
+  add_frame b payload;
+  really_write fd (Buffer.to_bytes b) 0 (Buffer.length b)
 
 (** Read one frame's payload; [None] on clean EOF at a frame boundary.
     Raises [Malformed] on a mid-frame EOF or an oversized length prefix

@@ -260,7 +260,7 @@ let test_differential_scenarios () =
 (* Random state-free formulas                                     *)
 (* ------------------------------------------------------------- *)
 
-(* Structured random formulas over two 2-ary methods: arithmetic fusion,
+(* Structured random formulas over two 2-ary methods: arithmetic,
    all six comparison operators, boolean composition, and (via the value
    pool's bools/options/strings) the interpreter's type errors.  An
    occasional out-of-range argument index exercises the bounds-check
@@ -377,7 +377,7 @@ let test_div_by_zero_total () =
         true
         (both (eq (Arith (Div, arg1 0, arg1 1)) (cint 0)) i1 i2 = V true))
     [ -3; 0; 5; max_int ];
-  (* division by zero buried inside a fused arithmetic chain *)
+  (* division by zero buried inside a nested arithmetic chain *)
   let i1 = inv_of spec "m" [| Value.Int 9; Value.Int 0 |] in
   let i2 = inv_of spec "n" [| Value.Int 4; Value.Int 2 |] in
   check_bool "9/0 + 1 = 1 through nested fusion" true

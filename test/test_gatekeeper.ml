@@ -220,106 +220,6 @@ let test_cm_union_find () =
     "unknown method has empty C_m" true
     (Gatekeeper.cm_functions gk "no_such_method" = [])
 
-(* ------------------------------------------------------------- *)
-(* Live-state transfer (detector hot-swap)                        *)
-(* ------------------------------------------------------------- *)
-
-(* [active_invocations] + [adopt] move open transactions from one
-   gatekeeper to a freshly built successor over the same ADT: conflicts
-   the predecessor would report must keep being reported after the
-   move, and commits through the successor must release them. *)
-let test_adopt_open_txns () =
-  let set, det_a, gk_a = mk_set_gk () in
-  ignore (invoke det_a set 1 "add" 1);
-  ignore (invoke det_a set 2 "add" 2);
-  let invs = Gatekeeper.active_invocations gk_a in
-  Alcotest.(check int) "two open invocations" 2 (List.length invs);
-  check_bool "active list is in execution order" true
-    (List.map (fun (i : Invocation.t) -> i.txn) invs = [ 1; 2 ]);
-  (* successor over the same live set; give it activity of its own FIRST
-     so restamping provably appends after existing seqs *)
-  let det_b, gk_b =
-    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set) (Iset.precise_spec ())
-  in
-  ignore (invoke det_b set 10 "contains" 0);
-  Gatekeeper.adopt gk_b invs;
-  check_bool "restamp preserves relative order, after own entries" true
-    (List.map
-       (fun (i : Invocation.t) -> i.txn)
-       (Gatekeeper.active_invocations gk_b)
-    = [ 10; 1; 2 ]);
-  (* the adopted add(1) still blocks a remove(1) from another txn *)
-  check_bool "adopted invocation still conflicts" true
-    (match invoke det_b set 3 "remove" 1 with
-    | _ -> false
-    | exception Detector.Conflict _ -> true);
-  det_b.Detector.on_abort 3;
-  (* committing THROUGH the successor releases the adopted entry *)
-  det_b.Detector.on_commit 1;
-  ignore (invoke det_b set 3 "remove" 1);
-  det_b.Detector.on_commit 3;
-  det_b.Detector.on_commit 2;
-  det_b.Detector.on_commit 10;
-  check_bool "no entries left after all commits" true
-    (Gatekeeper.active_invocations gk_b = [])
-
-(* The same transfer across the striped/coarse boundary, in all four
-   directions: a striped successor re-shards adopted entries by footprint
-   (and re-homes rollback_log methods into per-shard mutation logs); the
-   conflicts reported must be identical whichever representations the
-   predecessor and successor use. *)
-let test_adopt_striped_coarse () =
-  let mk_coarse set =
-    Gatekeeper.make ~allow_rollback:false ~hooks:(Iset.hooks set)
-      (Iset.precise_spec ())
-  and mk_striped set =
-    Gatekeeper.make ~allow_rollback:false ~nshards:4 ~hooks:(Iset.hooks set)
-      (Iset.precise_spec ())
-  in
-  let scenario mk_from mk_to =
-    let set = Iset.create () in
-    let det_a, gk_a = mk_from set in
-    let inv det txn m v =
-      let meth = List.find (fun (x : Invocation.meth) -> x.name = m) Iset.methods in
-      let i = Invocation.make ~txn meth [| Value.Int v |] in
-      det.Detector.on_invoke i (fun () -> Iset.exec set m i.Invocation.args)
-    in
-    (* open mutations landing in distinct footprint shards *)
-    ignore (inv det_a 1 "add" 1);
-    ignore (inv det_a 1 "add" 5);
-    ignore (inv det_a 2 "add" 2);
-    let det_b, gk_b = mk_to set in
-    Gatekeeper.adopt gk_b (Gatekeeper.active_invocations gk_a);
-    let outcome txn m v =
-      match inv det_b txn m v with
-      | _ -> det_b.Detector.on_abort txn; `Ok
-      | exception Detector.Conflict _ -> det_b.Detector.on_abort txn; `Conflict
-    in
-    let probes =
-      [ outcome 7 "remove" 1; outcome 8 "remove" 2; outcome 9 "contains" 3;
-        outcome 11 "add" 5 ]
-    in
-    det_b.Detector.on_commit 1;
-    det_b.Detector.on_commit 2;
-    let after = [ outcome 12 "remove" 1; outcome 13 "remove" 2 ] in
-    (probes, after, List.sort Value.compare (Iset.elements set))
-  in
-  let reference = scenario mk_coarse mk_coarse in
-  check_bool "probes conflict while adopted txns are open" true
-    (let probes, _, _ = reference in
-     probes = [ `Conflict; `Conflict; `Ok; `Conflict ]);
-  check_bool "probes pass once adopted txns commit" true
-    (let _, after, _ = reference in
-     after = [ `Ok; `Ok ]);
-  List.iter
-    (fun (name, mk_from, mk_to) ->
-      check_bool name true (scenario mk_from mk_to = reference))
-    [
-      ("coarse->striped", mk_coarse, mk_striped);
-      ("striped->coarse", mk_striped, mk_coarse);
-      ("striped->striped", mk_striped, mk_striped);
-    ]
-
 let suite =
   [
     QCheck_alcotest.to_alcotest test_gk_precise;
@@ -334,9 +234,5 @@ let suite =
       test_forward_rejects_general;
     QCheck_alcotest.to_alcotest test_executor_serializable;
     Alcotest.test_case "C_m pinned for union-find" `Quick test_cm_union_find;
-    Alcotest.test_case "adopt: open txns transfer between gatekeepers" `Quick
-      test_adopt_open_txns;
-    Alcotest.test_case "adopt: striped<->coarse equivalence" `Quick
-      test_adopt_striped_coarse;
   ]
 

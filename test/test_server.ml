@@ -157,6 +157,19 @@ let test_framing_pipe () =
   (match Wire.read_frame r with
   | Some p -> check_str "payload round-trips the pipe" payload p
   | None -> Alcotest.fail "expected a frame");
+  (* several add_frame frames in one write come back one by one *)
+  let payloads =
+    List.map (fun id -> Wire.encode_req (Wire.Ping id)) [ 1; 2; 3 ]
+  in
+  let b = Buffer.create 64 in
+  List.iter (Wire.add_frame b) payloads;
+  ignore (Unix.write w (Buffer.to_bytes b) 0 (Buffer.length b));
+  List.iter
+    (fun p ->
+      match Wire.read_frame r with
+      | Some q -> check_str "batched frame round-trips the pipe" p q
+      | None -> Alcotest.fail "expected a batched frame")
+    payloads;
   (* oversized declared length *)
   let hdr = Bytes.create 4 in
   Bytes.set_int32_be hdr 0 (Int32.of_int (Wire.max_frame + 1));
@@ -173,7 +186,12 @@ let test_framing_pipe () =
   | _ -> Alcotest.fail "mid-frame EOF must be Malformed"
   | exception Wire.Malformed _ -> ());
   Unix.close r;
-  (* writer-side cap *)
+  (* writer-side caps *)
+  (match
+     Wire.add_frame (Buffer.create 16) (String.make (Wire.max_frame + 1) 'x')
+   with
+  | () -> Alcotest.fail "oversized add_frame must be Malformed"
+  | exception Wire.Malformed _ -> ());
   match Wire.write_frame Unix.stderr (String.make (Wire.max_frame + 1) 'x') with
   | _ -> Alcotest.fail "oversized write_frame must be Malformed"
   | exception Wire.Malformed _ -> ()
@@ -409,6 +427,23 @@ let test_set_level_mid_stream () =
     (expect_reply "height" (h (invoke "flow-graph" "height" [| Value.Int 5 |]))
     = Value.Int 1)
 
+(* A swap requires quiescence and transfers nothing: while a request's
+   transaction is still open in the outgoing gatekeeper, set_level
+   refuses; once the transaction commits, the same swap goes through. *)
+let test_set_level_refuses_open_txn () =
+  let eng = Engine.create () in
+  let put = invoke "kvmap" "put" [| Value.Int 1; Value.Int 1 |] in
+  match Engine.try_req eng put with
+  | Engine.Done (Some p, _) ->
+      (match Engine.set_level eng "kvmap" 2 with
+      | () -> Alcotest.fail "set_level over an open transaction must raise"
+      | exception Invalid_argument _ -> ());
+      check_str "level unchanged" "precise" (Engine.current_level eng "kvmap");
+      Engine.commit eng p;
+      Engine.set_level eng "kvmap" 2;
+      check_str "swapped after commit" "part" (Engine.current_level eng "kvmap")
+  | _ -> Alcotest.fail "put must answer with its transaction still open"
+
 (* ------------------------------------------------------------- *)
 (* Latency histogram                                              *)
 (* ------------------------------------------------------------- *)
@@ -532,6 +567,8 @@ let suite =
         test_flow_graph_wire;
       Alcotest.test_case "engine: set_level mid-stream conformance" `Quick
         test_set_level_mid_stream;
+      Alcotest.test_case "engine: set_level refuses an open transaction" `Quick
+        test_set_level_refuses_open_txn;
       Alcotest.test_case "engine: orset log drains" `Quick
         test_orset_log_drains_through_engine;
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;

@@ -79,6 +79,7 @@ type entry = {
 
 module Obs = Commlat_obs.Obs
 
+
 (* One slice of the active-invocation table.  An unsharded gatekeeper is a
    single overflow shard; [s_guard] is used only in striped mode (coarse
    mode keeps the gatekeeper-global [mu]). *)
@@ -112,6 +113,11 @@ type t = {
   fp : Footprint.t option;
   nshards : int;
   shards : shard array;
+  shard_guards : Guard.t list;  (** every shard's guard, in creation order *)
+  by_txn : (int, (int * entry list ref) list) Hashtbl.t;
+      (** per transaction, each bucket holding one of its active entries,
+          once, with the bucket's shard index; read and written under
+          [mu], so the end of a transaction visits only its own buckets *)
   striped : bool;
       (** per-shard guards; requires [not allow_rollback] and every
           condition state-free (no [Sfun]), so checks need no logs, no
@@ -128,8 +134,8 @@ type t = {
   mutable seq : int;  (** always stamped under [mu] *)
   mu : Guard.t;
       (** coarse mode: the gatekeeper-global guard.  Striped mode: the
-          [exec] guard, serializing only seq stamping + the concrete
-          operation; created {e after} the shard guards so that
+          [exec] guard, serializing only seq stamping, the concrete
+          operation and [by_txn]; created {e after} the shard guards so that
           {!Guard.protect_all}'s canonical id order matches the
           shard-then-exec nesting order of {!on_invoke_striped}. *)
   stats_rollbacks : int ref;
@@ -373,9 +379,17 @@ let scan_shards (t : t) idx =
   if idx = overflow_idx t then Array.to_list t.shards
   else [ t.shards.(idx); t.shards.(overflow_idx t) ]
 
+(* The shard guards a striped invocation routed to [idx] holds: its own
+   shard's, or every one for a keyless invocation (an overflow mutator). *)
+let held_guards (t : t) idx =
+  if idx < overflow_idx t then [ t.shards.(idx).s_guard ] else t.shard_guards
+
 let n_active t = Array.fold_left (fun acc sh -> acc + sh.s_n) 0 t.shards
 
-let insert_entry (t : t) (sh : shard) entry =
+(* Insert into shard [idx]; returns the entry's bucket.  A bucket, once
+   created, lives until [reset]. *)
+let insert_entry (t : t) idx entry =
+  let sh = t.shards.(idx) in
   let name = entry.inv.Invocation.meth.name in
   let bucket =
     match Hashtbl.find_opt sh.s_active name with
@@ -388,18 +402,22 @@ let insert_entry (t : t) (sh : shard) entry =
   bucket := entry :: !bucket;
   sh.s_n <- sh.s_n + 1;
   if t.nshards > 0 then begin
-    if sh == t.shards.(overflow_idx t) then Obs.incr t.c_overflow_inserts
+    if idx = overflow_idx t then Obs.incr t.c_overflow_inserts
     else Obs.incr t.c_shard_inserts;
-    match t.c_per_shard with [||] -> () | a -> Obs.incr a.(shard_idx t entry.inv)
-  end
+    Obs.incr t.c_per_shard.(idx)
+  end;
+  bucket
 
-let remove_entry (sh : shard) entry =
-  match Hashtbl.find_opt sh.s_active entry.inv.Invocation.meth.name with
-  | None -> ()
-  | Some bucket ->
-      let before = List.length !bucket in
-      bucket := List.filter (fun e -> e != entry) !bucket;
-      sh.s_n <- sh.s_n - (before - List.length !bucket)
+(* Record that [txn] has an entry in [bucket] of shard [idx] (caller
+   holds [mu]). *)
+let index_bucket (t : t) txn idx bucket =
+  let mine = Option.value ~default:[] (Hashtbl.find_opt t.by_txn txn) in
+  if not (List.exists (fun (_, b) -> b == bucket) mine) then
+    Hashtbl.replace t.by_txn txn ((idx, bucket) :: mine)
+
+let remove_entry (sh : shard) bucket entry =
+  bucket := List.filter (fun e -> e != entry) !bucket;
+  sh.s_n <- sh.s_n - 1
 
 (* Entries an incoming invocation skipped: everything active in keyed
    shards other than the scanned ones.  In striped mode the [s_n] reads on
@@ -446,6 +464,7 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
      order then agrees with the shard-guard-then-exec-guard nesting of the
      striped invoke path, ruling out deadlock against atomic aborts *)
   let shards = Array.init (nshards + 1) (fun _ -> fresh_shard ()) in
+  let shard_guards = Array.to_list (Array.map (fun s -> s.s_guard) shards) in
   let mu = Guard.create () in
   let cspec = Compile.of_spec spec in
   let cond_info = Hashtbl.create 32 in
@@ -466,6 +485,8 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
     fp = (if sharded then Some (Footprint.analyze spec) else None);
     nshards;
     shards;
+    shard_guards;
+    by_txn = Hashtbl.create 16;
     striped;
     cond_info;
     false_info = cond_info_of_check (Compile.Static false);
@@ -527,7 +548,8 @@ let raise_conflict (t : t) (e : entry) (inv : Invocation.t) =
    their zero-environment checker.  Only valid when no condition needs
    state reconstruction against this gatekeeper's log (forward mode /
    striped mode — the general path batches differently, via
-   {!rollback_sweep}).  The caller holds the relevant guards. *)
+   {!rollback_sweep}).  The caller holds the relevant guards: [mu] in
+   coarse mode, the {!held_guards} of [idx] in striped mode. *)
 let scan_active_idx (t : t) idx (inv : Invocation.t) =
   let second = inv.Invocation.meth.name in
   let check_bucket bucket eval =
@@ -553,10 +575,6 @@ let scan_active_idx (t : t) idx (inv : Invocation.t) =
         sh.s_active)
     (scan_shards t idx)
 
-(* The public batch entry point: route by shard, then one-pass scan. *)
-let batch_check (t : t) (inv : Invocation.t) =
-  scan_active_idx t (shard_idx t inv) inv
-
 let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
   Guard.protect t.mu (fun () ->
       Obs.incr t.c_invocations;
@@ -574,7 +592,9 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
          methods such as [nearest]; see Spec docs). *)
       populate_log t entry ~post_exec:true;
       let idx = shard_idx t inv in
-      let insert () = insert_entry t t.shards.(idx) entry in
+      let insert () =
+        index_bucket t inv.Invocation.txn idx (insert_entry t idx entry)
+      in
       (* The method has already executed; if a condition fails below, the
          transaction is doomed, but its rollback runs later, outside this
          guard.  Until then no concurrent invocation may observe the
@@ -648,12 +668,12 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
 (* Per-shard guards.  A keyed invocation holds only its own shard's guard;
    a keyless one holds every shard guard.  The overflow shard can be read
    under any single shard guard, because every overflow {e mutator} — a
-   keyless insert, or the all-shard sweep of {!on_end} / [reset] — holds
-   all the guards, including the reader's.  The concrete [exec] (and seq
-   stamping) is serialized under [t.mu], nested innermost; [t.mu] was
-   created after the shard guards, so this nesting agrees with
-   {!Guard.protect_all}'s canonical order and atomic aborts cannot
-   deadlock against invocations.
+   keyless insert, the end of a transaction holding an overflow entry, or
+   [reset] — holds all the shard guards, including the reader's.  The
+   concrete [exec], seq stamping and the transaction index are serialized
+   under [t.mu], nested innermost; [t.mu] was created after the shard
+   guards, so this nesting agrees with {!Guard.protect_all}'s canonical
+   order and atomic aborts cannot deadlock against invocations.
 
    Soundness of the insert-BEFORE-exec protocol: while an invocation holds
    its shard guard(s), no other invocation that could conflict with it can
@@ -664,15 +684,9 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
 let on_invoke_striped (t : t) (inv : Invocation.t) exec =
   Obs.incr t.c_invocations;
   let idx = shard_idx t inv in
-  let sh = t.shards.(idx) in
-  let keyed = idx < overflow_idx t in
-  let held =
-    if keyed then [ sh.s_guard ]
-    else Array.to_list (Array.map (fun s -> s.s_guard) t.shards)
-  in
-  Guard.protect_all held (fun () ->
+  Guard.protect_all (held_guards t idx) (fun () ->
       let entry = { inv; log = Hashtbl.create 1 } in
-      insert_entry t sh entry;
+      let bucket = insert_entry t idx entry in
       let r =
         try
           Guard.protect t.mu (fun () ->
@@ -680,12 +694,13 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
               inv.Invocation.seq <- t.seq;
               let r = exec () in
               inv.Invocation.ret <- r;
+              index_bucket t inv.Invocation.txn idx bucket;
               r)
         with e ->
           (* a raising [exec] is an ADT/operator failure, not a conflict:
              withdraw the entry so the table only ever holds invocations
              that actually ran *)
-          remove_entry sh entry;
+          remove_entry t.shards.(idx) bucket entry;
           raise e
       in
       record_avoided t idx;
@@ -695,6 +710,28 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
 
 let on_invoke (t : t) (inv : Invocation.t) exec =
   if t.striped then on_invoke_striped t inv exec else on_invoke_coarse t inv exec
+
+(* Zero-insertion admission: the invoke protocol minus the insert.  Run
+   [exec] and stamp [inv.ret] under the guards an invocation of [inv]'s
+   shard would hold, then scan.  Nothing enters the table, so a passing
+   scan leaves nothing for a commit to drop. *)
+let batch_check (t : t) (inv : Invocation.t) exec =
+  let idx = shard_idx t inv in
+  let run () =
+    let r = exec () in
+    inv.Invocation.ret <- r;
+    r
+  in
+  if t.striped then
+    Guard.protect_all (held_guards t idx) (fun () ->
+        let r = Guard.protect t.mu run in
+        scan_active_idx t idx inv;
+        r)
+  else
+    Guard.protect t.mu (fun () ->
+        let r = run () in
+        scan_active_idx t idx inv;
+        r)
 
 (* ------------------------------------------------------------------ *)
 (* End of transaction                                                  *)
@@ -722,24 +759,41 @@ let prune (t : t) =
     t.mutation_log <- keep
   end
 
-(* Remove the entries [gone] selects from a shard.  A forward gatekeeper
-   never reconstructs a past state, so it [forget]s a dropped mutation
-   right here; a general one keeps it in [mutation_log] for later sweeps. *)
-let drop_entries (t : t) (sh : shard) gone =
-  Hashtbl.iter
-    (fun _ bucket ->
-      let dropped, keep = List.partition gone !bucket in
-      if not t.allow_rollback then
-        List.iter
-          (fun e ->
-            if e.inv.Invocation.meth.rollback_log then t.hooks.forget e.inv)
-          dropped;
+(* An entry leaves the active table.  A forward gatekeeper never
+   reconstructs a past state, so it [forget]s a dropped mutation right
+   here; a general one keeps it in [mutation_log] for later sweeps. *)
+let retire (t : t) e =
+  if (not t.allow_rollback) && e.inv.Invocation.meth.rollback_log then
+    t.hooks.forget e.inv
+
+(* Unlink a transaction's buckets from the index (caller holds [mu]). *)
+let take_buckets (t : t) txn =
+  match Hashtbl.find_opt t.by_txn txn with
+  | None -> []
+  | Some mine ->
+      Hashtbl.remove t.by_txn txn;
+      mine
+
+(* Remove [txn]'s entries from its taken buckets, one pass per bucket
+   (caller holds their shards' guards). *)
+let drop_entries (t : t) txn mine =
+  List.iter
+    (fun (idx, bucket) ->
+      let sh = t.shards.(idx) in
+      let dropped, keep =
+        List.partition (fun e -> e.inv.Invocation.txn = txn) !bucket
+      in
+      List.iter (retire t) dropped;
       sh.s_n <- sh.s_n - List.length dropped;
       bucket := keep)
-    sh.s_active
+    mine
 
 (* End-of-transaction bookkeeping (paper §3.3: the transaction's active
-   invocations and logs go).  For a general gatekeeper [drop_mutations]
+   invocations and logs go).  The index names the buckets holding the
+   transaction's entries, so nothing else is visited: a striped gatekeeper
+   takes them under [mu], then filters them holding only their shards'
+   guards — every shard guard if one is in the overflow shard, as for
+   every overflow mutator.  For a general gatekeeper [drop_mutations]
    distinguishes abort from commit: an {e aborted} transaction's mutations
    were just undone by its rollback, so they leave the log (they never
    happened); a {e committed} transaction's mutations are history and MUST
@@ -751,14 +805,20 @@ let drop_entries (t : t) (sh : shard) gone =
    abort (an abort's rollback has already run by the time [on_abort] gets
    here). *)
 let on_end ~drop_mutations (t : t) txn =
-  let held =
-    if t.striped then Array.to_list (Array.map (fun s -> s.s_guard) t.shards)
-    else [ t.mu ]
-  in
-  Guard.protect_all held (fun () ->
-      Array.iter
-        (fun sh -> drop_entries t sh (fun e -> e.inv.Invocation.txn = txn))
-        t.shards;
+  if t.striped then begin
+    match Guard.protect t.mu (fun () -> take_buckets t txn) with
+    | [] -> ()
+    | mine ->
+        let held =
+          if List.exists (fun (idx, _) -> idx = overflow_idx t) mine then
+            t.shard_guards
+          else List.map (fun (idx, _) -> t.shards.(idx).s_guard) mine
+        in
+        Guard.protect_all held (fun () -> drop_entries t txn mine)
+  end
+  else
+    Guard.protect t.mu (fun () ->
+      drop_entries t txn (take_buckets t txn);
       if t.allow_rollback then begin
         if drop_mutations then
           t.mutation_log <-
@@ -782,10 +842,7 @@ let cm_functions (t : t) m =
   Option.value ~default:[] (Hashtbl.find_opt t.cm m)
   |> List.map (fun l -> (l.fname, l.arg_terms))
 
-let all_guards (t : t) =
-  if t.striped then
-    Array.to_list (Array.map (fun (s : shard) -> s.s_guard) t.shards) @ [ t.mu ]
-  else [ t.mu ]
+let all_guards (t : t) = if t.striped then t.shard_guards @ [ t.mu ] else [ t.mu ]
 
 let active_count (t : t) =
   Guard.protect_all (all_guards t) (fun () -> n_active t)
@@ -801,9 +858,13 @@ let detector (t : t) : Detector.t =
         Guard.protect_all (all_guards t) (fun () ->
             Array.iter
               (fun (sh : shard) ->
-                drop_entries t sh (fun _ -> true);
-                Hashtbl.reset sh.s_active)
+                Hashtbl.iter
+                  (fun _ bucket -> List.iter (retire t) !bucket)
+                  sh.s_active;
+                Hashtbl.reset sh.s_active;
+                sh.s_n <- 0)
               t.shards;
+            Hashtbl.reset t.by_txn;
             List.iter t.hooks.forget t.mutation_log;
             t.mutation_log <- []));
     snapshot = (fun () -> Obs.snapshot t.obs);

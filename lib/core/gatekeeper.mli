@@ -9,7 +9,9 @@
     sequence is atomic (one mutex per gatekeeper).
 
     When a transaction ends (the detector's [on_commit]/[on_abort]), its
-    entries leave the active table.  A forward gatekeeper, coarse or
+    entries leave the active table; a per-transaction index names the
+    buckets holding them, so the end of a transaction visits only those
+    buckets and their shards.  A forward gatekeeper, coarse or
     striped, calls [hooks.forget] on the dropped [rollback_log]
     invocations right then.  A general gatekeeper keeps a committed
     transaction's mutations in its mutation log while an older active
@@ -38,7 +40,9 @@
     it.  When the spec additionally needs no rollback and every condition
     is state-free, the shards are {e striped} under per-shard
     {!Guard.t}s, so same-ADT-different-key invocations no longer
-    serialize on a single gatekeeper mutex.
+    serialize on a single gatekeeper mutex: a keyed invocation, a keyed
+    commit and a keyed {!batch_check} each take their shard's guard and
+    the exec guard, and only keyless ones take every shard guard.
 
     Most callers should construct detectors through {!Commlat_runtime}'s
     [Protect] module rather than calling {!make} directly. *)
@@ -96,24 +100,23 @@ val footprint : t -> Footprint.t option
     rather than a single global guard. *)
 val striped : t -> bool
 
-(** Batch log scan: check one {e executed} incoming invocation against
-    every active invocation it can conflict with — its own shard plus the
-    overflow shard when keyed (the footprint's shard-disjointness
-    discharges the other keyed shards), all shards otherwise — in a
-    single pass with no intermediate list, raising {!Detector.Conflict}
-    on the first refutation.  This is the scan the forward and striped
-    invoke paths run after [exec]; it is exposed for tests and for
-    embedders that manage their own entry insertion.  The server
-    (lib/server/engine.ml) also uses it as a {e zero-insertion conflict
-    probe}: a method that is effect-free both abstractly and concretely
-    executes under the guards, stamps its return, and batch-checks — if
-    the scan passes, the read commits without ever entering the log,
-    which is sound because a committed invocation is not required to
-    stay visible to later conflict checks.  Preconditions: the caller
-    holds the gatekeeper's guard(s) for the scanned shards, and no
-    condition involving [inv]'s method needs state reconstruction (always
-    true for forward/striped gatekeepers). *)
-val batch_check : t -> Invocation.t -> unit
+(** [batch_check t inv exec] is a {e zero-insertion conflict probe}: the
+    invoke protocol minus the insert.  It takes the guards an invocation
+    of [inv]'s shard takes — the gatekeeper guard when coarse; when
+    striped, the shard's guard (every shard guard for a keyless method)
+    with [exec] under the exec guard — runs [exec], stamps [inv.ret], and
+    checks [inv] in one pass against every active invocation it can
+    conflict with: its own shard plus the overflow shard when keyed (the
+    footprint's shard-disjointness discharges the other keyed shards),
+    all shards otherwise.  It returns [exec]'s result, or raises
+    {!Detector.Conflict} on the first refutation.  Nothing enters the
+    active table, so the server (lib/server/engine.ml) admits reads that
+    are effect-free both abstractly and concretely this way: a passing
+    read commits without ever entering the log, which is sound because a
+    committed invocation is not required to stay visible to later
+    conflict checks.  Precondition: no condition involving [inv]'s method
+    needs state reconstruction (always true for forward gatekeepers). *)
+val batch_check : t -> Invocation.t -> (unit -> Value.t) -> Value.t
 
 (** The [C_m] log set of a method: the s1-functions (name, argument terms)
     recorded on every invocation of that method.  Order is unspecified. *)

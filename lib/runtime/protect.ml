@@ -103,8 +103,9 @@ let require_hooks s = function
     scheme fixes [allow_rollback] (forward vs general) and [nshards]
     (unsharded vs footprint-sharded).  Also hands back the
     {!Gatekeeper.t} so embedders that manage their own admission (the
-    server's batched read path uses {!Gatekeeper.batch_check}) can reach
-    past the {!Detector.t} facade.  Raises [Invalid_argument] on
+    server's read-only fast path admits reads with
+    {!Gatekeeper.batch_check}, which takes its own guards) can reach past
+    the {!Detector.t} facade.  Raises [Invalid_argument] on
     non-gatekeeper schemes. *)
 let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
     (s : scheme) : Detector.t * Gatekeeper.t =

@@ -82,8 +82,8 @@ val protect :
 (** Like {!protect} restricted to the gatekeeper schemes ([Forward_gk],
     [General_gk], and their [Sharded] variants), returning the underlying
     {!Gatekeeper.t} alongside the detector — for embedders that need the
-    gatekeeper's own surface (e.g. {!Gatekeeper.batch_check} on the
-    server's batched read path).  Raises [Invalid_argument] on
+    gatekeeper's own surface (e.g. {!Gatekeeper.batch_check}, which
+    takes its own guards, on the server's read-only fast path).  Raises [Invalid_argument] on
     non-gatekeeper schemes. *)
 val protect_gatekeeper :
   ?obs:bool ->

@@ -20,14 +20,15 @@ type t = {
   id : int;
   mutable undo : (unit -> unit) list;  (** newest first *)
   mutable status : status;
-  mutable guards : Guard.t list;
-      (** guards of every detector this transaction invoked through *)
+  mutable guard_lists : Guard.t list list;
+      (** the guard list of every detector this transaction invoked
+          through, each once *)
 }
 
 let counter = Atomic.make 1
 
 let fresh () =
-  { id = Atomic.fetch_and_add counter 1; undo = []; status = Running; guards = [] }
+  { id = Atomic.fetch_and_add counter 1; undo = []; status = Running; guard_lists = [] }
 
 let id t = t.id
 let status t = t.status
@@ -36,15 +37,17 @@ let status t = t.status
 let push_undo t f = t.undo <- f :: t.undo
 
 (** Record that the transaction invoked through a detector owning these
-    guards; duplicates are kept out so the list stays as short as the
-    number of distinct detectors touched. *)
+    guards.  A detector hands out one physical list, so a single [memq]
+    per call keeps each detector's list once, however many guards it
+    holds (a 16-shard striped gatekeeper has 18).  Lists of different
+    detectors may share guards ({!Detector.compose}). *)
 let register_guards t gs =
-  List.iter (fun g -> if not (List.memq g t.guards) then t.guards <- g :: t.guards) gs
+  if not (List.memq gs t.guard_lists) then t.guard_lists <- gs :: t.guard_lists
 
-(** Every guard registered so far (undedup'd against other sources; callers
-    combine with the detector's own guard list and {!Guard.protect_all}
-    dedups). *)
-let guards t = t.guards
+(** Every guard registered so far, possibly with duplicates: callers
+    combine it with the detector's own guard list and
+    {!Guard.protect_all} dedups. *)
+let guards t = List.concat t.guard_lists
 
 let commit t =
   t.status <- Committed;

@@ -28,11 +28,12 @@ val status : t -> status
 val push_undo : t -> (unit -> unit) -> unit
 
 (** Record that the transaction invoked through a detector owning these
-    guards (deduplicated). *)
+    guards.  Each detector's list is kept once, by physical identity. *)
 val register_guards : t -> Guard.t list -> unit
 
-(** Every guard registered so far (callers combine with the detector's own
-    guard list; {!Guard.protect_all} dedups). *)
+(** Every guard registered so far, possibly with duplicates (callers
+    combine with the detector's own guard list; {!Guard.protect_all}
+    dedups). *)
 val guards : t -> Guard.t list
 
 (** Mark committed and discard the undo log. *)

@@ -348,28 +348,24 @@ let err t id fmt =
       Done (None, Wire.Err (id, m)))
     fmt
 
-(* Read-only admission without a transaction: execute the (abstractly and
-   concretely effect-free) method under the gatekeeper's guards, then run
-   the single-pass {!Gatekeeper.batch_check} scan against every active
-   invocation.  If the scan passes, the read linearizes right here and is
-   already durable — no entry insertion, no lock table traffic, no commit
-   work at the epoch boundary.  Sound because a committed invocation need
-   not stay visible to later admission checks, and the whole step happens
-   under the same guards the invoke path takes. *)
+(* Read-only admission without a transaction: {!Gatekeeper.batch_check}
+   executes the (abstractly and concretely effect-free) method under the
+   guards the invoke path takes for its shard, then scans every active
+   invocation it can conflict with.  If the scan passes, the read
+   linearizes right here and is already durable — no entry insertion, no
+   lock table traffic, no commit work at the epoch boundary.  Sound
+   because a committed invocation need not stay visible to later
+   admission checks. *)
 let try_ro_fast (t : t) (ex : exposed) ~id (meth : Invocation.meth) args =
-  Guard.protect_all ex.det.Detector.guards (fun () ->
-      let txn = Txn.fresh () in
-      let inv = Invocation.make ~txn:(Txn.id txn) meth args in
-      let r = ex.exec_inv inv in
-      inv.Invocation.ret <- r;
-      match Gatekeeper.batch_check ex.gk inv with
-      | () ->
-          Obs.incr t.c_ro_fast;
-          Some (Done (None, Wire.Reply (id, r)))
-      | exception Detector.Conflict _ ->
-          (* nothing to undo (the method is effect-free); fall back to the
-             transactional path, which will queue behind the conflicter *)
-          None)
+  let inv = Invocation.make ~txn:(Txn.id (Txn.fresh ())) meth args in
+  match Gatekeeper.batch_check ex.gk inv (fun () -> ex.exec_inv inv) with
+  | r ->
+      Obs.incr t.c_ro_fast;
+      Some (Done (None, Wire.Reply (id, r)))
+  | exception Detector.Conflict _ ->
+      (* nothing to undo (the method is effect-free); fall back to the
+         transactional path, which will queue behind the conflicter *)
+      None
 
 let try_invoke (t : t) ~id adt meth args : outcome =
   match List.assoc_opt adt t.exposed with

@@ -465,19 +465,18 @@ let test_batch_check () =
   ignore
     (det.Detector.on_invoke inv1 (fun () ->
          Iset.exec set "add" inv1.Invocation.args));
-  (* an executed invocation checked through the batch scan directly *)
-  let mk m v =
+  (* an invocation executed and checked by the batch scan directly *)
+  let check m v =
     let inv = Invocation.make ~txn:2 (meth m) [| Value.Int v |] in
-    inv.Invocation.ret <- Iset.exec set m inv.Invocation.args;
-    inv
+    Gatekeeper.batch_check gk inv (fun () -> Iset.exec set m inv.Invocation.args)
   in
   check_bool "disjoint add passes the batch scan" true
-    (match Gatekeeper.batch_check gk (mk "add" 2) with
-    | () -> true
+    (match check "add" 2 with
+    | _ -> true
     | exception Detector.Conflict _ -> false);
   check_bool "remove of active element conflicts" true
-    (match Gatekeeper.batch_check gk (mk "remove" 1) with
-    | () -> false
+    (match check "remove" 1 with
+    | _ -> false
     | exception Detector.Conflict _ -> true)
 
 let suite =

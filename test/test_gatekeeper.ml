@@ -220,6 +220,134 @@ let test_cm_union_find () =
     "unknown method has empty C_m" true
     (Gatekeeper.cm_functions gk "no_such_method" = [])
 
+(* ------------------------------------------------------------- *)
+(* Striped gatekeeper: guards and entries per operation           *)
+(* ------------------------------------------------------------- *)
+
+module Engine = Commlat_server.Engine
+module Wire = Commlat_server.Wire
+
+(* The ids of the guards [f] acquires, in order, through a Schedpoint
+   hook (a re-entry counts again). *)
+let acquired f =
+  let ids = ref [] in
+  Schedpoint.install (function
+    | Schedpoint.Acquire g -> ids := g :: !ids
+    | _ -> ());
+  Fun.protect ~finally:Schedpoint.uninstall (fun () -> ignore (f ()));
+  List.rev !ids
+
+(* A kvmap behind a forward gatekeeper, striped when [nshards > 0]. *)
+let mk_kvmap_gk ~nshards =
+  let m = Kvmap.create () in
+  let det, gk =
+    Gatekeeper.make ~nshards ~allow_rollback:false ~hooks:(Kvmap.hooks m)
+      (Kvmap.precise_spec ())
+  in
+  (m, det, gk)
+
+let prefill m keys =
+  List.iter (fun k -> ignore (Kvmap.put m (Value.Int k) (Value.Int 0))) keys
+
+let kv_put m det txn k v =
+  Boost.invoke det txn ~undo:(Kvmap.undo m) Kvmap.m_put
+    [| Value.Int k; Value.Int v |]
+    (fun inv -> Kvmap.exec m "put" inv.Invocation.args)
+
+let kv_size m det txn =
+  Boost.invoke_ro det txn Kvmap.m_size [||] (fun inv ->
+      Kvmap.exec m "size" inv.Invocation.args)
+
+let test_striped_guards () =
+  let at_most what bound ids =
+    let n = List.length ids in
+    check_bool (Fmt.str "%s: %d acquisitions <= %d" what n bound) true (n <= bound)
+  in
+  let m, det, _ = mk_kvmap_gk ~nshards:16 in
+  prefill m [ 3 ];
+  let txn = Txn.fresh () in
+  ignore (kv_put m det txn 3 1);
+  at_most "keyed put commit" 2 (acquired (fun () -> Boost.commit det txn));
+  (* the server's read-only fast path, on its own 16-shard kvmap *)
+  let eng = Engine.create () in
+  let req id meth args = Wire.Invoke { id; adt = "kvmap"; meth; args } in
+  ignore (Engine.handle eng (req 1 "put" [| Value.Int 3; Value.Int 1 |]));
+  let outcome = ref None in
+  let ids =
+    acquired (fun () ->
+        outcome := Some (Engine.try_req eng (req 2 "get" [| Value.Int 3 |])))
+  in
+  check_bool "get answered on the fast path" true
+    (match !outcome with
+    | Some (Engine.Done (None, Wire.Reply (2, Value.Opt (Some (Value.Int 1))))) ->
+        true
+    | _ -> false);
+  at_most "fast-path get" 2 ids;
+  (* a keyless entry sits in the overflow shard: its commit is an overflow
+     mutator and must hold every shard guard *)
+  let txn = Txn.fresh () in
+  ignore (kv_size m det txn);
+  let held = List.sort_uniq Int.compare (acquired (fun () -> Boost.commit det txn)) in
+  let shard_guards = 16 + 1 in
+  check_bool
+    (Fmt.str "keyless commit: %d distinct guards >= %d shard guards"
+       (List.length held) shard_guards)
+    true
+    (List.length held >= shard_guards
+    && List.for_all
+         (fun g -> List.exists (fun d -> Guard.id d = g) det.Detector.guards)
+         held);
+  let m, det, _ = mk_kvmap_gk ~nshards:0 in
+  prefill m [ 3 ];
+  let txn = Txn.fresh () in
+  ignore (kv_put m det txn 3 1);
+  Alcotest.(check int) "unsharded commit" 1
+    (List.length (acquired (fun () -> Boost.commit det txn)))
+
+let test_striped_commit_drops_own () =
+  let nshards = 16 in
+  let m, det, gk = mk_kvmap_gk ~nshards in
+  let fp = Option.get (Gatekeeper.footprint gk) in
+  let shard k =
+    Footprint.shard_of fp ~nshards
+      (Invocation.make ~txn:0 Kvmap.m_put [| Value.Int k; Value.Int 0 |])
+  in
+  (* three keys in three different shards *)
+  let rec pick keys k =
+    if List.length keys = 3 then List.rev keys
+    else if List.exists (fun k' -> shard k' = shard k) keys then pick keys (k + 1)
+    else pick (k :: keys) (k + 1)
+  in
+  let keys = pick [] 0 in
+  (* prefilled, so each put replaces a binding and commutes with [size] *)
+  prefill m keys;
+  let writers =
+    List.map
+      (fun k ->
+        let txn = Txn.fresh () in
+        ignore (kv_put m det txn k 1);
+        txn)
+      keys
+  in
+  let reader = Txn.fresh () in
+  ignore (kv_size m det reader);
+  let count () = Gatekeeper.active_count gk in
+  Alcotest.(check int) "three keyed entries and one keyless" 4 (count ());
+  Boost.commit det (List.hd writers);
+  Alcotest.(check int) "a keyed commit drops its one entry" 3 (count ());
+  let late = Txn.fresh () in
+  (match kv_put m det late (List.nth keys 1) 2 with
+  | _ -> Alcotest.fail "a put on an open transaction's key was admitted"
+  | exception Detector.Conflict { with_; _ } ->
+      Alcotest.(check int) "the refusal names the key's open transaction"
+        (Txn.id (List.nth writers 1)) with_;
+      Boost.abort det late);
+  Alcotest.(check int) "the refused put leaves with its abort" 3 (count ());
+  Boost.commit det reader;
+  Alcotest.(check int) "the keyless commit drops one more" 2 (count ());
+  det.Detector.reset ();
+  Alcotest.(check int) "reset empties the table" 0 (count ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_gk_precise;
@@ -234,5 +362,9 @@ let suite =
       test_forward_rejects_general;
     QCheck_alcotest.to_alcotest test_executor_serializable;
     Alcotest.test_case "C_m pinned for union-find" `Quick test_cm_union_find;
+    Alcotest.test_case "striped: operations take only their shards' guards"
+      `Quick test_striped_guards;
+    Alcotest.test_case "striped: commit drops exactly its own entries" `Quick
+      test_striped_commit_drops_own;
   ]
 

@@ -528,6 +528,7 @@ let specialized_rw_set_detector () =
     reset = (fun () -> Hashtbl.reset locks);
     snapshot = Detector.no_snapshot;
     guards = [];
+    txn_guards = (fun _ -> []);
   }
 
 let ablation scale =

@@ -120,7 +120,7 @@ let uf_union det (t : t) (txn : Txn.t) a b =
     Invocation.make ~txn:(Txn.id txn) Union_find.m_union
       [| Value.Int a; Value.Int b |]
   in
-  Txn.register_guards txn det.Detector.guards;
+  Txn.register_guards txn det.Detector.txn_guards;
   Txn.push_undo txn (fun () -> t.undo_inv inv);
   let r = det.Detector.on_invoke inv (fun () -> t.exec_inv inv) in
   (* the write log lives in the base structure either way; read it under

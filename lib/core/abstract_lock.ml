@@ -376,6 +376,7 @@ let detector ?(reduce_scheme = true) ?(stripes = 0) ?obs (spec : Spec.t) :
     scheme.acquisitions;
   let c_inv = Obs.counter t.obs "invocations" in
   let all_sgs = stripe_guards t in
+  let guards = all_sgs @ [ t.mu ] in
   let on_invoke (inv : Invocation.t) exec =
     let txn = inv.Invocation.txn in
     let acqs =
@@ -437,5 +438,6 @@ let detector ?(reduce_scheme = true) ?(stripes = 0) ?obs (spec : Spec.t) :
                 Hashtbl.reset s.held)
               t.stripes));
     snapshot = (fun () -> Obs.snapshot t.obs);
-    guards = all_sgs @ [ t.mu ];
+    guards;
+    txn_guards = (fun _ -> guards);
   }

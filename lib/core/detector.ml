@@ -32,12 +32,18 @@ type t = {
   reset : unit -> unit;
   snapshot : unit -> Obs.snapshot;
   guards : Guard.t list;
-      (** the reentrant guards serializing this detector's internal state
-          (and, during [on_invoke], the protected ADT's concrete state).
-          [Boost.abort] takes all of them around a transaction's
-          rollback + [on_abort] so no concurrent sweep or invocation can
-          interleave with the undo log.  Empty for detectors with no
-          internal state. *)
+      (** every reentrant guard serializing this detector's internal state
+          (and, during [on_invoke], the protected ADT's concrete state):
+          holding all of them excludes every invocation, commit and abort.
+          Empty for detectors with no internal state. *)
+  txn_guards : int -> Guard.t list;
+      (** [txn_guards txn]: the subset of [guards] that [txn]'s
+          invocations held.  [Boost.abort] takes these around the
+          transaction's rollback + [on_abort], so no invocation that
+          could observe its state interleaves with the undo log.
+          Detectors with one guard set answer [guards]; a striped
+          gatekeeper answers its transaction's shard guards and exec
+          guard. *)
 }
 
 (** A snapshot hook for detectors with nothing to report (ad-hoc test
@@ -59,6 +65,7 @@ let none =
     reset = ignore;
     snapshot = (fun () -> Obs.empty "none");
     guards = [];
+    txn_guards = (fun _ -> []);
   }
 
 (** Compose the transaction-lifecycle view of several detectors, one per
@@ -83,6 +90,7 @@ let compose (ds : t list) : t =
              (List.map (fun d -> d.name) ds))
           (List.map (fun d -> d.snapshot ()) ds));
     guards = List.concat_map (fun d -> d.guards) ds;
+    txn_guards = (fun txn -> List.concat_map (fun d -> d.txn_guards txn) ds);
   }
 
 (** Serialize invocations of distinct transactions: the first transaction to
@@ -124,4 +132,5 @@ let global_lock ?obs:obs_enabled () =
     reset = (fun () -> owner := None);
     snapshot = (fun () -> Obs.snapshot obs);
     guards = [ mu ];
+    txn_guards = (fun _ -> [ mu ]);
   }

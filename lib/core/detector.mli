@@ -16,6 +16,10 @@
     transaction is doomed; the runtime rolls its effects back through the
     transaction undo log and then calls {!t.on_abort}. *)
 
+(** [txn]'s invocation was refused because of [with_]'s, for [reason].
+    A gatekeeper's reason is the refused method pair ["first;second"],
+    the same string as its [abort_cause] label, formatted once per pair
+    and reused by every later refusal of that pair. *)
 exception Conflict of { txn : int; with_ : int; reason : string }
 
 (** [conflict ~txn ~with_ reason] raises {!Conflict}. *)
@@ -34,12 +38,23 @@ type t = {
           gatekeeper checks/rollbacks, abort causes, …); see
           {!Commlat_obs.Obs} *)
   guards : Guard.t list;
-      (** the reentrant guards serializing this detector's internal state
+      (** every reentrant guard serializing this detector's internal state
           (and, during [on_invoke], the protected ADT's concrete state).
-          [Boost.abort] takes all of them ({!Guard.protect_all})
-          around a doomed transaction's rollback + [on_abort] so nothing
-          can interleave with the undo log; [on_abort]'s own acquisition
-          then re-enters.  Empty for stateless/ad-hoc detectors. *)
+          Holding all of them ({!Guard.protect_all}) excludes every
+          invocation, commit and abort: what a caller takes to read the
+          protected structure between invocations, or to count or reset
+          the detector's state.  Empty for stateless/ad-hoc detectors. *)
+  txn_guards : int -> Guard.t list;
+      (** [txn_guards txn]: the guards [txn]'s invocations held, a subset
+          of [guards].  [Boost.abort] takes them ({!Guard.protect_all})
+          around a doomed transaction's rollback + [on_abort], so no
+          invocation that could observe the transaction's state
+          interleaves with the undo log; [on_abort]'s own acquisitions
+          then re-enter.  A detector with one guard set answers [guards]
+          for every transaction; a striped gatekeeper answers the guards
+          of the shards holding [txn]'s entries plus its exec guard
+          ({!Gatekeeper.make}).  Called by the transaction's own domain,
+          which holds none of the detector's guards at the time. *)
 }
 
 (** A snapshot hook for detectors with nothing to report (ad-hoc test

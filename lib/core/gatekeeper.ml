@@ -124,9 +124,11 @@ type t = {
           live [sfun] and no state reconstruction *)
   (* per ordered method pair: the condition and its rollback-function set,
      precomputed at construction so the table is read-only at runtime
-     (striped shards evaluate conditions concurrently) *)
+     (striped shards evaluate conditions concurrently); only an entry's
+     [pair] label is filled in later, see {!raise_conflict} *)
   cond_info : (string * string, cond_info) Hashtbl.t;
-  false_info : cond_info;  (** for methods the spec never mentions *)
+  false_info : cond_info;
+      (** for methods the spec never mentions; its [pair] stays empty *)
   mutable mutation_log : Invocation.t list;
       (** general gatekeepers: mutating invocations, newest first (a
           forward gatekeeper never reconstructs a past state, so it keeps
@@ -161,6 +163,11 @@ and cond_info = {
   rollback_fns : (string * Formula.term list) list;
       (** s1-functions needing state reconstruction, from
           {!Formula.rollback_functions} *)
+  mutable pair : string;
+      (** ["first;second"]: a refusal's [abort_cause] label and
+          {!Detector.Conflict} reason, formatted at the pair's first
+          refusal and kept, so later refusals format nothing; empty
+          before that *)
 }
 
 (* Deduplication goes through a hash set keyed by (method, function):
@@ -201,7 +208,7 @@ let cond_info_of_check (check : Compile.check) =
         |> List.map (fun (name, args, _) -> (name, args))
     | Compile.Static _ | Compile.Fast _ -> []
   in
-  { check; rollback_fns }
+  { check; rollback_fns; pair = "" }
 
 (* The condition table is fully precomputed over the spec's method pairs;
    an invocation of a method the spec never declared falls back to the
@@ -519,10 +526,24 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
 (* Invocation: coarse (single-guard) path                              *)
 (* ------------------------------------------------------------------ *)
 
-let raise_conflict (t : t) (e : entry) (inv : Invocation.t) =
+(* Refuse [inv] because [e]'s condition [info] failed.  The reason is the
+   method pair, formatted at the pair's first refusal and kept in [info];
+   [false_info] is shared by every undeclared pair, so its refusals are
+   formatted each time.  The pair is not formatted at construction: the
+   explorer builds a gatekeeper per schedule, and most of its pairs never
+   refuse.  Striped scans may race on the first store; both write the
+   same string, and a racing reader sees [""] or the whole string. *)
+let raise_conflict (t : t) (info : cond_info) (e : entry) (inv : Invocation.t) =
+  let pair =
+    if String.length info.pair > 0 then info.pair
+    else begin
+      let p = e.inv.Invocation.meth.name ^ ";" ^ inv.Invocation.meth.name in
+      if info != t.false_info then info.pair <- p;
+      p
+    end
+  in
   Obs.incr t.c_conflicts;
-  Obs.label t.obs ~cat:"abort_cause"
-    (Fmt.str "%s;%s" e.inv.Invocation.meth.name inv.Invocation.meth.name);
+  Obs.label t.obs ~cat:"abort_cause" pair;
   if t.allow_rollback then begin
     (* Erase the refused invocation before the guard releases: nothing has
        run since its [exec], so replaying its write log is an exact LIFO
@@ -536,8 +557,7 @@ let raise_conflict (t : t) (e : entry) (inv : Invocation.t) =
         t.mutation_log;
     t.hooks.forget inv
   end;
-  Detector.conflict ~txn:inv.Invocation.txn ~with_:e.inv.Invocation.txn
-    (Fmt.str "%a does not commute with %a" Invocation.pp e.inv Invocation.pp inv)
+  Detector.conflict ~txn:inv.Invocation.txn ~with_:e.inv.Invocation.txn pair
 
 (* Batch log scan: check one {e executed} incoming invocation against
    every active invocation it can conflict with — its own shard plus the
@@ -552,12 +572,12 @@ let raise_conflict (t : t) (e : entry) (inv : Invocation.t) =
    coarse mode, the {!held_guards} of [idx] in striped mode. *)
 let scan_active_idx (t : t) idx (inv : Invocation.t) =
   let second = inv.Invocation.meth.name in
-  let check_bucket bucket eval =
+  let check_bucket info bucket eval =
     List.iter
       (fun (e : entry) ->
         if e.inv.Invocation.txn <> inv.Invocation.txn then begin
           Obs.incr t.c_checks;
-          if not (eval e) then raise_conflict t e inv
+          if not (eval e) then raise_conflict t info e inv
         end)
       !bucket
   in
@@ -565,12 +585,13 @@ let scan_active_idx (t : t) idx (inv : Invocation.t) =
     (fun (sh : shard) ->
       Hashtbl.iter
         (fun first bucket ->
-          match (cond_info_of t ~first ~second).check with
+          let info = cond_info_of t ~first ~second in
+          match info.check with
           | Compile.Static true -> ()
-          | Compile.Static false -> check_bucket bucket (fun _ -> false)
-          | Compile.Fast f -> check_bucket bucket (fun e -> f e.inv inv)
+          | Compile.Static false -> check_bucket info bucket (fun _ -> false)
+          | Compile.Fast f -> check_bucket info bucket (fun e -> f e.inv inv)
           | Compile.Interp f ->
-              check_bucket bucket (fun e ->
+              check_bucket info bucket (fun e ->
                   Formula.eval (check_env t e inv ~rb_cache:None) f))
         sh.s_active)
     (scan_shards t idx)
@@ -655,7 +676,7 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
                   let rb_cache = Hashtbl.find_opt rb_caches e.inv.Invocation.uid in
                   Formula.eval (check_env t e inv ~rb_cache) f
             in
-            if not ok then raise_conflict t e inv)
+            if not ok then raise_conflict t info e inv)
           !needs_check
       end;
       if t.allow_rollback then insert ();
@@ -774,6 +795,30 @@ let take_buckets (t : t) txn =
       Hashtbl.remove t.by_txn txn;
       mine
 
+(* The shard guards covering a transaction's buckets: their shards'
+   guards, or every shard guard if one is in the overflow shard, as for
+   every overflow mutator. *)
+let bucket_guards (t : t) mine =
+  if List.exists (fun (idx, _) -> idx = overflow_idx t) mine then t.shard_guards
+  else List.map (fun (idx, _) -> t.shards.(idx).s_guard) mine
+
+(* The guards [txn]'s invocations held, which its abort takes
+   ({!Detector.t.txn_guards}).  Coarse: [mu], answered without taking
+   it, so an abort's only acquisition is [mu] (the explorer's schedules
+   are built from guard acquisitions).  Striped: [mu], for the
+   rollback's concrete writes, plus the guards of the shards holding
+   [txn]'s entries, read from the index under [mu].  Only [txn]'s own
+   domain adds to its index entry, so the answer stays right until its
+   abort has taken these guards. *)
+let txn_guards (t : t) txn =
+  if not t.striped then [ t.mu ]
+  else
+    let mine =
+      Guard.protect t.mu (fun () ->
+          Option.value ~default:[] (Hashtbl.find_opt t.by_txn txn))
+    in
+    t.mu :: bucket_guards t mine
+
 (* Remove [txn]'s entries from its taken buckets, one pass per bucket
    (caller holds their shards' guards). *)
 let drop_entries (t : t) txn mine =
@@ -809,12 +854,8 @@ let on_end ~drop_mutations (t : t) txn =
     match Guard.protect t.mu (fun () -> take_buckets t txn) with
     | [] -> ()
     | mine ->
-        let held =
-          if List.exists (fun (idx, _) -> idx = overflow_idx t) mine then
-            t.shard_guards
-          else List.map (fun (idx, _) -> t.shards.(idx).s_guard) mine
-        in
-        Guard.protect_all held (fun () -> drop_entries t txn mine)
+        Guard.protect_all (bucket_guards t mine) (fun () ->
+            drop_entries t txn mine)
   end
   else
     Guard.protect t.mu (fun () ->
@@ -869,6 +910,7 @@ let detector (t : t) : Detector.t =
             t.mutation_log <- []));
     snapshot = (fun () -> Obs.snapshot t.obs);
     guards = all_guards t;
+    txn_guards = (fun txn -> txn_guards t txn);
   }
 
 (** Forward ([~allow_rollback:false], paper §3.3.1) or general

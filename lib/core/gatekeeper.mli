@@ -6,7 +6,9 @@
     method, checks the condition [f_{ma,m}] against every active invocation
     [ma] of other transactions (reading [ma]'s side from its log), and
     raises {!Detector.Conflict} if any condition is false.  The whole
-    sequence is atomic (one mutex per gatekeeper).
+    sequence is atomic (one mutex per gatekeeper).  A refusal's reason,
+    and its [abort_cause] label, is the method pair ["ma;m"], formatted
+    at the pair's first refusal and reused by every later one.
 
     When a transaction ends (the detector's [on_commit]/[on_abort]), its
     entries leave the active table; a per-transaction index names the
@@ -41,8 +43,11 @@
     is state-free, the shards are {e striped} under per-shard
     {!Guard.t}s, so same-ADT-different-key invocations no longer
     serialize on a single gatekeeper mutex: a keyed invocation, a keyed
-    commit and a keyed {!batch_check} each take their shard's guard and
-    the exec guard, and only keyless ones take every shard guard.
+    commit, a keyed {!batch_check} and the abort of a transaction with
+    only keyed entries each take their shard's guard and the exec guard,
+    and only keyless ones take every shard guard.  The detector's
+    [txn_guards] reports those guards for the abort; an unstriped
+    gatekeeper answers its one guard.
 
     Most callers should construct detectors through {!Commlat_runtime}'s
     [Protect] module rather than calling {!make} directly. *)
@@ -86,9 +91,9 @@ val rollback_count : t -> int
 (** The gatekeeper's observability registry: [invocations], [checks],
     [conflicts], [log_hits], [rollback_hits], [rollbacks],
     [sfun_at_queries], the [sweep_depth] distribution and per-method-pair
-    [abort_cause] labels.  Sharded gatekeepers additionally export
-    [shard_inserts], [overflow_inserts], [checks_avoided] and per-shard
-    [shard_NN_inserts] counters.  The same data is exported through the
+    [abort_cause] labels (["first;second"], one per [conflicts]).  Sharded
+    gatekeepers additionally export [shard_inserts], [overflow_inserts],
+    [checks_avoided] and per-shard [shard_NN_inserts] counters.  The same data is exported through the
     detector's [snapshot] hook. *)
 val obs : t -> Commlat_obs.Obs.t
 

@@ -9,8 +9,10 @@
       undo log and the detector's [on_abort] as {e one} atomic step (a
       general gatekeeper's undo/redo sweep would otherwise re-apply writes
       the rollback just reverted, from the aborted transaction's
-      still-logged invocations).  It does so by taking the detector's
-      guards around both; [on_abort] then re-enters the same guard it
+      still-logged invocations).  It does so by taking the guards the
+      transaction's invocations held (each detector's [txn_guards]: a
+      striped gatekeeper's shard guards and exec guard, not all of its
+      guards) around both; [on_abort] then re-enters the guards it
       already holds, which a plain mutex would deadlock on.
     - {b Canonical ordering.}  A transaction can span several detectors
       ({!Detector.compose}), so a rollback takes several guards at once.
@@ -72,8 +74,9 @@ let protect t f =
 
 (** [protect_all ts f] runs [f] holding every guard in [ts], acquired in
     canonical id order (duplicates are taken once).  This is [Boost.abort]'s
-    rollback primitive: with every involved detector's guard held, the undo
-    log and [on_abort] form one atomic step. *)
+    rollback primitive: with the guards every involved detector names for
+    the transaction held, the undo log and [on_abort] form one atomic step
+    for every invocation that could observe the transaction's state. *)
 let protect_all ts f =
   let ts = List.sort_uniq (fun a b -> Int.compare a.id b.id) ts in
   let rec go = function

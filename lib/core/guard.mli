@@ -1,9 +1,10 @@
 (** Reentrant, canonically-ordered locks for detector-internal state.
 
     Conflict detectors serialize their critical sections behind a guard
-    instead of a bare [Mutex.t] so that (a) [Boost.abort] can hold a
-    detector's guard across a transaction rollback while the detector's
-    own [on_abort] re-enters it, and (b) rollbacks spanning several
+    instead of a bare [Mutex.t] so that (a) [Boost.abort] can hold the
+    guards a transaction's invocations held ([Detector.txn_guards]) across
+    its rollback while the detector's own [on_abort] re-enters them, and
+    (b) rollbacks spanning several
     detectors ({!Detector.compose}) can take all their guards in a globally
     consistent order ({!protect_all}), ruling out deadlock between
     concurrent multi-detector rollbacks.

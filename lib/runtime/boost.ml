@@ -20,17 +20,17 @@ let invoke (det : Detector.t) (txn : Txn.t) ~(undo : Invocation.t -> unit)
     (meth : Invocation.meth) (args : Value.t array)
     (exec : Invocation.t -> Value.t) : Value.t =
   let inv = Invocation.make ~txn:(Txn.id txn) meth args in
-  Txn.register_guards txn det.Detector.guards;
+  Txn.register_guards txn det.Detector.txn_guards;
   if meth.Invocation.concrete then Txn.push_undo txn (fun () -> undo inv);
   det.Detector.on_invoke inv (fun () -> exec inv)
 
-(** Read-only invocation: no undo needed.  The detector's guards are still
-    registered: the invocation may hold detector state (locks, log entries)
-    that an abort must release atomically. *)
+(** Read-only invocation: no undo needed.  The detector's [txn_guards]
+    are still registered: the invocation may hold detector state (locks,
+    log entries) that an abort must release atomically. *)
 let invoke_ro (det : Detector.t) (txn : Txn.t) (meth : Invocation.meth)
     (args : Value.t array) (exec : Invocation.t -> Value.t) : Value.t =
   let inv = Invocation.make ~txn:(Txn.id txn) meth args in
-  Txn.register_guards txn det.Detector.guards;
+  Txn.register_guards txn det.Detector.txn_guards;
   det.Detector.on_invoke inv (fun () -> exec inv)
 
 (** End [txn] as committed: the detector releases the transaction's
@@ -42,12 +42,15 @@ let commit (det : Detector.t) (txn : Txn.t) =
   Txn.commit txn
 
 (** End [txn] as aborted: replay its undo log, then release its detector
-    state, as one step under every guard the transaction registered plus
-    the detector's own ({!Guard.protect_all}), so no concurrent
-    invocation or general-gatekeeper sweep sees the state in between. *)
+    state, as one step under the guards the transaction's invocations
+    held — each registered detector's [txn_guards], and [det]'s own —
+    ({!Guard.protect_all}), so no concurrent invocation or
+    general-gatekeeper sweep that could see the transaction's state runs
+    in between.  A striped gatekeeper answers only the guards of the
+    shards the transaction touched, so an abort stalls no invocation on
+    another shard. *)
 let abort (det : Detector.t) (txn : Txn.t) =
-  Guard.protect_all
-    (Txn.guards txn @ det.Detector.guards)
-    (fun () ->
+  Txn.register_guards txn det.Detector.txn_guards;
+  Guard.protect_all (Txn.guards txn) (fun () ->
       Txn.rollback txn;
       det.Detector.on_abort (Txn.id txn))

@@ -22,9 +22,9 @@ val invoke :
   (Invocation.t -> Value.t) ->
   Value.t
 
-(** Read-only invocation: no undo needed.  The detector's guards are still
-    registered: the invocation may hold detector state (locks, log
-    entries) that an abort must release atomically. *)
+(** Read-only invocation: no undo needed.  The detector's [txn_guards]
+    are still registered: the invocation may hold detector state (locks,
+    log entries) that an abort must release atomically. *)
 val invoke_ro :
   Detector.t ->
   Txn.t ->
@@ -40,6 +40,9 @@ val invoke_ro :
 val commit : Detector.t -> Txn.t -> unit
 
 (** End [txn] as aborted: [Txn.rollback], then [on_abort], as one step
-    under {!Guard.protect_all} over the transaction's registered guards
-    and the detector's own. *)
+    under {!Guard.protect_all} over the guards the transaction's
+    invocations held: [Detector.txn_guards] of every detector it invoked
+    through, and of [det].  For a striped gatekeeper these are the
+    transaction's shard guards and the exec guard, not every guard the
+    detector owns. *)
 val abort : Detector.t -> Txn.t -> unit

@@ -162,6 +162,7 @@ let detector (t : t) : Detector.t =
             Hashtbl.reset t.touched));
     snapshot = (fun () -> Obs.snapshot t.obs);
     guards = [ t.mu ];
+    txn_guards = (fun _ -> [ t.mu ]);
   }
 
 (** Convenience: a fresh STM with its detector and tracer. *)

@@ -3,11 +3,11 @@
 
     A transaction accumulates undo actions as it performs method
     invocations; {!rollback} runs them newest-first, restoring the abstract
-    state the transaction saw when it started.  It also accumulates the
-    {!Commlat_core.Guard.t}s of every detector it invoked through
-    ({!register_guards}, called by {!Boost}): {!Boost.abort} takes all of
-    them around [rollback] + [on_abort], making the whole abort one
-    atomic step with respect to each involved detector. *)
+    state the transaction saw when it started.  It also records the
+    [txn_guards] of every detector it invoked through ({!register_guards},
+    called by {!Boost}): {!Boost.abort} takes the guards they answer for
+    this transaction around [rollback] + [on_abort], making the whole
+    abort one atomic step with respect to each involved detector. *)
 
 open Commlat_core
 
@@ -27,12 +27,13 @@ val status : t -> status
 (** Register the inverse of an action just performed. *)
 val push_undo : t -> (unit -> unit) -> unit
 
-(** Record that the transaction invoked through a detector owning these
-    guards.  Each detector's list is kept once, by physical identity. *)
-val register_guards : t -> Guard.t list -> unit
+(** Record that the transaction invoked through a detector with this
+    [Detector.txn_guards].  Each detector's is kept once, by physical
+    identity, and asked for its guards only by {!guards}. *)
+val register_guards : t -> (int -> Guard.t list) -> unit
 
-(** Every guard registered so far, possibly with duplicates (callers
-    combine with the detector's own guard list; {!Guard.protect_all}
+(** The guards every registered detector answers for this transaction
+    ([txn_guards (id t)]), possibly with duplicates ({!Guard.protect_all}
     dedups). *)
 val guards : t -> Guard.t list
 

@@ -72,6 +72,7 @@ let detector ~buggy () : Detector.t =
     reset = (fun () -> Hashtbl.reset active);
     snapshot = Detector.no_snapshot;
     guards = [ g1; g2 ];
+    txn_guards = (fun _ -> [ g1; g2 ]);
   }
 
 (** Three single-increment transactions over an {!Accumulator}: the

@@ -290,6 +290,9 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
             det_b.Detector.reset ());
         snapshot = det_a.Detector.snapshot;
         guards;
+        txn_guards =
+          (fun txn ->
+            det_a.Detector.txn_guards txn @ det_b.Detector.txn_guards txn);
       }
     in
     let body ops ~det ~txn =

@@ -69,6 +69,7 @@ type t = {
   c_ro_fast : Obs.counter;  (** reads admitted by the batch_check path *)
   c_strengthens : Obs.counter;  (** lattice moves away from precise *)
   c_weakens : Obs.counter;  (** lattice moves back toward precise *)
+  c_swap_failures : Obs.counter;  (** swap thunks that raised at a barrier *)
 }
 
 (** A successfully executed request whose transaction is still open,
@@ -79,7 +80,8 @@ type outcome =
   | Done of pending option * Wire.resp
       (** answered; [Some p] must be passed to {!commit} at epoch end *)
   | Conflicted of string
-      (** rolled back after a {!Detector.Conflict}: flush the epoch's open
+      (** rolled back after a {!Detector.Conflict}, whose reason (the
+          refused method pair) it carries: commit the epoch's open
           transactions (they may be the other side) and retry *)
 
 let meth_finder meths =
@@ -318,6 +320,7 @@ let create ?obs:obs_enabled ?(nshards = default_nshards)
       c_ro_fast = Obs.counter obs "ro_fast_path";
       c_strengthens = Obs.counter obs "adaptive_strengthens";
       c_weakens = Obs.counter obs "adaptive_weakens";
+      c_swap_failures = Obs.counter obs "swap_failures";
     }
   in
   (match level with
@@ -333,6 +336,13 @@ let create ?obs:obs_enabled ?(nshards = default_nshards)
 
 let exposed_names t = List.map fst t.exposed
 let orset_handle t = t.orset
+
+(** Count a lattice swap that raised at the swap barrier (the server
+    releases the barrier anyway); [Stats] reports the total as
+    [swap_failures]. *)
+let swap_failed (t : t) = Obs.incr t.c_swap_failures
+
+let swap_failures (t : t) = Obs.value t.c_swap_failures
 
 (** Commit one epoch-open transaction through {!Boost.commit} (for the
     orset, the gatekeeper's [forget] hook drops its presence-log entries
@@ -364,7 +374,9 @@ let try_ro_fast (t : t) (ex : exposed) ~id (meth : Invocation.meth) args =
       Some (Done (None, Wire.Reply (id, r)))
   | exception Detector.Conflict _ ->
       (* nothing to undo (the method is effect-free); fall back to the
-         transactional path, which will queue behind the conflicter *)
+         transactional path.  A gatekeeper refuses, it does not queue:
+         unless the conflicter has ended meanwhile, that path answers
+         [Conflicted] and the caller commits its epoch and retries *)
       None
 
 let try_invoke (t : t) ~id adt meth args : outcome =

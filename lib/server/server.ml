@@ -15,10 +15,12 @@
       and firing commit-time [forget] hooks) and then flushes each
       connection's responses as one buffered write.  Group commit
       amortizes commit work and response syscalls across the batch.
-    - A {!Detector.Conflict} inside an epoch first flushes the epoch's
+    - A {!Detector.Conflict} inside an epoch first commits the epoch's
       open transactions (the conflicter is usually among them), then
       retries with capped exponential backoff; after [max_retries] the
-      client gets an [Err] frame.  Every other per-request exception is
+      client gets an [Err] frame.  The committed transactions' responses
+      stay staged for the epoch boundary, so each connection still gets
+      one write per epoch.  Every other per-request exception is
       already contained by {!Engine.try_req}.
 
     Termination: a [Quit] request stops the accept loop, lets every
@@ -159,8 +161,11 @@ let gate_pending (g : gate) () =
   Mutex.protect g.g_mu (fun () -> g.g_req <> None)
 
 (* Worker side: called at every epoch boundary (after [flush_epoch], so
-   the calling worker holds zero open transactions). *)
-let gate_check (g : gate) =
+   the calling worker holds zero open transactions).  A raising swap
+   thunk is counted in the engine's [swap_failures] (printed under
+   [verbose]) and the barrier is released all the same: the levels it
+   did not set stay as they were. *)
+let gate_check ~eng ~verbose (g : gate) =
   Mutex.protect g.g_mu (fun () ->
       match g.g_req with
       | None -> ()
@@ -169,7 +174,13 @@ let gate_check (g : gate) =
           if g.g_waiting = g.g_workers then begin
             (* every worker is quiescent: run the swap *)
             (match g.g_req with
-            | Some thunk -> ( try thunk () with _ -> ())
+            | Some thunk -> (
+                try thunk ()
+                with e ->
+                  Engine.swap_failed eng;
+                  if verbose then
+                    Fmt.epr "commlat serve: swap failed (%d so far): %s@."
+                      (Engine.swap_failures eng) (Printexc.to_string e))
             | None -> ());
             g.g_req <- None;
             g.g_waiting <- 0;
@@ -226,10 +237,14 @@ let outbox ep conn =
 (* frames accumulate per connection for one write at the epoch boundary *)
 let stage ep conn resp = Wire.add_frame (outbox ep conn) (Wire.encode_resp resp)
 
+(* Group commit of the epoch's open transactions, oldest first. *)
+let commit_epoch eng ep =
+  List.iter (Engine.commit eng) (List.rev ep.open_txns);
+  ep.open_txns <- []
+
 (* Group commit + response flush: the epoch boundary. *)
 let flush_epoch eng ep =
-  List.iter (Engine.commit eng) (List.rev ep.open_txns);
-  ep.open_txns <- [];
+  commit_epoch eng ep;
   List.iter
     (fun (conn, b) ->
       if Buffer.length b > 0 then begin
@@ -251,7 +266,7 @@ let backoff_sleep attempt =
     Unix.sleepf (1e-6 *. float_of_int (1 lsl exp))
   end
 
-let worker ~eng ~qu ~stop ~gate ~pending ~max_retries ~batch () =
+let worker ~eng ~qu ~stop ~gate ~pending ~max_retries ~batch ~verbose () =
   let ep = epoch_create () in
   let run_job job =
     let rec attempt n =
@@ -262,10 +277,11 @@ let worker ~eng ~qu ~stop ~gate ~pending ~max_retries ~batch () =
           | None -> ());
           stage ep job.jconn resp
       | Engine.Conflicted reason ->
-          (* our own open transactions may be the conflicter: close the
-             epoch before retrying so the retry runs against a clean
-             active table *)
-          flush_epoch eng ep;
+          (* our own open transactions may be the conflicter: commit them
+             before retrying so the retry runs against a clean active
+             table.  Their responses stay staged for the epoch's one
+             write per connection. *)
+          commit_epoch eng ep;
           if n >= max_retries then
             stage ep job.jconn
               (Wire.Err (Wire.req_id job.req, "conflict retries exhausted: " ^ reason))
@@ -294,7 +310,7 @@ let worker ~eng ~qu ~stop ~gate ~pending ~max_retries ~batch () =
         flush_epoch eng ep;
         (* epoch boundary: all this worker's transactions are committed —
            participate in any pending detector swap *)
-        gate_check gate;
+        gate_check ~eng ~verbose gate;
         loop ()
   in
   loop ()
@@ -470,7 +486,7 @@ let run (cfg : config) : Engine.t =
       (fun _i qu ->
         Domain.spawn
           (worker ~eng ~qu ~stop:stop_workers ~gate ~pending
-             ~max_retries:cfg.max_retries ~batch:cfg.batch))
+             ~max_retries:cfg.max_retries ~batch:cfg.batch ~verbose:cfg.verbose))
       queues
   in
   let ctrl =

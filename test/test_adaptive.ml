@@ -44,6 +44,7 @@ let slow_detector () =
     reset = ignore;
     snapshot = Detector.no_snapshot;
     guards = [];
+    txn_guards = (fun _ -> []);
   }
 
 let test_picks_the_cheap_candidate () =

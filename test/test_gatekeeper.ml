@@ -226,6 +226,7 @@ let test_cm_union_find () =
 
 module Engine = Commlat_server.Engine
 module Wire = Commlat_server.Wire
+module Obs = Commlat_obs.Obs
 
 (* The ids of the guards [f] acquires, in order, through a Schedpoint
    hook (a re-entry counts again). *)
@@ -302,7 +303,79 @@ let test_striped_guards () =
   let txn = Txn.fresh () in
   ignore (kv_put m det txn 3 1);
   Alcotest.(check int) "unsharded commit" 1
-    (List.length (acquired (fun () -> Boost.commit det txn)))
+    (List.length (acquired (fun () -> Boost.commit det txn)));
+  (* an abort takes the guards its transaction's invocations held *)
+  let distinct f = List.sort_uniq Int.compare (acquired f) in
+  let refused_put m det =
+    let owner = Txn.fresh () in
+    ignore (kv_put m det owner 3 1);
+    let txn = Txn.fresh () in
+    match kv_put m det txn 3 2 with
+    | _ -> Alcotest.fail "a put on an open transaction's key was admitted"
+    | exception Detector.Conflict _ -> txn
+  in
+  let m, det, _ = mk_kvmap_gk ~nshards:16 in
+  prefill m [ 3 ];
+  let txn = refused_put m det in
+  at_most "refused keyed put's abort, distinct guards" 2
+    (distinct (fun () -> Boost.abort det txn));
+  (* a keyless entry makes the abort an overflow mutator *)
+  let txn = Txn.fresh () in
+  ignore (kv_size m det txn);
+  Alcotest.(check (list int))
+    "keyless abort: every shard guard plus the exec guard"
+    (List.sort Int.compare (List.map Guard.id det.Detector.guards))
+    (distinct (fun () -> Boost.abort det txn));
+  let m, det, _ = mk_kvmap_gk ~nshards:0 in
+  prefill m [ 3 ];
+  let txn = refused_put m det in
+  Alcotest.(check int) "unsharded abort, distinct guards" 1
+    (List.length (distinct (fun () -> Boost.abort det txn)))
+
+(* A refusal's reason and abort_cause label are the method pair, one label
+   per conflict, whether the refused invocation was inserted or probed by
+   the read fast path; a method the spec never declared is named too. *)
+let test_conflict_pair_labels () =
+  let m, det, gk = mk_kvmap_gk ~nshards:16 in
+  prefill m [ 3 ];
+  let owner = Txn.fresh () in
+  ignore (kv_put m det owner 3 1);
+  let refusal what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was admitted against an open put of its key" what
+    | exception Detector.Conflict { reason; _ } -> reason
+  in
+  let n = 5 in
+  for v = 2 to n + 1 do
+    let txn = Txn.fresh () in
+    Alcotest.(check string) "a refused put's reason" "put;put"
+      (refusal "put" (fun () -> kv_put m det txn 3 v));
+    Boost.abort det txn
+  done;
+  let snap () = Obs.snapshot (Gatekeeper.obs gk) in
+  let labels key = Obs.label_count (snap ()) ~cat:"abort_cause" key in
+  let conflicts () = Obs.counter_value (snap ()) "conflicts" in
+  Alcotest.(check int) "put;put labels" n (labels "put;put");
+  Alcotest.(check int) "conflicts" n (conflicts ());
+  let get =
+    Invocation.make ~txn:(Txn.id (Txn.fresh ())) Kvmap.m_get [| Value.Int 3 |]
+  in
+  Alcotest.(check string) "a refused fast-path read's reason" "put;get"
+    (refusal "get" (fun () ->
+         Gatekeeper.batch_check gk get (fun () ->
+             Kvmap.exec m "get" get.Invocation.args)));
+  Alcotest.(check int) "put;get labels" 1 (labels "put;get");
+  Alcotest.(check int) "conflicts after the read" (n + 1) (conflicts ());
+  let txn = Txn.fresh () in
+  Alcotest.(check string) "an undeclared method's reason" "put;frob"
+    (refusal "frob" (fun () ->
+         Boost.invoke det txn ~undo:ignore (Invocation.meth "frob" 0) [||]
+           (fun _ -> Value.Unit)));
+  Boost.abort det txn;
+  Alcotest.(check int) "every conflict labelled" (conflicts ())
+    (Obs.total_labels (snap ()) ~cat:"abort_cause");
+  Alcotest.(check int) "conflicts after the undeclared method" (n + 2)
+    (conflicts ())
 
 let test_striped_commit_drops_own () =
   let nshards = 16 in
@@ -366,5 +439,7 @@ let suite =
       `Quick test_striped_guards;
     Alcotest.test_case "striped: commit drops exactly its own entries" `Quick
       test_striped_commit_drops_own;
+    Alcotest.test_case "refusals are labelled by their method pair" `Quick
+      test_conflict_pair_labels;
   ]
 

@@ -52,6 +52,7 @@ let test_boost_undo_on_post_exec_conflict () =
       reset = ignore;
       snapshot = Detector.no_snapshot;
       guards = [];
+      txn_guards = (fun _ -> []);
     }
   in
   let set = Iset.create () in
@@ -99,6 +100,7 @@ let test_compose () =
       reset = ignore;
       snapshot = Detector.no_snapshot;
       guards = [];
+      txn_guards = (fun _ -> []);
     }
   in
   let c = Detector.compose [ mk "a"; mk "b" ] in

@@ -444,6 +444,71 @@ let test_set_level_refuses_open_txn () =
       check_str "swapped after commit" "part" (Engine.current_level eng "kvmap")
   | _ -> Alcotest.fail "put must answer with its transaction still open"
 
+(* A swap thunk that raises is counted in [swap_failures], which [Stats]
+   reports, and the barrier is released all the same. *)
+let test_gate_counts_swap_failure () =
+  let eng = Engine.create ~obs:true () in
+  let gate = Server.gate_create ~workers:1 in
+  gate.Server.g_req <- Some (fun () -> failwith "swap refused");
+  Server.gate_check ~eng ~verbose:false gate;
+  check_int "swap_failures" 1 (Engine.swap_failures eng);
+  check_int "barrier generation advanced" 1 gate.Server.g_gen;
+  check_bool "request cleared" true (gate.Server.g_req = None);
+  let reported =
+    match Engine.try_req eng (Wire.Stats 1) with
+    | Engine.Done (None, Wire.Reply (1, Value.Str s)) -> (
+        match Result.bind (Jsonx.parse s) Commlat_obs.Obs.snapshot_of_json with
+        | Ok snap -> Commlat_obs.Obs.counter_value snap "swap_failures"
+        | Error m -> Alcotest.fail m)
+    | _ -> Alcotest.fail "Stats must answer a snapshot"
+  in
+  check_int "Stats reports swap_failures" 1 reported;
+  (* a passing swap leaves the count alone *)
+  let swapped = ref false in
+  gate.Server.g_req <- Some (fun () -> swapped := true);
+  Server.gate_check ~eng ~verbose:false gate;
+  check_bool "swap ran" true !swapped;
+  check_int "still one failure" 1 (Engine.swap_failures eng);
+  check_int "second generation" 2 gate.Server.g_gen
+
+(* A conflict inside an epoch commits the epoch's open transactions but
+   writes nothing: both responses of an epoch whose second put conflicts
+   with its first leave in one write.  A SOCK_SEQPACKET pair keeps write
+   boundaries, so the first message read is the first write. *)
+let test_conflict_keeps_one_write () =
+  let eng = Engine.create ~obs:true () in
+  let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_SEQPACKET 0 in
+  let conn = { Server.fd = srv_fd; out_mu = Mutex.create (); alive = true } in
+  let qu = Server.queue_create () in
+  let put id v = invoke ~id "kvmap" "put" [| Value.Int 1; Value.Int v |] in
+  List.iter
+    (fun req -> Server.queue_push qu { Server.req; jconn = conn })
+    [ put 1 1; put 2 2 ];
+  let pending = Atomic.make 2 in
+  Server.worker ~eng ~qu ~stop:(Atomic.make true)
+    ~gate:(Server.gate_create ~workers:1) ~pending ~max_retries:4 ~batch:64
+    ~verbose:false ();
+  check_int "both jobs done" 0 (Atomic.get pending);
+  check_int "the second put conflicted once" 1
+    (Commlat_obs.Obs.value eng.Engine.c_aborts);
+  let buf = Bytes.create 4096 in
+  let n = Unix.recv cli_fd buf 0 (Bytes.length buf) [] in
+  let rec frames off acc =
+    if off >= n then List.rev acc
+    else
+      let len = Int32.to_int (Bytes.get_int32_be buf off) in
+      let payload = Bytes.sub_string buf (off + 4) len in
+      frames (off + 4 + len) (Wire.decode_resp payload :: acc)
+  in
+  check_bool "the first write carries both replies" true
+    (match frames 0 [] with
+    | [ Wire.Reply (1, Value.Opt None);
+        Wire.Reply (2, Value.Opt (Some (Value.Int 1))) ] ->
+        true
+    | _ -> false);
+  Unix.close srv_fd;
+  Unix.close cli_fd
+
 (* ------------------------------------------------------------- *)
 (* Latency histogram                                              *)
 (* ------------------------------------------------------------- *)
@@ -571,6 +636,10 @@ let suite =
         test_set_level_refuses_open_txn;
       Alcotest.test_case "engine: orset log drains" `Quick
         test_orset_log_drains_through_engine;
+      Alcotest.test_case "server: a failed swap is counted, the barrier released"
+        `Quick test_gate_counts_swap_failure;
+      Alcotest.test_case "server: a mid-epoch conflict keeps one write per epoch"
+        `Quick test_conflict_keeps_one_write;
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;
       Alcotest.test_case "histo: merge and edge cases" `Quick
         test_histo_merge_and_edges;

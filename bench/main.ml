@@ -237,7 +237,7 @@ let table1 scale =
   in
   (* --- preflow-push --- *)
   let inp = preflow_input scale in
-  let median f = Stats.time_median ~reps:3 f in
+  let median = Stats.time_median in
   let seq_time =
     median (fun () ->
         let p = Preflow_push.of_genrmf inp in
@@ -357,7 +357,7 @@ let fig11 scale =
     "Figure 11: agglomerative clustering estimated runtime (s) vs threads\n\
      (paper: the forward gatekeeper beats the memory-level baseline and scales)";
   let pts = Point.random_cloud ~seed:(!run_seed + 77) ~dim:2 scale.cluster_points in
-  let median f = Stats.time_median ~reps:3 f in
+  let median = Stats.time_median in
   let seq = median (fun () -> ignore (clustering_run ~processors:1 pts `None)) in
   pf "sequential time: %.4fs@." seq;
   pf "%-10s %-12s %-12s@." "threads" "kd-gk" "kd-ml";
@@ -393,7 +393,7 @@ let fig12 scale =
      serial simulator charges to the clock; 'model' speedups apply the paper's\n\
      own T*o_d/min(a_d,p) with the measured 1-thread overheads.";
   let mesh = Mesh.generate ~seed:(!run_seed + 7) ~rows:scale.mesh_rows ~cols:scale.mesh_cols () in
-  let median f = Stats.time_median ~reps:3 f in
+  let median = Stats.time_median in
   let serial = median (fun () -> ignore (boruvka_run ~processors:1 mesh `None)) in
   let od v = median (fun () -> ignore (boruvka_run ~processors:1 mesh v)) /. serial in
   let od_gk = od `Gk and od_ml = od `Ml in
@@ -614,9 +614,7 @@ let ablation scale =
     }
   in
   let decision, stats =
-    Adaptive.run
-      ~policy:(Adaptive.Offline_sample { processors = 4; sample_size = 2048 })
-      (List.map candidate Set_micro.all_schemes)
+    Adaptive.run ~sample_size:2048 (List.map candidate Set_micro.all_schemes)
   in
   pf "  %a@." Adaptive.pp_decision decision;
   pf "  full run under the winner: wall=%.4fs aborts=%.2f%%@." stats.Executor.wall_s
@@ -1289,7 +1287,7 @@ let adaptive_bench scale =
   let fixed_names = [ "precise"; "simple"; "part" ] in
   let variants =
     List.map (fun l -> ("fixed-" ^ l, [ "--level"; l ])) fixed_names
-    @ [ ("adaptive", [ "--adaptive"; "--strengthen-above"; "0.3" ]) ]
+    @ [ ("adaptive", [ "--adaptive" ]) ]
   in
   let run_variant (name, extra_args) =
     let prs, status =

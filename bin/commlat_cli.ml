@@ -125,9 +125,10 @@ let rec scheme_admits (cls : Formula.cls) : Protect.scheme -> bool = function
       n > 0
       &&
       match b with
-      | Protect.Abstract_lock | Protect.Forward_gk | Protect.General_gk ->
-          scheme_admits cls b
-      | Protect.Global_lock | Protect.Stm | Protect.Sharded _ -> false)
+      | Protect.Abstract_lock | Protect.Forward_gk -> scheme_admits cls b
+      | Protect.Global_lock | Protect.General_gk | Protect.Stm
+      | Protect.Sharded _ ->
+          false)
 
 (* ---- classify ---- *)
 
@@ -472,7 +473,7 @@ let synth_cmd =
     | Verify.Unknown reason ->
         [ ("verdict", Jsonx.Str "unknown"); ("reason", Jsonx.Str reason) ]
   in
-  let run spec_path adt batch json out =
+  let run spec_path adt json out =
     let reference =
       match (spec_path, adt) with
       | Some p, None -> load p
@@ -495,7 +496,7 @@ let synth_cmd =
           (Spec.adt reference);
         exit 1
     | Some dom ->
-        let r = Synth.synthesize ~batch dom reference in
+        let r = Synth.synthesize dom reference in
         let ver = Verify.verify_spec r.Synth.sy_spec in
         let rels = Equiv.compare_specs dom ~hand:reference ~synth:r.Synth.sy_spec in
         let verdict_of pair =
@@ -631,12 +632,6 @@ let synth_cmd =
             "Use a built-in reference instead of a SPEC file: $(b,set), \
              $(b,accumulator), $(b,kvmap), or $(b,orset).")
   in
-  let batch =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Counterexamples added to the sample set per CEGIS refinement.")
-  in
   let out =
     Arg.(
       value
@@ -658,7 +653,7 @@ let synth_cmd =
           condition was refuted, and every condition is lattice-equivalent \
           to or weaker (more precise) than the reference; 1 otherwise; 2 \
           on unparsable input.")
-    Term.(const run $ spec_path $ adt $ batch $ json_file_arg $ out)
+    Term.(const run $ spec_path $ adt $ json_file_arg $ out)
 
 (* ---- order ---- *)
 
@@ -1115,8 +1110,7 @@ let domains_list_arg =
 
 let serve_cmd =
   let open Commlat_server in
-  let run addr domains batch shards quiet adaptive level tick strengthen_above
-      weaken_above cooldown =
+  let run addr domains quiet adaptive level =
     let domains = match domains with [ d ] -> d | _ ->
       Fmt.epr "serve: --domains takes a single value@.";
       exit 2
@@ -1125,23 +1119,7 @@ let serve_cmd =
       Fmt.epr "serve: --adaptive and --level are mutually exclusive@.";
       exit 2);
     let addr = Option.value addr ~default:(Server.Unix_sock "/tmp/commlat.sock") in
-    let cfg =
-      { Server.default_config with addr; domains; batch; nshards = shards;
-        verbose = not quiet; adaptive; level; tick; strengthen_above;
-        weaken_above; cooldown }
-    in
-    ignore (Server.run cfg)
-  in
-  let batch =
-    Arg.(
-      value & opt positive_int 64
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Epoch size: max requests a worker drains per group commit.")
-  in
-  let shards =
-    Arg.(
-      value & opt positive_int Engine.default_nshards
-      & info [ "shards" ] ~docv:"N" ~doc:"Detector shards per exposed ADT.")
+    ignore (Server.run { Server.addr; domains; verbose = not quiet; adaptive; level })
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No startup banner.") in
   let adaptive =
@@ -1163,36 +1141,6 @@ let serve_cmd =
             "Pin every chain that has a level NAME (precise, simple, part) \
              to it at startup. Mutually exclusive with $(b,--adaptive).")
   in
-  let tick =
-    Arg.(
-      value & opt float Server.default_config.Server.tick
-      & info [ "tick" ] ~docv:"SECONDS"
-          ~doc:"Adaptive controller observation window.")
-  in
-  let strengthen_above =
-    Arg.(
-      value & opt float Server.default_config.Server.strengthen_above
-      & info [ "strengthen-above" ] ~docv:"X"
-          ~doc:
-            "Strengthen (coarsen) when conflict checks per invocation \
-             exceed X in a window.")
-  in
-  let weaken_above =
-    Arg.(
-      value & opt float Server.default_config.Server.weaken_above
-      & info [ "weaken-above" ] ~docv:"X"
-          ~doc:
-            "Weaken (toward precise) when the refusal ratio exceeds X in a \
-             window.")
-  in
-  let cooldown =
-    Arg.(
-      value & opt int Server.default_config.Server.cooldown
-      & info [ "cooldown" ] ~docv:"N"
-          ~doc:
-            "Windows to hold after a move before strengthening again (and \
-             calm windows needed to forgive a burned level).")
-  in
   Cmd.v
     (Cmd.info "serve" ~exits
        ~doc:
@@ -1203,8 +1151,7 @@ let serve_cmd =
           With $(b,--adaptive), an online controller renavigates each ADT's \
           commutativity lattice under load.")
     Term.(
-      const run $ addr_args () $ domains_list_arg $ batch $ shards $ quiet
-      $ adaptive $ level $ tick $ strengthen_above $ weaken_above $ cooldown)
+      const run $ addr_args () $ domains_list_arg $ quiet $ adaptive $ level)
 
 let load_cmd =
   let open Commlat_server in

@@ -78,13 +78,14 @@ let compare_atom a b =
 
 let both_polarities l r = [ Formula.eq l r; Formula.ne l r ]
 
+(** The literal values atoms may compare against. *)
+let consts = [ Value.Bool false; Value.Bool true; Value.Opt None; Value.Int 0 ]
+
 (** Enumerate the canonical atom list for the ordered method pair
-    ([m1], [m2]).  [consts] are the literal values atoms may compare
-    against (defaults: [false], [true], [None], [0]); [vfuns] names the
-    unary pure value functions available to the spec (e.g. kvmap's
-    [some]). *)
-let atoms ?(consts = [ Value.Bool false; Value.Bool true; Value.Opt None; Value.Int 0 ])
-    ?(vfuns = []) (m1 : Invocation.meth) (m2 : Invocation.meth) : Formula.t list =
+    ([m1], [m2]), comparing against {!consts}; [vfuns] names the unary
+    pure value functions available to the spec (e.g. kvmap's [some]). *)
+let atoms ?(vfuns = []) (m1 : Invocation.meth) (m2 : Invocation.meth) :
+    Formula.t list =
   let open Formula in
   let args1 = List.init m1.Invocation.arity arg1 in
   let args2 = List.init m2.Invocation.arity arg2 in

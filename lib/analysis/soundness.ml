@@ -116,106 +116,127 @@ let equivalent a b =
   Value.equal a.obs_r1 b.obs_r1 && Value.equal a.obs_r2 b.obs_r2
   && Value.equal a.obs_state b.obs_state
 
-(** Check one ordered method pair; [max_counterexamples] caps how many
-    traces are retained (all are counted). *)
-let check_pair ?(max_counterexamples = 3) (dom : Domain.t) (spec : Spec.t)
-    ((m1, m2), cond) : pair_report =
-  let args1s = dom.Domain.args_of m1 and args2s = dom.Domain.args_of m2 in
-  let report =
-    ref
-      {
-        pr_pair = (m1, m2);
-        pr_cond = cond;
-        pr_scenarios = 0;
-        pr_commuting = 0;
-        pr_incomplete = 0;
-        pr_unsound = [];
-        pr_unsound_total = 0;
-        pr_skipped = 0;
-      }
+(** The environment a condition of [(m1, m2)] reads on the forward
+    execution [m1(args1); m2(args2)] from the state [setup_ops] builds:
+    [r1]/[r2] are [fwd]'s returns, and [s1] (the initial state) and [s2]
+    (after [m1]) are reconstructed by replay, lazily, since most
+    conditions are state-free. *)
+let forward_env (dom : Domain.t) (spec : Spec.t) setup_ops (m1, args1) args2
+    (fwd : observation) : Formula.env =
+  let s1_inst = lazy (replay dom setup_ops) in
+  let s2_inst =
+    lazy
+      (let i = replay dom setup_ops in
+       ignore (i.Domain.apply m1 args1);
+       i)
   in
-  List.iter
-    (fun (state_label, setup_ops) ->
-      List.iter
-        (fun args1 ->
-          List.iter
-            (fun args2 ->
+  Formula.env
+    ~sfun:(fun name state args _t ->
+      let inst =
+        match state with
+        | Formula.S1 -> Lazy.force s1_inst
+        | Formula.S2 -> Lazy.force s2_inst
+      in
+      inst.Domain.sfun name args)
+    ~vfun:(Domain.vfun_resolver ~domain:dom spec)
+    ~arg:(fun side i ->
+      List.nth (match side with Formula.M1 -> args1 | Formula.M2 -> args2) i)
+    ~ret:(function Formula.M1 -> fwd.obs_r1 | Formula.M2 -> fwd.obs_r2)
+    ()
+
+(** One point of the bounded scenario space: an initial state, an
+    argument tuple per method, and both interleavings' observations. *)
+type scenario = {
+  sc_state : string;  (** label of the initial state *)
+  sc_args1 : Value.t list;
+  sc_args2 : Value.t list;
+  sc_fwd : observation;  (** m1 then m2 *)
+  sc_rev : observation;  (** m2 then m1 *)
+  sc_env : Formula.env;  (** {!forward_env} of the scenario *)
+}
+
+(** Fold [f] over the bounded scenario space of the ordered pair
+    [(m1, m2)]: every {!Domain} initial state x [m1] argument tuple x [m2]
+    argument tuple, in the domain's order, executed in both orders
+    against the reference implementation.  [f] gets [None] for a tuple
+    the reference rejected in either order. *)
+let fold_scenarios (dom : Domain.t) (spec : Spec.t) (m1, m2) f init =
+  let args1s = dom.Domain.args_of m1 and args2s = dom.Domain.args_of m2 in
+  List.fold_left
+    (fun acc (state_label, setup_ops) ->
+      List.fold_left
+        (fun acc args1 ->
+          List.fold_left
+            (fun acc args2 ->
               match
                 ( run_order dom setup_ops ~swapped:false (m1, args1) (m2, args2),
                   run_order dom setup_ops ~swapped:true (m1, args1) (m2, args2) )
               with
-              | Some fwd, Some rev -> (
-                  (* s1 = the initial state, s2 = after m1: reconstructed by
-                     replay, built lazily since most conditions are
-                     state-free *)
-                  let s1_inst = lazy (replay dom setup_ops) in
-                  let s2_inst =
-                    lazy
-                      (let i = replay dom setup_ops in
-                       ignore (i.Domain.apply m1 args1);
-                       i)
-                  in
-                  let env =
-                    Formula.env
-                      ~sfun:(fun name state args _t ->
-                        let inst =
-                          match state with
-                          | Formula.S1 -> Lazy.force s1_inst
-                          | Formula.S2 -> Lazy.force s2_inst
-                        in
-                        inst.Domain.sfun name args)
-                      ~vfun:(Domain.vfun_resolver ~domain:dom spec)
-                      ~arg:(fun side i ->
-                        let args =
-                          match side with Formula.M1 -> args1 | Formula.M2 -> args2
-                        in
-                        List.nth args i)
-                      ~ret:(function
-                        | Formula.M1 -> fwd.obs_r1 | Formula.M2 -> fwd.obs_r2)
-                      ()
-                  in
-                  match Formula.eval env cond with
-                  | exception (Formula.Unsupported _ | Value.Type_error _) ->
-                      report := { !report with pr_skipped = !report.pr_skipped + 1 }
-                  | admitted ->
-                      let r = !report in
-                      let r = { r with pr_scenarios = r.pr_scenarios + 1 } in
-                      let eq = equivalent fwd rev in
-                      let r =
-                        if eq then { r with pr_commuting = r.pr_commuting + 1 } else r
-                      in
-                      let r =
-                        if admitted && not eq then
-                          let cx =
-                            {
-                              cx_state = state_label;
-                              cx_m1 = m1;
-                              cx_args1 = args1;
-                              cx_m2 = m2;
-                              cx_args2 = args2;
-                              cx_fwd = fwd;
-                              cx_rev = rev;
-                              cx_cond = cond;
-                            }
-                          in
-                          {
-                            r with
-                            pr_unsound_total = r.pr_unsound_total + 1;
-                            pr_unsound =
-                              (if List.length r.pr_unsound < max_counterexamples then
-                                 r.pr_unsound @ [ cx ]
-                               else r.pr_unsound);
-                          }
-                        else if (not admitted) && eq then
-                          { r with pr_incomplete = r.pr_incomplete + 1 }
-                        else r
-                      in
-                      report := r)
-              | _ -> report := { !report with pr_skipped = !report.pr_skipped + 1 })
-            args2s)
-        args1s)
-    dom.Domain.states;
-  !report
+              | Some fwd, Some rev ->
+                  f acc
+                    (Some
+                       {
+                         sc_state = state_label;
+                         sc_args1 = args1;
+                         sc_args2 = args2;
+                         sc_fwd = fwd;
+                         sc_rev = rev;
+                         sc_env = forward_env dom spec setup_ops (m1, args1) args2 fwd;
+                       })
+              | _ -> f acc None)
+            acc args2s)
+        acc args1s)
+    init dom.Domain.states
+
+(** Check one ordered method pair; [max_counterexamples] caps how many
+    traces are retained (all are counted). *)
+let check_pair ?(max_counterexamples = 3) (dom : Domain.t) (spec : Spec.t)
+    ((m1, m2), cond) : pair_report =
+  let skip r = { r with pr_skipped = r.pr_skipped + 1 } in
+  fold_scenarios dom spec (m1, m2)
+    (fun r -> function
+      | None -> skip r
+      | Some sc -> (
+          match Formula.eval sc.sc_env cond with
+          | exception (Formula.Unsupported _ | Value.Type_error _) -> skip r
+          | admitted ->
+              let r = { r with pr_scenarios = r.pr_scenarios + 1 } in
+              let eq = equivalent sc.sc_fwd sc.sc_rev in
+              let r = if eq then { r with pr_commuting = r.pr_commuting + 1 } else r in
+              if admitted && not eq then
+                let cx =
+                  {
+                    cx_state = sc.sc_state;
+                    cx_m1 = m1;
+                    cx_args1 = sc.sc_args1;
+                    cx_m2 = m2;
+                    cx_args2 = sc.sc_args2;
+                    cx_fwd = sc.sc_fwd;
+                    cx_rev = sc.sc_rev;
+                    cx_cond = cond;
+                  }
+                in
+                {
+                  r with
+                  pr_unsound_total = r.pr_unsound_total + 1;
+                  pr_unsound =
+                    (if List.length r.pr_unsound < max_counterexamples then
+                       r.pr_unsound @ [ cx ]
+                     else r.pr_unsound);
+                }
+              else if (not admitted) && eq then
+                { r with pr_incomplete = r.pr_incomplete + 1 }
+              else r))
+    {
+      pr_pair = (m1, m2);
+      pr_cond = cond;
+      pr_scenarios = 0;
+      pr_commuting = 0;
+      pr_incomplete = 0;
+      pr_unsound = [];
+      pr_unsound_total = 0;
+      pr_skipped = 0;
+    }
 
 (** Check every registered ordered pair of [spec] against [dom]. *)
 let check_spec ?max_counterexamples (dom : Domain.t) (spec : Spec.t) :

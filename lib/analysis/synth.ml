@@ -10,13 +10,13 @@
       that observably commuted, [false] on every sample that did not
       (starting, with no samples, from the optimistic [true]);
     + {b refute}: sweep the bounded checker's scenario space
-      ({!Domain} states x argument tuples, executed in both orders exactly
-      as {!Soundness} does) and collect scenarios the candidate
+      ({!Soundness.fold_scenarios}: {!Domain} states x argument tuples,
+      executed in both orders) and collect scenarios the candidate
       misclassifies — admitted-but-not-commuting (a soundness
       counterexample) or rejected-but-commuting (an incompleteness
       counterexample);
-    + {b refine}: add a batch of fresh counterexamples to the sample set
-      and re-learn.
+    + {b refine}: add a batch of {!batch} fresh counterexamples to the
+      sample set and re-learn.
 
     The loop converges when the candidate classifies every scenario the
     bounded oracle can generate — always, because the scenario space is
@@ -55,72 +55,25 @@ type scenario = {
   sc_env : Formula.env;  (** forward-observation environment *)
 }
 
-(** Enumerate every scenario of the ordered pair ([m1], [m2]): initial
-    states x argument tuples, both interleavings executed against the
-    reference implementation, observational equivalence recorded.  The
-    environment binds the {e forward} observations (the same convention as
-    {!Soundness.check_pair}), with [s1]/[s2] state functions answered by
-    lazy replay. *)
-let scenarios (dom : Domain.t) (spec : Spec.t) (m1, m2) : scenario list =
-  let args1s = dom.Domain.args_of m1 and args2s = dom.Domain.args_of m2 in
-  let acc = ref [] in
-  List.iter
-    (fun (state_label, setup_ops) ->
-      List.iter
-        (fun args1 ->
-          List.iter
-            (fun args2 ->
-              match
-                ( Soundness.run_order dom setup_ops ~swapped:false (m1, args1)
-                    (m2, args2),
-                  Soundness.run_order dom setup_ops ~swapped:true (m1, args1)
-                    (m2, args2) )
-              with
-              | Some fwd, Some rev ->
-                  let s1_inst = lazy (Soundness.replay dom setup_ops) in
-                  let s2_inst =
-                    lazy
-                      (let i = Soundness.replay dom setup_ops in
-                       ignore (i.Domain.apply m1 args1);
-                       i)
-                  in
-                  let env =
-                    Formula.env
-                      ~sfun:(fun name state args _t ->
-                        let inst =
-                          match state with
-                          | Formula.S1 -> Lazy.force s1_inst
-                          | Formula.S2 -> Lazy.force s2_inst
-                        in
-                        inst.Domain.sfun name args)
-                      ~vfun:(Domain.vfun_resolver ~domain:dom spec)
-                      ~arg:(fun side i ->
-                        let args =
-                          match side with
-                          | Formula.M1 -> args1
-                          | Formula.M2 -> args2
-                        in
-                        List.nth args i)
-                      ~ret:(function
-                        | Formula.M1 -> fwd.Soundness.obs_r1
-                        | Formula.M2 -> fwd.Soundness.obs_r2)
-                      ()
-                  in
-                  acc :=
-                    {
-                      sc_state = state_label;
-                      sc_args1 = args1;
-                      sc_args2 = args2;
-                      sc_commutes = Soundness.equivalent fwd rev;
-                      sc_mirror = false;
-                      sc_env = env;
-                    }
-                    :: !acc
-              | _ -> ())
-            args2s)
-        args1s)
-    dom.Domain.states;
-  List.rev !acc
+(** Every scenario of the ordered pair, from {!Soundness.fold_scenarios}
+    with observational equivalence recorded; tuples the reference rejects
+    are left out. *)
+let scenarios (dom : Domain.t) (spec : Spec.t) pair : scenario list =
+  Soundness.fold_scenarios dom spec pair
+    (fun acc -> function
+      | None -> acc
+      | Some (s : Soundness.scenario) ->
+          {
+            sc_state = s.Soundness.sc_state;
+            sc_args1 = s.Soundness.sc_args1;
+            sc_args2 = s.Soundness.sc_args2;
+            sc_commutes = Soundness.equivalent s.Soundness.sc_fwd s.Soundness.sc_rev;
+            sc_mirror = false;
+            sc_env = s.Soundness.sc_env;
+          }
+          :: acc)
+    []
+  |> List.rev
 
 (** The scenario environments alone — the reachable-observation sample
     space {!Equiv} compares specs over. *)
@@ -273,12 +226,15 @@ let admits cand sc =
   | exception (Formula.Unsupported _ | Value.Type_error _ | Invalid_argument _) ->
       false
 
+(** Counterexamples added to the sample set per refinement. *)
+let batch = 8
+
 (** Synthesize the condition for one ordered pair by CEGIS against the
     bounded oracle.  The result is sound on the whole scenario space: the
     loop only stops once no admitted-but-not-commuting scenario remains
     outside the sample set, and the learner never admits a non-commuting
     sample. *)
-let synthesize_pair ?(batch = 8) ~atoms (pair : string * string)
+let synthesize_pair ~atoms (pair : string * string)
     (scs : scenario list) : pair_result =
   if scs = [] then
     (* no evidence at all (the domain generates no scenarios for this
@@ -359,7 +315,7 @@ type report = {
     interpretations ([some], [part], ...) and the ADT name; its
     {e conditions} are never consulted — synthesis starts from the
     method signatures and the executable semantics alone. *)
-let synthesize ?batch ?consts (dom : Domain.t) (reference : Spec.t) : report =
+let synthesize (dom : Domain.t) (reference : Spec.t) : report =
   let methods = Spec.methods reference in
   let vfun_names =
     List.sort_uniq compare
@@ -382,7 +338,7 @@ let synthesize ?batch ?consts (dom : Domain.t) (reference : Spec.t) : report =
   let results =
     List.map
       (fun ((m1 : Invocation.meth), (m2 : Invocation.meth)) ->
-        let atoms = Grammar.atoms ?consts ~vfuns:vfun_names m1 m2 in
+        let atoms = Grammar.atoms ~vfuns:vfun_names m1 m2 in
         let pair = (m1.Invocation.name, m2.Invocation.name) in
         (* joint sample space: forward scenarios plus the reversed pair's
            scenarios through the side-swap, so the registered mirror is
@@ -392,7 +348,7 @@ let synthesize ?batch ?consts (dom : Domain.t) (reference : Spec.t) : report =
           @ List.map swap_scenario
               (scenarios dom reference (snd pair, fst pair))
         in
-        let r = synthesize_pair ?batch ~atoms pair scs in
+        let r = synthesize_pair ~atoms pair scs in
         Spec.add_sym spec m1.Invocation.name m2.Invocation.name r.sy_cond;
         r)
       pairs

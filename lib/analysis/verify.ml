@@ -756,16 +756,7 @@ let confirm (dom : Domain.t) (spec : Spec.t) ~first ~second (c : case) cond :
   with
   | Some fwd, Some rev when not (Soundness.equivalent fwd rev) -> (
       let env =
-        Formula.env
-          ~vfun:(Domain.vfun_resolver ~domain:dom spec)
-          ~arg:(fun side i ->
-            List.nth
-              (match side with Formula.M1 -> c.cs_args1 | Formula.M2 -> c.cs_args2)
-              i)
-          ~ret:(function
-            | Formula.M1 -> fwd.Soundness.obs_r1
-            | Formula.M2 -> fwd.Soundness.obs_r2)
-          ()
+        Soundness.forward_env dom spec c.cs_setup (first, c.cs_args1) c.cs_args2 fwd
       in
       match Formula.eval env cond with
       | true ->

@@ -35,12 +35,15 @@
     the overflow shard: invocations in other keyed shards have different
     key values, and the analysis guarantees a disequality clause on
     exactly those keys discharges every condition between them.  A keyless
-    incoming invocation is checked against every shard.  When the spec
-    needs no rollback and every condition is state-free, the shards are
-    additionally {e striped}: each shard has its own {!Guard.t}, so
+    incoming invocation is checked against every shard.  Sharding is
+    always {e striped}: each shard has its own {!Guard.t}, so
     same-ADT-different-key invocations no longer serialize on one
     gatekeeper mutex (only the concrete [exec] is briefly serialized,
-    under a dedicated guard). *)
+    under a dedicated guard).  Striping needs checks that read no logs, no
+    live [sfun] and no reconstructed state, so only a forward gatekeeper
+    over state-free conditions can be sharded; a general gatekeeper keeps
+    one guard, because past-state reconstruction needs one globally
+    ordered mutation log. *)
 
 (** How a gatekeeper talks to the data structure it protects. *)
 type hooks = {
@@ -108,8 +111,9 @@ type t = {
   cm : (string, logged list) Hashtbl.t;
       (** C_m: per method, the s1-functions to log *)
   (* footprint sharding: [fp = None] means unsharded ([nshards = 0], a
-     single overflow shard).  [shards] has length [nshards + 1]; the last
-     element is the overflow shard for keyless invocations. *)
+     single overflow shard, coarse mode); sharded means striped mode.
+     [shards] has length [nshards + 1]; the last element is the overflow
+     shard for keyless invocations. *)
   fp : Footprint.t option;
   nshards : int;
   shards : shard array;
@@ -118,10 +122,6 @@ type t = {
       (** per transaction, each bucket holding one of its active entries,
           once, with the bucket's shard index; read and written under
           [mu], so the end of a transaction visits only its own buckets *)
-  striped : bool;
-      (** per-shard guards; requires [not allow_rollback] and every
-          condition state-free (no [Sfun]), so checks need no logs, no
-          live [sfun] and no state reconstruction *)
   (* per ordered method pair: the condition and its rollback-function set,
      precomputed at construction so the table is read-only at runtime
      (striped shards evaluate conditions concurrently); only an entry's
@@ -426,11 +426,11 @@ let remove_entry (sh : shard) bucket entry =
   bucket := List.filter (fun e -> e != entry) !bucket;
   sh.s_n <- sh.s_n - 1
 
-(* Entries an incoming invocation skipped: everything active in keyed
-   shards other than the scanned ones.  In striped mode the [s_n] reads on
-   unheld shards are benignly racy (plain int loads feeding a counter). *)
+(* Entries a keyed incoming invocation skipped: everything active in
+   keyed shards other than its own.  The [s_n] reads on unheld shards are
+   benignly racy (plain int loads feeding a counter). *)
 let record_avoided (t : t) idx =
-  if t.nshards > 0 && idx < overflow_idx t then begin
+  if idx < overflow_idx t then begin
     let avoided = ref 0 in
     Array.iteri
       (fun i sh -> if i < overflow_idx t && i <> idx then avoided := !avoided + sh.s_n)
@@ -453,10 +453,19 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
   | _ -> ());
   if nshards < 0 then invalid_arg "Gatekeeper: nshards must be >= 0";
   let sharded = nshards > 0 in
-  let striped =
-    sharded && (not allow_rollback)
-    && List.for_all (fun (_, cond) -> Formula.is_state_free cond) (Spec.pairs spec)
-  in
+  if
+    sharded
+    && (allow_rollback
+       || not
+            (List.for_all
+               (fun (_, cond) -> Formula.is_state_free cond)
+               (Spec.pairs spec)))
+  then
+    invalid_arg
+      (Fmt.str
+         "Gatekeeper: spec %s cannot be sharded (only a forward gatekeeper \
+          over state-free conditions can)"
+         (Spec.adt spec));
   let obs =
     Obs.create ?enabled:obs_enabled
       (Fmt.str "%s-gk%s(%s)"
@@ -494,7 +503,6 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
     shards;
     shard_guards;
     by_txn = Hashtbl.create 16;
-    striped;
     cond_info;
     false_info = cond_info_of_check (Compile.Static false);
     mutation_log = [];
@@ -596,6 +604,7 @@ let scan_active_idx (t : t) idx (inv : Invocation.t) =
         sh.s_active)
     (scan_shards t idx)
 
+(* Coarse mode is unsharded: [t.shards] is the one overflow shard. *)
 let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
   Guard.protect t.mu (fun () ->
       Obs.incr t.c_invocations;
@@ -612,7 +621,7 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
       (* ... and ret-dependent ones after it returns (valid for read-only
          methods such as [nearest]; see Spec docs). *)
       populate_log t entry ~post_exec:true;
-      let idx = shard_idx t inv in
+      let idx = overflow_idx t in
       let insert () =
         index_bucket t inv.Invocation.txn idx (insert_entry t idx entry)
       in
@@ -633,37 +642,30 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
          admitted only if they commute with it, exactly as they are against
          the transaction's earlier invocations. *)
       if not t.allow_rollback then insert ();
-      (* Check against every active invocation of other transactions in the
-         shards this invocation can conflict with, bucketed by method so
-         trivially-true conditions skip whole buckets.  First collect the
-         entries whose condition needs state reconstruction, so all their
-         rollback functions are evaluated in a single reverse-chronological
-         sweep (the paper's union-find gatekeeper batches its rollback the
-         same way). *)
-      record_avoided t idx;
+      (* Check against every active invocation of other transactions,
+         bucketed by method so trivially-true conditions skip whole
+         buckets.  First collect the entries whose condition needs state
+         reconstruction, so all their rollback functions are evaluated in
+         a single reverse-chronological sweep (the paper's union-find
+         gatekeeper batches its rollback the same way). *)
       if not t.allow_rollback then
         (* Forward mode never reconstructs state, so the scan is a single
-           batch pass over the relevant shards — no intermediate list. *)
+           batch pass — no intermediate list. *)
         scan_active_idx t idx inv
       else begin
         let needs_check = ref [] in
-        List.iter
-          (fun (sh : shard) ->
-            Hashtbl.iter
-              (fun first bucket ->
-                let info =
-                  cond_info_of t ~first ~second:inv.Invocation.meth.name
-                in
-                match info.check with
-                | Compile.Static true -> ()
-                | _ ->
-                    List.iter
-                      (fun (e : entry) ->
-                        if e.inv.Invocation.txn <> inv.Invocation.txn then
-                          needs_check := (e, info) :: !needs_check)
-                      !bucket)
-              sh.s_active)
-          (scan_shards t idx);
+        Hashtbl.iter
+          (fun first bucket ->
+            let info = cond_info_of t ~first ~second:inv.Invocation.meth.name in
+            match info.check with
+            | Compile.Static true -> ()
+            | _ ->
+                List.iter
+                  (fun (e : entry) ->
+                    if e.inv.Invocation.txn <> inv.Invocation.txn then
+                      needs_check := (e, info) :: !needs_check)
+                  !bucket)
+          t.shards.(idx).s_active;
         let rb_caches = rollback_sweep t inv !needs_check in
         List.iter
           (fun ((e : entry), info) ->
@@ -730,7 +732,7 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
       r)
 
 let on_invoke (t : t) (inv : Invocation.t) exec =
-  if t.striped then on_invoke_striped t inv exec else on_invoke_coarse t inv exec
+  if t.nshards > 0 then on_invoke_striped t inv exec else on_invoke_coarse t inv exec
 
 (* Zero-insertion admission: the invoke protocol minus the insert.  Run
    [exec] and stamp [inv.ret] under the guards an invocation of [inv]'s
@@ -743,7 +745,7 @@ let batch_check (t : t) (inv : Invocation.t) exec =
     inv.Invocation.ret <- r;
     r
   in
-  if t.striped then
+  if t.nshards > 0 then
     Guard.protect_all (held_guards t idx) (fun () ->
         let r = Guard.protect t.mu run in
         scan_active_idx t idx inv;
@@ -811,7 +813,7 @@ let bucket_guards (t : t) mine =
    domain adds to its index entry, so the answer stays right until its
    abort has taken these guards. *)
 let txn_guards (t : t) txn =
-  if not t.striped then [ t.mu ]
+  if t.nshards = 0 then [ t.mu ]
   else
     let mine =
       Guard.protect t.mu (fun () ->
@@ -850,7 +852,7 @@ let drop_entries (t : t) txn mine =
    abort (an abort's rollback has already run by the time [on_abort] gets
    here). *)
 let on_end ~drop_mutations (t : t) txn =
-  if t.striped then begin
+  if t.nshards > 0 then begin
     match Guard.protect t.mu (fun () -> take_buckets t txn) with
     | [] -> ()
     | mine ->
@@ -874,7 +876,6 @@ let on_end ~drop_mutations (t : t) txn =
 let rollback_count (t : t) = !(t.stats_rollbacks)
 let obs (t : t) = t.obs
 let footprint (t : t) = t.fp
-let striped (t : t) = t.striped
 
 (** The [C_m] log set of a method: the s1-functions whose results the
     gatekeeper records on every invocation of [m] (exposed so tests can pin
@@ -883,7 +884,7 @@ let cm_functions (t : t) m =
   Option.value ~default:[] (Hashtbl.find_opt t.cm m)
   |> List.map (fun l -> (l.fname, l.arg_terms))
 
-let all_guards (t : t) = if t.striped then t.shard_guards @ [ t.mu ] else [ t.mu ]
+let all_guards (t : t) = if t.nshards > 0 then t.shard_guards @ [ t.mu ] else [ t.mu ]
 
 let active_count (t : t) =
   Guard.protect_all (all_guards t) (fun () -> n_active t)
@@ -914,8 +915,8 @@ let detector (t : t) : Detector.t =
   }
 
 (** Forward ([~allow_rollback:false], paper §3.3.1) or general
-    ([~allow_rollback:true], §3.3.2) gatekeeper, footprint-sharded when
-    [nshards > 0]. *)
+    ([~allow_rollback:true], §3.3.2) gatekeeper, footprint-sharded and
+    striped when [nshards > 0]. *)
 let make ?(nshards = 0) ?obs ~allow_rollback ~hooks spec : Detector.t * t =
   let t = create ~nshards ?obs ~allow_rollback hooks spec in
   (detector t, t)

@@ -39,15 +39,18 @@
     overflow shard for keyless methods.  A keyed incoming invocation is
     checked only against its own shard and the overflow shard — the
     analysis guarantees invocations in other keyed shards commute with
-    it.  When the spec additionally needs no rollback and every condition
-    is state-free, the shards are {e striped} under per-shard
-    {!Guard.t}s, so same-ADT-different-key invocations no longer
-    serialize on a single gatekeeper mutex: a keyed invocation, a keyed
-    commit, a keyed {!batch_check} and the abort of a transaction with
-    only keyed entries each take their shard's guard and the exec guard,
-    and only keyless ones take every shard guard.  The detector's
-    [txn_guards] reports those guards for the abort; an unstriped
-    gatekeeper answers its one guard.
+    it.  The shards are always {e striped} under per-shard {!Guard.t}s,
+    so same-ADT-different-key invocations no longer serialize on a single
+    gatekeeper mutex: a keyed invocation, a keyed commit, a keyed
+    {!batch_check} and the abort of a transaction with only keyed entries
+    each take their shard's guard and the exec guard, and only keyless
+    ones take every shard guard.  The detector's [txn_guards] reports
+    those guards for the abort; an unsharded gatekeeper answers its one
+    guard.  Striping needs checks that read nothing but the two
+    invocations, so only a forward gatekeeper over state-free conditions
+    can be sharded: a general gatekeeper reconstructs past states from
+    one globally ordered mutation log, which per-shard guards would not
+    order.
 
     Most callers should construct detectors through {!Commlat_runtime}'s
     [Protect] module rather than calling {!make} directly. *)
@@ -101,10 +104,6 @@ val obs : t -> Commlat_obs.Obs.t
     unsharded). *)
 val footprint : t -> Footprint.t option
 
-(** Whether the gatekeeper runs the striped (per-shard guard) protocol
-    rather than a single global guard. *)
-val striped : t -> bool
-
 (** [batch_check t inv exec] is a {e zero-insertion conflict probe}: the
     invoke protocol minus the insert.  It takes the guards an invocation
     of [inv]'s shard takes — the gatekeeper guard when coarse; when
@@ -133,9 +132,8 @@ val cm_functions : t -> string -> (string * Formula.term list) list
 val active_count : t -> int
 
 (** Build a gatekeeper over [spec] and its detector facade.  The detector
-    is named ["fwd-gk(ADT)"], ["gen-gk(ADT)"], ["fwd-gk-sharded(ADT)"] or
-    ["gen-gk-sharded(ADT)"]; rendered traces and DPOR fingerprints embed
-    that name.
+    is named ["fwd-gk(ADT)"], ["gen-gk(ADT)"] or ["fwd-gk-sharded(ADT)"];
+    rendered traces and DPOR fingerprints embed that name.
 
     - [~allow_rollback:false] is the forward gatekeeper (paper §3.3.1): it
       raises [Invalid_argument] if the spec has non-ONLINE-CHECKABLE
@@ -145,13 +143,11 @@ val active_count : t -> int
       accepts any L1 spec and needs working [undo]/[redo] hooks (or
       [sfun_at]).
     - [nshards > 0] (default [0], unsharded) footprint-shards the active
-      table.  When every condition is state-free and no rollback is
-      allowed, the shards are striped under per-shard guards; otherwise
-      sharding only narrows the check scan, and a general gatekeeper keeps
-      its single guard because past-state reconstruction needs a globally
-      ordered mutation log.  Sharding reports exactly the conflicts of the
-      unsharded gatekeeper; [Footprint.all_keyless] specs degenerate to a
-      single overflow shard.
+      table, striped under per-shard guards.  It raises
+      [Invalid_argument] unless the gatekeeper is forward and every
+      condition is state-free.  Sharding reports exactly the conflicts of
+      the unsharded gatekeeper; [Footprint.all_keyless] specs degenerate
+      to a single overflow shard.
     - [?obs] defaults to the [COMMLAT_OBS] environment toggle. *)
 val make :
   ?nshards:int ->

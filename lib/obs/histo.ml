@@ -4,9 +4,9 @@
     sweep depths, far too coarse for tail latency (p999 inside a 2x-wide
     bucket is a 100% error bar).  This recorder is the HdrHistogram idea
     shrunk to what `commlat load` needs: each power-of-two major bucket is
-    split into [sub] linear sub-buckets, so relative error is bounded by
-    [1/sub] (~1.6% at the default 64) at every magnitude from 1 unit to
-    [2^majors] units.  Units are whatever the caller records —
+    split into [sub] = 64 linear sub-buckets, so relative error is bounded
+    by [1/sub] (~1.6%) at every magnitude from 1 unit to [2^majors] =
+    [2^48] units.  Units are whatever the caller records —
     [commlat load] records nanoseconds.
 
     Writers only [Atomic.fetch_and_add] a preallocated slot: recording is
@@ -16,9 +16,13 @@
     it is approximate in the usual histogram sense — a quantile is
     reported as the upper edge of the bucket containing it. *)
 
+(* The geometry: [majors] power-of-two majors of [sub] linear
+   sub-buckets each. *)
+let majors = 48
+let sub_bits = 6
+let sub = 1 lsl sub_bits
+
 type t = {
-  sub : int;  (** linear sub-buckets per power-of-two major *)
-  sub_bits : int;
   counts : int Atomic.t array;  (** [majors * sub] slots *)
   total : int Atomic.t;
   sum : int Atomic.t;  (** sum of recorded values (for mean) *)
@@ -26,16 +30,8 @@ type t = {
   overflow : int Atomic.t;  (** values beyond the last major *)
 }
 
-let default_majors = 48
-let default_sub_bits = 6
-
-let create ?(majors = default_majors) ?(sub_bits = default_sub_bits) () =
-  if majors < 1 || majors > 62 then invalid_arg "Histo.create: majors";
-  if sub_bits < 0 || sub_bits > 16 then invalid_arg "Histo.create: sub_bits";
-  let sub = 1 lsl sub_bits in
+let create () =
   {
-    sub;
-    sub_bits;
     counts = Array.init (majors * sub) (fun _ -> Atomic.make 0);
     total = Atomic.make 0;
     sum = Atomic.make 0;
@@ -43,37 +39,35 @@ let create ?(majors = default_majors) ?(sub_bits = default_sub_bits) () =
     overflow = Atomic.make 0;
   }
 
-let majors t = Array.length t.counts / t.sub
-
 (* Slot layout: values below [sub] land in major 0 with linear (exact)
    sub-buckets; a value with top bit k >= sub_bits lands in major
    [k - sub_bits + 1], sub-bucket = next [sub_bits] bits below the top
    bit.  Monotone in the value, and every bucket spans at most
    [bucket_low / sub] units. *)
-let slot_of_value t v =
-  if v < t.sub then v
+let slot_of_value v =
+  if v < sub then v
   else
     let k = (* position of the highest set bit *)
       let rec top i = if v lsr i = 1 then i else top (i + 1) in
-      top t.sub_bits
+      top sub_bits
     in
-    let major = k - t.sub_bits + 1 in
-    let sub_idx = (v lsr (k - t.sub_bits)) land (t.sub - 1) in
-    (major * t.sub) + sub_idx
+    let major = k - sub_bits + 1 in
+    let sub_idx = (v lsr (k - sub_bits)) land (sub - 1) in
+    (major * sub) + sub_idx
 
 (* Upper edge of a slot's value range (inclusive): quantiles report this,
    so they never under-estimate. *)
-let slot_upper t slot =
-  let major = slot / t.sub and sub_idx = slot mod t.sub in
+let slot_upper slot =
+  let major = slot / sub and sub_idx = slot mod sub in
   if major = 0 then sub_idx
   else
-    let k = major + t.sub_bits - 1 in
-    let width = 1 lsl (k - t.sub_bits) in
+    let k = major + sub_bits - 1 in
+    let width = 1 lsl (k - sub_bits) in
     (1 lsl k) + ((sub_idx + 1) * width) - 1
 
 let record t v =
   let v = if v < 0 then 0 else v in
-  let slot = slot_of_value t v in
+  let slot = slot_of_value v in
   if slot < Array.length t.counts then
     ignore (Atomic.fetch_and_add t.counts.(slot) 1)
   else ignore (Atomic.fetch_and_add t.overflow 1);
@@ -112,16 +106,14 @@ let quantile t q =
         if seen >= rank then
           (* never report past the true maximum (the last bucket's upper
              edge can overshoot it by the bucket width) *)
-          min (slot_upper t slot) (max_recorded t)
+          min (slot_upper slot) (max_recorded t)
         else walk (slot + 1) seen
     in
     walk 0 0
 
-(** Merge [src] into [dst] (same geometry required): per-worker histograms
-    fold into one before reporting. *)
+(** Merge [src] into [dst]: per-worker histograms fold into one before
+    reporting. *)
 let merge_into ~dst src =
-  if dst.sub <> src.sub || Array.length dst.counts <> Array.length src.counts
-  then invalid_arg "Histo.merge_into: geometry mismatch";
   Array.iteri
     (fun i c ->
       let n = Atomic.get c in

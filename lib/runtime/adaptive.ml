@@ -4,22 +4,22 @@
     can allow an automated system to adaptively and dynamically select from
     these implementations as run-time needs change, given observations of
     parallelism and overhead, though we leave the design and development of
-    such a system to future work."  This module is that system, behind a
-    first-class {!policy}:
+    such a system to future work."  This module is that system, in two
+    forms that navigate the same lattice:
 
-    - {!Offline_sample} is the bulk-synchronous form: {!choose} runs a
+    - {b Offline sampling} is the bulk-synchronous form: {!choose} runs a
       {e sampling prefix} of the workload under each candidate, measuring
       throughput (which folds together the detector's overhead [o_d] and
-      the parallelism [a_d] it admits at the requested processor count —
-      exactly the two quantities the paper's [T·o_d/min(a_d,p)] model
-      trades off), and the winner runs the full workload.
-    - {!Online} is the long-running form (`commlat serve --adaptive`): a
-      hysteresis {e controller} walks a chain of lattice points at run
-      time, consuming per-window observability deltas ({!signals}) —
-      strengthening one step when conflict-check overhead dominates and
-      nothing aborts, weakening back toward the precise spec when the
-      abort ratio climbs.  The mechanism that makes the verdict take
-      effect (detector hot-swap at an epoch boundary) lives in the
+      the parallelism [a_d] it admits at {!processors} — exactly the two
+      quantities the paper's [T·o_d/min(a_d,p)] model trades off), and
+      the winner runs the full workload.
+    - {b The online controller} is the long-running form (`commlat serve
+      --adaptive`): a hysteresis {!controller} walks a chain of lattice
+      points at run time, consuming per-window observability deltas
+      ({!signals}) — strengthening one step when conflict-check overhead
+      dominates and nothing aborts, weakening back toward the precise spec
+      when the abort ratio climbs.  The mechanism that makes the verdict
+      take effect (detector hot-swap at an epoch boundary) lives in the
       server; this module owns only the decision rule, so it can be
       tested deterministically on synthetic signal streams.
 
@@ -29,23 +29,16 @@
 
 open Commlat_core
 
-(* ------------------------------------------------------------------ *)
-(* Policies                                                            *)
-(* ------------------------------------------------------------------ *)
+(** The online controller's rule: strengthen one step when
+    checks-per-invocation exceeds [strengthen_above] with a (near-)zero
+    abort ratio; weaken one step when the abort ratio exceeds
+    [weaken_above]; hold for [cooldown] observation windows after any
+    transition (weakening bypasses the cooldown — it is the safety
+    valve). *)
+type thresholds = { strengthen_above : float; weaken_above : float; cooldown : int }
 
-type policy =
-  | Offline_sample of { processors : int; sample_size : int }
-      (** sample every candidate on a workload prefix, pick the cheapest *)
-  | Online of { strengthen_above : float; weaken_above : float; cooldown : int }
-      (** hysteresis controller over a lattice chain: strengthen one step
-          when checks-per-invocation exceeds [strengthen_above] with a
-          (near-)zero abort ratio; weaken one step when the abort ratio
-          exceeds [weaken_above]; hold for [cooldown] observation windows
-          after any transition (weakening bypasses the cooldown — it is
-          the safety valve) *)
-
-let default_offline = Offline_sample { processors = 4; sample_size = 64 }
-let default_online = Online { strengthen_above = 2.0; weaken_above = 0.05; cooldown = 3 }
+(** Simulated processors every offline sample runs on. *)
+let processors = 4
 
 type 'w candidate = {
   name : string;
@@ -69,22 +62,11 @@ type signals = {
   s_invocations : int;
   s_conflicts : int;  (** spec-refused invocations (gatekeepers) *)
   s_checks : int;  (** commutativity conditions evaluated *)
-  s_checks_avoided : int;  (** scans skipped by footprint sharding *)
   s_lock_denials : int;  (** lock-based schemes' refusals *)
-  s_requests : int;  (** embedder-level work units (0 if unknown) *)
-  s_ro_fast : int;  (** batch_check fast-path admissions (0 if unknown) *)
 }
 
 let no_signals =
-  {
-    s_invocations = 0;
-    s_conflicts = 0;
-    s_checks = 0;
-    s_checks_avoided = 0;
-    s_lock_denials = 0;
-    s_requests = 0;
-    s_ro_fast = 0;
-  }
+  { s_invocations = 0; s_conflicts = 0; s_checks = 0; s_lock_denials = 0 }
 
 (** One recorded lattice move. *)
 type transition = {
@@ -100,9 +82,6 @@ type 'w decision = {
   winner : 'w candidate;
   scores : (string * float) list;  (** virtual time per iteration, lower wins *)
   samples : int;
-  transitions : transition list;
-      (** per-window lattice moves; always [] for {!Offline_sample}, which
-          decides once, before execution *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -132,22 +111,15 @@ type controller = {
   mutable c_transitions : transition list;  (** newest first *)
 }
 
-let controller ?(policy = default_online) (levels : string list) : controller =
-  let strengthen_above, weaken_above, cooldown =
-    match policy with
-    | Online { strengthen_above; weaken_above; cooldown } ->
-        (strengthen_above, weaken_above, cooldown)
-    | Offline_sample _ ->
-        invalid_arg "Adaptive.controller: needs an Online policy"
-  in
+let controller (th : thresholds) (levels : string list) : controller =
   (match levels with
   | [] | [ _ ] -> invalid_arg "Adaptive.controller: needs at least two levels"
   | _ -> ());
   {
     c_levels = Array.of_list levels;
-    c_strengthen_above = strengthen_above;
-    c_weaken_above = weaken_above;
-    c_cooldown = max 0 cooldown;
+    c_strengthen_above = th.strengthen_above;
+    c_weaken_above = th.weaken_above;
+    c_cooldown = max 0 th.cooldown;
     c_cur = 0;
     c_window = 0;
     c_cool = 0;
@@ -228,10 +200,10 @@ let pp_transition ppf (t : transition) =
 (* ------------------------------------------------------------------ *)
 
 (** Score = estimated virtual runtime per unit of useful work on
-    [processors] simulated processors: [makespan / committed], scaled by
+    {!processors} simulated processors: [makespan / committed], scaled by
     the measured per-unit wall cost.  Folds overhead and admitted
     parallelism into one number, exactly what the paper's model divides. *)
-let score ~processors ~sample_size (c : 'w candidate) : float =
+let score ~sample_size (c : 'w candidate) : float =
   let detector, operator, init = c.prepare () in
   let prefix =
     let rec take n = function
@@ -247,26 +219,14 @@ let score ~processors ~sample_size (c : 'w candidate) : float =
     let per_unit_wall = s.Executor.wall_s /. Float.max 1.0 s.Executor.total_work in
     per_unit_wall *. s.Executor.makespan /. float_of_int s.Executor.committed
 
-(** Sample every candidate on a prefix of the workload and pick the one
-    with the lowest virtual per-iteration cost.  Only meaningful under an
-    {!Offline_sample} policy — an {!Online} policy has no sampling prefix
-    (its decisions come from {!observe} on a live controller) and is
-    rejected.
+(** Sample every candidate on the first [sample_size] worklist items and
+    pick the one with the lowest virtual per-iteration cost.
 
     Candidates must have pairwise-distinct, non-empty names: names are how
     the decision's [scores] report reads, and scoring through a name lookup
     is precisely the bug that used to silently credit one duplicate with
     the other's measurement. *)
-let choose ?(policy = default_offline) (candidates : 'w candidate list) :
-    'w decision =
-  let processors, sample_size =
-    match policy with
-    | Offline_sample { processors; sample_size } -> (processors, sample_size)
-    | Online _ ->
-        invalid_arg
-          "Adaptive.choose: Online policy has no sampling phase (drive a \
-           controller with observe instead)"
-  in
+let choose ~sample_size (candidates : 'w candidate list) : 'w decision =
   match candidates with
   | [] -> invalid_arg "Adaptive.choose: no candidates"
   | _ ->
@@ -284,7 +244,7 @@ let choose ?(policy = default_offline) (candidates : 'w candidate list) :
       (* each candidate is paired with ITS OWN score — never matched back
          up by name *)
       let scored =
-        List.map (fun c -> (c, score ~processors ~sample_size c)) candidates
+        List.map (fun c -> (c, score ~sample_size c)) candidates
       in
       let winner, _ =
         List.fold_left
@@ -296,26 +256,17 @@ let choose ?(policy = default_offline) (candidates : 'w candidate list) :
         winner;
         scores = List.map (fun (c, s) -> (c.name, s)) scored;
         samples = sample_size;
-        transitions = [];
       }
 
 (** Sample, pick, and run the winner on the full workload.  Returns the
     decision and the winning run's stats. *)
-let run ?(policy = default_offline) (candidates : 'w candidate list) :
+let run ~sample_size (candidates : 'w candidate list) :
     'w decision * Executor.stats =
-  let decision = choose ~policy candidates in
-  let processors =
-    match policy with
-    | Offline_sample { processors; _ } -> processors
-    | Online _ -> assert false (* choose already rejected it *)
-  in
+  let decision = choose ~sample_size candidates in
   let detector, operator, init = decision.winner.prepare () in
   let stats = Executor.run_rounds ~processors ~detector ~operator init in
   (decision, stats)
 
 let pp_decision ppf (d : _ decision) =
   Fmt.pf ppf "winner=%s after %d samples:" d.winner.name d.samples;
-  List.iter (fun (n, s) -> Fmt.pf ppf " %s=%.3gus" n (1e6 *. s)) d.scores;
-  match d.transitions with
-  | [] -> ()
-  | ts -> Fmt.pf ppf " [%a]" Fmt.(list ~sep:(any "; ") pp_transition) ts
+  List.iter (fun (n, s) -> Fmt.pf ppf " %s=%.3gus" n (1e6 *. s)) d.scores

@@ -1,17 +1,18 @@
-(** Adaptive detector selection (paper §5's "future work" system), behind a
-    first-class policy type.
+(** Adaptive detector selection (paper §5's "future work" system).
 
-    Two policies navigate the same commutativity lattice:
+    Two forms navigate the same commutativity lattice:
 
-    - {!Offline_sample}: run a sampling prefix of the workload under each
-      candidate detector, score by virtual per-iteration cost, run the
-      winner ({!choose} / {!run}).  One decision, before execution.
-    - {!Online}: a hysteresis {!controller} consumes per-window
-      observability deltas ({!signals}) from the {e live} detector and
-      walks a chain of lattice points one step at a time — strengthening
-      when conflict-check overhead dominates, weakening back toward the
-      precise spec when abort ratios climb.  The host (the server's epoch
-      scheduler) performs the actual hot-swap and feeds the next window.
+    - {b Offline sampling}: run a sampling prefix of the workload under
+      each candidate detector on 4 simulated processors, score by virtual
+      per-iteration cost, run the winner ({!choose} / {!run}).  One
+      decision, before execution.
+    - {b The online controller}: a hysteresis {!controller} consumes
+      per-window observability deltas ({!signals}) from the {e live}
+      detector and walks a chain of lattice points one step at a time —
+      strengthening when conflict-check overhead dominates, weakening back
+      toward the precise spec when abort ratios climb.  The host (the
+      server's epoch scheduler) performs the actual hot-swap and feeds the
+      next window.
 
     The module owns only decision logic; it never swaps a detector itself,
     which keeps the controller deterministic and unit-testable on
@@ -19,21 +20,13 @@
 
 open Commlat_core
 
-type policy =
-  | Offline_sample of { processors : int; sample_size : int }
-      (** sample every candidate on a workload prefix, pick the cheapest *)
-  | Online of { strengthen_above : float; weaken_above : float; cooldown : int }
-      (** strengthen one lattice step when checks-per-invocation exceeds
-          [strengthen_above] while (almost) nothing aborts; weaken one
-          step when the abort ratio exceeds [weaken_above]; hold
-          [cooldown] observation windows after any transition (weakening
-          bypasses the cooldown — it is the safety valve) *)
-
-(** [Offline_sample { processors = 4; sample_size = 64 }] *)
-val default_offline : policy
-
-(** [Online { strengthen_above = 2.0; weaken_above = 0.05; cooldown = 3 }] *)
-val default_online : policy
+(** The online controller's rule: strengthen one lattice step when
+    checks-per-invocation exceeds [strengthen_above] while (almost)
+    nothing aborts; weaken one step when the abort ratio exceeds
+    [weaken_above]; hold [cooldown] observation windows after any
+    transition (weakening bypasses the cooldown — it is the safety
+    valve). *)
+type thresholds = { strengthen_above : float; weaken_above : float; cooldown : int }
 
 (** A named way to run the workload: fresh state, a detector over it, the
     operator and initial worklist.  [prepare] must rebuild from scratch on
@@ -55,10 +48,7 @@ type signals = {
   s_invocations : int;
   s_conflicts : int;  (** spec-refused invocations (gatekeepers) *)
   s_checks : int;  (** commutativity conditions evaluated *)
-  s_checks_avoided : int;  (** scans skipped by footprint sharding *)
   s_lock_denials : int;  (** lock-based schemes' refusals *)
-  s_requests : int;  (** embedder-level work units (0 if unknown) *)
-  s_ro_fast : int;  (** batch_check fast-path admissions (0 if unknown) *)
 }
 
 (** All zeros. *)
@@ -78,8 +68,6 @@ type 'w decision = {
   winner : 'w candidate;
   scores : (string * float) list;  (** virtual time per iteration, lower wins *)
   samples : int;
-  transitions : transition list;
-      (** per-window lattice moves; always [] for {!Offline_sample} *)
 }
 
 (** {1 The online controller} *)
@@ -87,14 +75,12 @@ type 'w decision = {
 (** Hysteresis state for one lattice chain (one protected ADT). *)
 type controller
 
-(** [controller ?policy levels] — [levels] are the chain's level names,
-    weakest-first: index 0 the most precise spec, the last index the
-    coarsest strengthening.  The cursor starts at 0; [policy] defaults to
-    {!default_online}.
+(** [controller thresholds levels] — [levels] are the chain's level
+    names, weakest-first: index 0 the most precise spec, the last index
+    the coarsest strengthening.  The cursor starts at 0.
 
-    @raise Invalid_argument if [policy] is not [Online], or fewer than two
-    levels are given. *)
-val controller : ?policy:policy -> string list -> controller
+    @raise Invalid_argument if fewer than two levels are given. *)
+val controller : thresholds -> string list -> controller
 
 (** Current level index / name.  The caller installs the corresponding
     detector after each {!observe} that returns a non-[Hold] verdict. *)
@@ -117,18 +103,18 @@ val pp_transition : transition Fmt.t
 
 (** {1 Offline sampling} *)
 
-(** Sample every candidate on [sample_size] worklist items with
-    [processors] simulated processors; lower score wins.  Scores estimate
-    virtual runtime per unit of useful work — the paper's
-    [T·o_d/min(a_d,p)] folded into a measurement.  [policy] defaults to
-    {!default_offline}.
+(** Sample every candidate on [sample_size] worklist items with 4
+    simulated processors; lower score wins.  Scores estimate virtual
+    runtime per unit of useful work — the paper's [T·o_d/min(a_d,p)]
+    folded into a measurement.
 
-    @raise Invalid_argument under an [Online] policy (it has no sampling
-    phase), on an empty candidate list, or on empty/duplicate names. *)
-val choose : ?policy:policy -> 'w candidate list -> 'w decision
+    @raise Invalid_argument on an empty candidate list, or on
+    empty/duplicate names. *)
+val choose : sample_size:int -> 'w candidate list -> 'w decision
 
-(** [choose], then run the winner on the full worklist; returns the
-    decision and the winning run's stats. *)
-val run : ?policy:policy -> 'w candidate list -> 'w decision * Executor.stats
+(** [choose], then run the winner on the full worklist (again on 4
+    simulated processors); returns the decision and the winning run's
+    stats. *)
+val run : sample_size:int -> 'w candidate list -> 'w decision * Executor.stats
 
 val pp_decision : _ decision Fmt.t

@@ -24,11 +24,12 @@ let pp ppf p =
   Fmt.pf ppf "path=%d iters=%d parallelism=%.2f (aborts seen: %d)" p.critical_path
     p.total_iterations p.parallelism p.aborted
 
-(** [max_procs] bounds the per-round window (and hence the largest
-    measurable parallelism); unbounded windows make the profiler quadratic
-    in the worklist size.  The default of 4096 is far above any parallelism
-    the paper reports. *)
-let profile ?(max_procs = 4096) ~detector ~operator init : profile =
+(** Bound on the per-round window (and hence the largest measurable
+    parallelism); unbounded windows make the profiler quadratic in the
+    worklist size.  4096 is far above any parallelism the paper reports. *)
+let max_procs = 4096
+
+let profile ~detector ~operator init : profile =
   let s = Executor.run_rounds ~processors:max_procs ~detector ~operator init in
   {
     critical_path = Executor.rounds_exn s;

@@ -4,8 +4,9 @@
 
     A {!scheme} names a point of the commutativity-lattice implementation
     space — the ⊥ global lock, abstract locking, forward/general
-    gatekeeping, the STM baseline — and [Sharded (s, n)] overlays footprint
-    sharding/striping on a base scheme.  An {!adt} record carries whatever
+    gatekeeping, the STM baseline — and [Sharded (s, n)] stripes the
+    forward gatekeeper by footprint shard, or abstract locking by lock
+    key.  An {!adt} record carries whatever
     the data structure offers a detector: gatekeeper hooks, and/or a
     memory-trace connector for the STM.  {!protect} puts them together by
     calling the one constructor each detector module exposes:
@@ -22,8 +23,8 @@ type scheme =
   | General_gk  (** paper §3.3.2, any L1 spec (needs undo/redo hooks) *)
   | Stm  (** concrete-cell STM baseline (needs a tracer connector) *)
   | Sharded of scheme * int
-      (** footprint-sharded variant of a gatekeeper ([nshards] shards) or
-          striped variant of abstract locking ([n] stripes) *)
+      (** footprint-sharded variant of the forward gatekeeper ([n]
+          shards) or striped variant of abstract locking ([n] stripes) *)
 
 let rec scheme_name = function
   | Global_lock -> "global-lock"
@@ -101,7 +102,7 @@ let require_hooks s = function
 
 (** The gatekeeper schemes, each as one {!Gatekeeper.make} call: the
     scheme fixes [allow_rollback] (forward vs general) and [nshards]
-    (unsharded vs footprint-sharded).  Also hands back the
+    (unsharded vs footprint-sharded, forward only).  Also hands back the
     {!Gatekeeper.t} so embedders that manage their own admission (the
     server's read-only fast path admits reads with
     {!Gatekeeper.batch_check}, which takes its own guards) can reach past
@@ -114,7 +115,6 @@ let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
     | Forward_gk -> (false, 0)
     | General_gk -> (true, 0)
     | Sharded (Forward_gk, n) when n > 0 -> (false, n)
-    | Sharded (General_gk, n) when n > 0 -> (true, n)
     | s ->
         invalid_arg
           (Fmt.str "Protect.protect_gatekeeper: %s is not a gatekeeper scheme"
@@ -136,8 +136,10 @@ let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
     record doesn't offer (gatekeeper hooks, an STM tracer connector), when
     the spec is outside the scheme's logic fragment (non-SIMPLE spec under
     [Abstract_lock], non-ONLINE-CHECKABLE under [Forward_gk]), or on a
-    malformed [Sharded] scheme ([Sharded] applies to gatekeepers and
-    abstract locking only, and does not nest). *)
+    malformed [Sharded] scheme ([Sharded] applies to the forward
+    gatekeeper and abstract locking only, and does not nest).  The general
+    gatekeeper cannot be sharded: its past-state reconstruction needs one
+    globally ordered mutation log. *)
 let protect ?obs ?reduce_scheme ~(spec : Spec.t) ~(adt : adt) (s : scheme) :
     Detector.t =
   match s with
@@ -154,10 +156,10 @@ let protect ?obs ?reduce_scheme ~(spec : Spec.t) ~(adt : adt) (s : scheme) :
       invalid_arg "Protect.protect: shard count must be positive"
   | Sharded (Abstract_lock, n) ->
       Abstract_lock.detector ?reduce_scheme ~stripes:n ?obs spec
-  | Sharded ((Global_lock | Stm | Sharded _) as base, _) ->
+  | Sharded ((Global_lock | General_gk | Stm | Sharded _) as base, _) ->
       invalid_arg
         (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base))
-  | Forward_gk | General_gk | Sharded ((Forward_gk | General_gk), _) ->
+  | Forward_gk | General_gk | Sharded (Forward_gk, _) ->
       fst (protect_gatekeeper ?obs ~hooks:(require_hooks s adt) ~spec s)
 
 (** Every base scheme, in lattice-ish order (coarsest first). *)

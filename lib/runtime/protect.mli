@@ -23,9 +23,11 @@ type scheme =
   | General_gk  (** paper §3.3.2, any L1 spec (needs undo/redo hooks) *)
   | Stm  (** concrete-cell STM baseline (needs a tracer connector) *)
   | Sharded of scheme * int
-      (** footprint-sharded variant of a gatekeeper ([n] shards) or striped
-          variant of abstract locking ([n] stripes); applies to [Forward_gk],
-          [General_gk] and [Abstract_lock] only, and does not nest *)
+      (** footprint-sharded variant of the forward gatekeeper ([n] shards)
+          or striped variant of abstract locking ([n] stripes); applies to
+          [Forward_gk] and [Abstract_lock] only, and does not nest.  A
+          sharded gatekeeper is striped, which needs state-free
+          conditions, so the general gatekeeper cannot be sharded. *)
 
 (** Canonical spelling: ["global-lock"], ["abslock"], ["fwd-gk"],
     ["gen-gk"], ["stm"], with a ["-sharded:N"] suffix for [Sharded].  Used
@@ -66,7 +68,7 @@ val adt :
 
     The detector's name is ["global-lock"], ["abslock(ADT)"],
     ["abslock-striped(ADT)"], ["fwd-gk(ADT)"], ["gen-gk(ADT)"],
-    ["fwd-gk-sharded(ADT)"], ["gen-gk-sharded(ADT)"] or ["stm"].
+    ["fwd-gk-sharded(ADT)"] or ["stm"].
 
     Raises [Invalid_argument] when the scheme needs something the [adt]
     record doesn't offer, when the spec is outside the scheme's logic
@@ -80,7 +82,7 @@ val protect :
   Detector.t
 
 (** Like {!protect} restricted to the gatekeeper schemes ([Forward_gk],
-    [General_gk], and their [Sharded] variants), returning the underlying
+    [General_gk] and [Sharded (Forward_gk, n)]), returning the underlying
     {!Gatekeeper.t} alongside the detector — for embedders that need the
     gatekeeper's own surface (e.g. {!Gatekeeper.batch_check}, which
     takes its own guards, on the server's read-only fast path).  Raises [Invalid_argument] on

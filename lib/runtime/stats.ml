@@ -13,18 +13,18 @@ let time f =
   let r = f () in
   (r, now_s () -. t0)
 
-(** Median-of-[reps] timing for less noisy small measurements.  A major
+(** Median-of-3 timing for less noisy small measurements.  A major
     collection runs before each sample so that garbage from earlier
     experiments is not charged to this one. *)
-let time_median ?(reps = 3) f =
+let time_median f =
   let samples =
-    List.init reps (fun _ ->
+    List.init 3 (fun _ ->
         Gc.full_major ();
         let _, dt = time f in
         dt)
     |> List.sort Float.compare
   in
-  List.nth samples (reps / 2)
+  List.nth samples 1
 
 (** The paper's simple model of best-case parallel runtime on [p]
     processors: [T · o_d / min(a_d, p)]. *)

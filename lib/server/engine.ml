@@ -89,7 +89,6 @@ let meth_finder meths =
   List.iter (fun (m : Invocation.meth) -> Hashtbl.replace tbl m.name m) meths;
   fun name -> Hashtbl.find_opt tbl name
 
-let default_nshards = 16
 let default_uf_elements = 4096
 
 (** Partitions per "part" level: hash-coarsened key domains (paper §4.2's
@@ -254,14 +253,14 @@ let set_level_name (t : t) adt name : bool =
   !found
 
 (** [create ()] builds the five exposed ADTs, each with its lattice chain
-    (weakest-first).  [uf_elements] union-find elements are pre-created so
+    (weakest-first); the sharded ones have {!Protect.default_nshards}
+    shards.  [uf_elements] union-find elements are pre-created so
     wire clients can [union]/[find] on element ids in [\[0, uf_elements)]
     without a [create] handshake.  [?level] pins every chain that has a
     level of that name ("simple", "part") to it at startup — chains
     without it (union-find has only "precise") are unaffected. *)
-let create ?obs:obs_enabled ?(nshards = default_nshards)
-    ?(uf_elements = default_uf_elements) ?level () : t =
-  let sharded = Protect.Sharded (Protect.Forward_gk, nshards) in
+let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
+  let sharded = Protect.Sharded (Protect.Forward_gk, Protect.default_nshards) in
   let kv = Kvmap.create () in
   let set = Iset.create () in
   let ors = Orset.create () in
@@ -365,19 +364,19 @@ let err t id fmt =
    linearizes right here and is already durable — no entry insertion, no
    lock table traffic, no commit work at the epoch boundary.  Sound
    because a committed invocation need not stay visible to later
-   admission checks. *)
+   admission checks.  A refusal answers [Conflicted] at once: the read
+   was routed to the worker holding its key's open writes, so running it
+   again as a transaction would meet the same writer. *)
 let try_ro_fast (t : t) (ex : exposed) ~id (meth : Invocation.meth) args =
   let inv = Invocation.make ~txn:(Txn.id (Txn.fresh ())) meth args in
   match Gatekeeper.batch_check ex.gk inv (fun () -> ex.exec_inv inv) with
   | r ->
       Obs.incr t.c_ro_fast;
-      Some (Done (None, Wire.Reply (id, r)))
-  | exception Detector.Conflict _ ->
-      (* nothing to undo (the method is effect-free); fall back to the
-         transactional path.  A gatekeeper refuses, it does not queue:
-         unless the conflicter has ended meanwhile, that path answers
-         [Conflicted] and the caller commits its epoch and retries *)
-      None
+      Done (None, Wire.Reply (id, r))
+  | exception Detector.Conflict { reason; _ } ->
+      (* nothing to undo: the method is effect-free *)
+      Obs.incr t.c_aborts;
+      Conflicted reason
 
 let try_invoke (t : t) ~id adt meth args : outcome =
   match List.assoc_opt adt t.exposed with
@@ -389,38 +388,30 @@ let try_invoke (t : t) ~id adt meth args : outcome =
       | Some m when m.Invocation.arity <> Array.length args ->
           err t id "%s.%s: arity %d, got %d arguments" adt meth
             m.Invocation.arity (Array.length args)
+      | Some m
+        when ex.batchable && (not m.Invocation.mutates)
+             && not m.Invocation.concrete -> (
+          (* same containment contract as the transactional arm below: a
+             malformed argument raised by the (effect-free) method body
+             answers an error frame instead of escaping [handle] *)
+          try try_ro_fast t ex ~id m args
+          with e -> err t id "%s.%s: %s" adt meth (Printexc.to_string e))
       | Some m -> (
-          let ro = (not m.Invocation.mutates) && not m.Invocation.concrete in
-          match
-            if ro && ex.batchable then
-              (* same containment contract as the transactional arm below:
-                 a malformed argument raised by the (effect-free) method
-                 body answers an error frame instead of escaping [handle] *)
-              try try_ro_fast t ex ~id m args
-              with e -> Some (err t id "%s.%s: %s" adt meth (Printexc.to_string e))
-            else None
-          with
-          | Some outcome -> outcome
-          | None -> (
-              let txn = Txn.fresh () in
-              match
-                if ro then
-                  Boost.invoke_ro ex.det txn m args ex.exec_inv
-                else
-                  Boost.invoke ex.det txn ~undo:ex.hooks.undo m args ex.exec_inv
-              with
-              | r -> Done (Some { txn; pdet = ex.det }, Wire.Reply (id, r))
-              | exception Detector.Conflict { reason; _ } ->
-                  Boost.abort ex.det txn;
-                  Obs.incr t.c_aborts;
-                  Conflicted reason
-              | exception e ->
-                  (* the server-edge contract: malformed arguments (a
-                     [Value.Type_error], an out-of-bounds index, an
-                     [Unsupported] state function) doom this transaction
-                     only — roll it back and answer with an error frame *)
-                  Boost.abort ex.det txn;
-                  err t id "%s.%s: %s" adt meth (Printexc.to_string e))))
+          let txn = Txn.fresh () in
+          (* a non-concrete method pushes no undo *)
+          match Boost.invoke ex.det txn ~undo:ex.hooks.undo m args ex.exec_inv with
+          | r -> Done (Some { txn; pdet = ex.det }, Wire.Reply (id, r))
+          | exception Detector.Conflict { reason; _ } ->
+              Boost.abort ex.det txn;
+              Obs.incr t.c_aborts;
+              Conflicted reason
+          | exception e ->
+              (* the server-edge contract: malformed arguments (a
+                 [Value.Type_error], an out-of-bounds index, an
+                 [Unsupported] state function) doom this transaction
+                 only — roll it back and answer with an error frame *)
+              Boost.abort ex.det txn;
+              err t id "%s.%s: %s" adt meth (Printexc.to_string e)))
 
 (** One merged snapshot: the engine's own counters plus every {e built}
     lattice level's detector registry for every exposed ADT — levels keep
@@ -449,17 +440,20 @@ let try_req (t : t) (req : Wire.req) : outcome =
       Done (None, Wire.Reply (id, Value.Str (snapshot_json_string t)))
   | Wire.Ping id | Wire.Quit id -> Done (None, Wire.Reply (id, Value.Unit))
 
+(** Conflict retries {!handle} makes before answering an [Err] frame. *)
+let handle_retries = 16
+
 (** Synchronous request execution with immediate commit and bounded
     conflict retry — the single-threaded in-process conformance path (the
     wire tests speak to this, no sockets involved). *)
-let handle ?(max_retries = 16) (t : t) (req : Wire.req) : Wire.resp =
+let handle (t : t) (req : Wire.req) : Wire.resp =
   let rec go attempts =
     match try_req t req with
     | Done (p, resp) ->
         Option.iter (commit t) p;
         resp
     | Conflicted reason ->
-        if attempts >= max_retries then
+        if attempts >= handle_retries then
           Wire.Err (Wire.req_id req, "conflict retries exhausted: " ^ reason)
         else go (attempts + 1)
   in

@@ -408,8 +408,8 @@ let row_json ?phase ~domains (r : result) : Jsonx.t =
     [["--adaptive"]] or [["--level"; "precise"]]).  Returns [f]'s result
     and the child's exit status — a nonzero server exit must fail the
     benchmark run. *)
-let with_server ~exe ~domains ?(nshards = Engine.default_nshards) ?(batch = 64)
-    ?(extra_args = []) (f : Server.addr -> 'a) : 'a * Unix.process_status =
+let with_server ~exe ~domains ?(extra_args = []) (f : Server.addr -> 'a) :
+    'a * Unix.process_status =
   let path =
     Filename.temp_file "commlat-serve-" ".sock" |> fun p ->
     Sys.remove p;
@@ -417,10 +417,7 @@ let with_server ~exe ~domains ?(nshards = Engine.default_nshards) ?(batch = 64)
   in
   let argv =
     Array.of_list
-      ([
-         exe; "serve"; "--socket"; path; "--domains"; string_of_int domains;
-         "--shards"; string_of_int nshards; "--batch"; string_of_int batch;
-       ]
+      ([ exe; "serve"; "--socket"; path; "--domains"; string_of_int domains ]
       @ extra_args)
   in
   let pid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in

@@ -42,35 +42,39 @@ let pp_addr ppf = function
 type config = {
   addr : addr;
   domains : int;  (** worker domains (transaction executors) *)
-  batch : int;  (** max requests drained per epoch *)
-  max_retries : int;  (** conflict retries before an [Err] reply *)
-  nshards : int;  (** detector shards per exposed ADT *)
   verbose : bool;
   adaptive : bool;  (** run the online lattice controller (DESIGN.md §12) *)
   level : string option;
       (** pin every chain that has a level of this name ("simple",
           "part"); mutually exclusive with [adaptive] *)
-  tick : float;  (** controller observation-window length, seconds *)
-  strengthen_above : float;  (** checks-per-invocation strengthen threshold *)
-  weaken_above : float;  (** abort-ratio weaken threshold *)
-  cooldown : int;  (** observation windows held after a transition *)
 }
 
 let default_config =
   {
     addr = Unix_sock "/tmp/commlat.sock";
     domains = 2;
-    batch = 64;
-    max_retries = 64;
-    nshards = Engine.default_nshards;
     verbose = false;
     adaptive = false;
     level = None;
-    tick = 0.05;
-    strengthen_above = 2.0;
-    weaken_above = 0.05;
-    cooldown = 3;
   }
+
+(* Design constants (DESIGN.md §11, §12): nobody tunes them per
+   deployment, so they are not options. *)
+
+(** Max requests a worker drains per epoch (group commit). *)
+let batch = 64
+
+(** Conflict retries before a request is answered with an [Err] frame. *)
+let max_retries = 64
+
+(** Adaptive controller observation-window length, seconds. *)
+let tick = 0.05
+
+(** The adaptive controller's rule: strengthen above 0.3 conflict checks
+    per invocation, weaken above a 5% refusal ratio, and hold 3 windows
+    after a move. *)
+let thresholds =
+  { Commlat_runtime.Adaptive.strengthen_above = 0.3; weaken_above = 0.05; cooldown = 3 }
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing                                                            *)
@@ -266,7 +270,7 @@ let backoff_sleep attempt =
     Unix.sleepf (1e-6 *. float_of_int (1 lsl exp))
   end
 
-let worker ~eng ~qu ~stop ~gate ~pending ~max_retries ~batch ~verbose () =
+let worker ~eng ~qu ~stop ~gate ~pending ~verbose () =
   let ep = epoch_create () in
   let run_job job =
     let rec attempt n =
@@ -375,25 +379,17 @@ let reader ~eng ~queues ~rr ~stop ~pending conn () =
    actually installed. *)
 let controller_loop ~eng ~gate ~queues ~stop (cfg : config) () =
   let module Adaptive = Commlat_runtime.Adaptive in
-  let policy =
-    Adaptive.Online
-      {
-        strengthen_above = cfg.strengthen_above;
-        weaken_above = cfg.weaken_above;
-        cooldown = cfg.cooldown;
-      }
-  in
   let ctrls =
     List.filter_map
       (fun (adt, levels) ->
         if List.length levels < 2 then None
         else
-          Some (adt, Adaptive.controller ~policy levels,
+          Some (adt, Adaptive.controller thresholds levels,
                 ref (Engine.level_snapshot eng adt)))
       (Engine.chains eng)
   in
   while not (Atomic.get stop) do
-    Thread.delay cfg.tick;
+    Thread.delay tick;
     if not (Atomic.get stop) then begin
       let moves =
         List.filter_map
@@ -404,11 +400,9 @@ let controller_loop ~eng ~gate ~queues ~stop (cfg : config) () =
             in
             let signals =
               {
-                Adaptive.no_signals with
                 Adaptive.s_invocations = d "invocations";
                 s_conflicts = d "conflicts";
                 s_checks = d "checks";
-                s_checks_avoided = d "checks_avoided";
                 s_lock_denials = d "lock_denials";
               }
             in
@@ -466,9 +460,8 @@ let run (cfg : config) : Engine.t =
   let eng =
     (* the controller is blind without counters, so adaptive mode forces
        the obs registry on regardless of the COMMLAT_OBS toggle *)
-    if cfg.adaptive then
-      Engine.create ~obs:true ~nshards:cfg.nshards ()
-    else Engine.create ~nshards:cfg.nshards ?level:cfg.level ()
+    if cfg.adaptive then Engine.create ~obs:true ()
+    else Engine.create ?level:cfg.level ()
   in
   let stop = Atomic.make false in
   (* two-phase shutdown: [stop] silences the accept loop and the adaptive
@@ -485,8 +478,7 @@ let run (cfg : config) : Engine.t =
     Array.mapi
       (fun _i qu ->
         Domain.spawn
-          (worker ~eng ~qu ~stop:stop_workers ~gate ~pending
-             ~max_retries:cfg.max_retries ~batch:cfg.batch ~verbose:cfg.verbose))
+          (worker ~eng ~qu ~stop:stop_workers ~gate ~pending ~verbose:cfg.verbose))
       queues
   in
   let ctrl =
@@ -497,7 +489,7 @@ let run (cfg : config) : Engine.t =
   let lsock = listen_socket cfg.addr in
   if cfg.verbose then
     Fmt.pr "commlat serve: listening on %a (%d domains, batch %d%s)@."
-      pp_addr cfg.addr cfg.domains cfg.batch
+      pp_addr cfg.addr cfg.domains batch
       (if cfg.adaptive then ", adaptive" else "");
   (* accept with a timeout so the loop observes [stop] *)
   while not (Atomic.get stop) do

@@ -7,8 +7,6 @@ open Commlat_runtime
 open Commlat_apps
 
 let check_bool = Alcotest.(check bool)
-let offline ?(processors = 4) sample_size =
-  Adaptive.Offline_sample { processors; sample_size }
 
 (* Candidates for the set microbenchmark on a contended input. *)
 let set_candidate scheme n classes : Set_micro.op Adaptive.candidate =
@@ -63,16 +61,14 @@ let test_picks_the_cheap_candidate () =
     }
   in
   let decision, stats =
-    Adaptive.run ~policy:(offline 128) [ mk "slow" true; mk "fast" false ]
+    Adaptive.run ~sample_size:128 [ mk "slow" true; mk "fast" false ]
   in
   Alcotest.(check string) "winner" "fast" decision.Adaptive.winner.Adaptive.name;
-  check_bool "offline decisions carry no transitions" true
-    (decision.Adaptive.transitions = []);
   check_bool "full run completed" true (stats.Executor.committed = 512)
 
 let test_scores_all_candidates () =
   let candidates = List.map (fun s -> set_candidate s 500 0) Set_micro.all_schemes in
-  let decision = Adaptive.choose ~policy:(offline 100) candidates in
+  let decision = Adaptive.choose ~sample_size:100 candidates in
   Alcotest.(check int)
     "one score per candidate"
     (List.length Set_micro.all_schemes)
@@ -84,7 +80,7 @@ let test_scores_all_candidates () =
 let test_empty_candidates () =
   Alcotest.check_raises "no candidates"
     (Invalid_argument "Adaptive.choose: no candidates") (fun () ->
-      ignore (Adaptive.choose ([] : unit Adaptive.candidate list)))
+      ignore (Adaptive.choose ~sample_size:64 ([] : unit Adaptive.candidate list)))
 
 (* a candidate that runs a trivial workload instantly *)
 let trivial name : int Adaptive.candidate =
@@ -100,12 +96,12 @@ let test_duplicate_names_rejected () =
     (Invalid_argument "Adaptive.choose: duplicate candidate name \"twin\"")
     (fun () ->
       ignore
-        (Adaptive.choose ~policy:(offline 3) [ trivial "twin"; trivial "twin" ]))
+        (Adaptive.choose ~sample_size:3 [ trivial "twin"; trivial "twin" ]))
 
 let test_empty_name_rejected () =
   Alcotest.check_raises "empty name"
     (Invalid_argument "Adaptive.choose: empty candidate name") (fun () ->
-      ignore (Adaptive.choose ~policy:(offline 3) [ trivial "" ]))
+      ignore (Adaptive.choose ~sample_size:3 [ trivial "" ]))
 
 let test_scores_are_per_candidate () =
   (* the slow candidate must carry the worse score even though scoring no
@@ -124,7 +120,7 @@ let test_scores_are_per_candidate () =
           (det, operator, List.init 256 Fun.id));
     }
   in
-  let d = Adaptive.choose ~policy:(offline 128) [ mk "slow" true; mk "fast" false ] in
+  let d = Adaptive.choose ~sample_size:128 [ mk "slow" true; mk "fast" false ] in
   let score n = List.assoc n d.Adaptive.scores in
   check_bool "slow candidate scored worse" true (score "slow" > score "fast");
   Alcotest.(check string) "winner" "fast" d.Adaptive.winner.Adaptive.name
@@ -166,7 +162,7 @@ let test_boruvka_adaptive () =
     }
   in
   let decision, stats =
-    Adaptive.run ~policy:(offline 32) [ mk "uf-gk" `Gk; mk "uf-ml" `Ml ]
+    Adaptive.run ~sample_size:32 [ mk "uf-gk" `Gk; mk "uf-ml" `Ml ]
   in
   ignore stats;
   ignore decision;
@@ -179,7 +175,7 @@ let test_boruvka_adaptive () =
 (* The online hysteresis controller, on synthetic signal streams      *)
 (* ---------------------------------------------------------------- *)
 
-let policy = Adaptive.Online { strengthen_above = 2.0; weaken_above = 0.1; cooldown = 2 }
+let thresholds = { Adaptive.strengthen_above = 2.0; weaken_above = 0.1; cooldown = 2 }
 
 let window ?(inv = 1000) ?(conflicts = 0) ?(checks = 0) () =
   {
@@ -190,7 +186,7 @@ let window ?(inv = 1000) ?(conflicts = 0) ?(checks = 0) () =
   }
 
 let test_controller_strengthens_on_check_cost () =
-  let c = Adaptive.controller ~policy [ "precise"; "simple"; "part" ] in
+  let c = Adaptive.controller thresholds [ "precise"; "simple"; "part" ] in
   Alcotest.(check string) "starts precise" "precise" (Adaptive.current_level c);
   (* conflict-free but check-heavy: 5 checks per invocation *)
   let v = Adaptive.observe c (window ~checks:5000 ()) in
@@ -209,7 +205,7 @@ let test_controller_strengthens_on_check_cost () =
   done
 
 let test_controller_weakens_on_aborts () =
-  let c = Adaptive.controller ~policy [ "precise"; "simple" ] in
+  let c = Adaptive.controller thresholds [ "precise"; "simple" ] in
   ignore (Adaptive.observe c (window ~checks:5000 ()));
   Alcotest.(check string) "strengthened" "simple" (Adaptive.current_level c);
   (* abort ratio 0.3 > 0.1: weaken immediately, cooldown notwithstanding *)
@@ -227,7 +223,7 @@ let test_controller_hysteresis_no_thrash () =
   (* a steady phase where the strong level aborts and the weak level is
      check-heavy: after one weaken, the controller must NOT strengthen
      back while the workload still looks hot (the burned level) *)
-  let c = Adaptive.controller ~policy [ "precise"; "simple" ] in
+  let c = Adaptive.controller thresholds [ "precise"; "simple" ] in
   ignore (Adaptive.observe c (window ~checks:5000 ()));
   ignore (Adaptive.observe c (window ~conflicts:300 ()));
   Alcotest.(check string) "weakened" "precise" (Adaptive.current_level c);
@@ -246,7 +242,7 @@ let test_controller_hysteresis_no_thrash () =
   check_bool "re-strengthens after calm" true (v = Adaptive.Strengthen)
 
 let test_controller_idle_holds () =
-  let c = Adaptive.controller ~policy [ "precise"; "simple" ] in
+  let c = Adaptive.controller thresholds [ "precise"; "simple" ] in
   for _ = 1 to 5 do
     let v = Adaptive.observe c (window ~inv:0 ()) in
     check_bool "idle window holds" true (v = Adaptive.Hold)
@@ -254,19 +250,9 @@ let test_controller_idle_holds () =
   Alcotest.(check int) "no transitions" 0 (List.length (Adaptive.transitions c))
 
 let test_controller_rejects_bad_args () =
-  Alcotest.check_raises "offline policy rejected"
-    (Invalid_argument "Adaptive.controller: needs an Online policy") (fun () ->
-      ignore (Adaptive.controller ~policy:(offline 8) [ "a"; "b" ]));
   Alcotest.check_raises "single level rejected"
     (Invalid_argument "Adaptive.controller: needs at least two levels")
-    (fun () -> ignore (Adaptive.controller [ "only" ]));
-  Alcotest.check_raises "online choose rejected"
-    (Invalid_argument
-       "Adaptive.choose: Online policy has no sampling phase (drive a \
-        controller with observe instead)") (fun () ->
-      ignore
-        (Adaptive.choose ~policy:Adaptive.default_online
-           ([] : unit Adaptive.candidate list)))
+    (fun () -> ignore (Adaptive.controller thresholds [ "only" ]))
 
 let suite =
   [

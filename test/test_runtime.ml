@@ -237,11 +237,23 @@ let test_protect_names () =
         Kvmap.precise_spec (),
         Protect.Sharded (Protect.Forward_gk, 16) );
       ("gen-gk(union_find)", Union_find.spec (), Protect.General_gk);
-      ( "gen-gk-sharded(union_find)",
-        Union_find.spec (),
-        Protect.Sharded (Protect.General_gk, 4) );
       ("stm", Iset.precise_spec (), Protect.Stm);
-    ]
+    ];
+  (* a sharded gatekeeper is striped, which past-state reconstruction
+     rules out *)
+  Alcotest.check_raises "gen-gk cannot be sharded"
+    (Invalid_argument "Protect.protect: gen-gk cannot be sharded") (fun () ->
+      ignore
+        (Protect.protect ~spec:(Union_find.spec ()) ~adt
+           (Protect.Sharded (Protect.General_gk, 4))));
+  Alcotest.check_raises "a sharded general gatekeeper is refused"
+    (Invalid_argument
+       "Gatekeeper: spec union_find cannot be sharded (only a forward \
+        gatekeeper over state-free conditions can)") (fun () ->
+      ignore
+        (Gatekeeper.make ~nshards:4 ~allow_rollback:true
+           ~hooks:(Gatekeeper.hooks (fun _ _ -> Value.Unit))
+           (Union_find.spec ())))
 
 let suite =
   [

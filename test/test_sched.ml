@@ -126,6 +126,27 @@ let test_por_contended () =
     true
     (rp.Explore.c.Explore.runs <= rn.Explore.c.Explore.runs)
 
+(* A striped gatekeeper under a plan that contends: 2 keys, so its keyed
+   shards and the overflow shard both see conflicts, and the explorer must
+   branch and find no violation. *)
+let test_striped_contended () =
+  let scheme = Protect.Sharded (Protect.Forward_gk, 4) in
+  List.iter
+    (fun (name, w) ->
+      let w = match w with Ok w -> w | Error e -> Alcotest.fail e in
+      let cfg = { Explore.default_config with max_schedules = 300 } in
+      let r = Explore.explore ~config:cfg w.Workload.make in
+      Alcotest.(check bool) (name ^ ": no violation") true (r.Explore.verdict = None);
+      Alcotest.(check bool)
+        (Fmt.str "%s: contention forces branching (%d runs)" name
+           r.Explore.c.Explore.runs)
+        true
+        (r.Explore.c.Explore.runs > 1))
+    [
+      ("kvmap", Workload.kvmap ~txns:2 ~ops_per_txn:2 ~keys:2 ~seed:3 scheme);
+      ("set", Workload.set ~txns:2 ~ops_per_txn:2 ~keys:2 ~seed:3 scheme);
+    ]
+
 (* ---- delaunay: real cavity transactions under the explorer ---- *)
 
 let test_delaunay_swept () =
@@ -396,6 +417,7 @@ let suite =
     Alcotest.test_case "explore-clean" `Quick test_explore_clean;
     Alcotest.test_case "por-prunes" `Quick test_por_prunes;
     Alcotest.test_case "por-contended" `Quick test_por_contended;
+    Alcotest.test_case "striped-contended" `Quick test_striped_contended;
     Alcotest.test_case "delaunay-swept" `Quick test_delaunay_swept;
     Alcotest.test_case "delaunay-disjoint-pruned" `Quick
       test_delaunay_disjoint_cavities_pruned;

@@ -444,6 +444,26 @@ let test_set_level_refuses_open_txn () =
       check_str "swapped after commit" "part" (Engine.current_level eng "kvmap")
   | _ -> Alcotest.fail "put must answer with its transaction still open"
 
+(* A read the fast path refuses answers [Conflicted] at once: it was
+   routed to the worker holding its key's open put, so running it again
+   as a transaction would only meet the same put.  One refusal, one
+   conflict abort, one [put;get] label. *)
+let test_refused_read_conflicts_once () =
+  let module Obs = Commlat_obs.Obs in
+  let eng = Engine.create ~obs:true () in
+  match Engine.try_req eng (invoke "kvmap" "put" [| Value.Int 7; Value.Int 1 |]) with
+  | Engine.Done (Some p, _) ->
+      (match Engine.try_req eng (invoke "kvmap" "get" [| Value.Int 7 |]) with
+      | Engine.Conflicted reason -> check_str "reason" "put;get" reason
+      | Engine.Done _ ->
+          Alcotest.fail "get was admitted against an open put of its key");
+      let snap = Engine.level_snapshot eng "kvmap" in
+      check_int "conflicts" 1 (Obs.counter_value snap "conflicts");
+      check_int "conflict_aborts" 1 (Obs.value eng.Engine.c_aborts);
+      check_int "put;get labels" 1 (Obs.label_count snap ~cat:"abort_cause" "put;get");
+      Engine.commit eng p
+  | _ -> Alcotest.fail "put must answer with its transaction still open"
+
 (* A swap thunk that raises is counted in [swap_failures], which [Stats]
    reports, and the barrier is released all the same. *)
 let test_gate_counts_swap_failure () =
@@ -486,8 +506,7 @@ let test_conflict_keeps_one_write () =
     [ put 1 1; put 2 2 ];
   let pending = Atomic.make 2 in
   Server.worker ~eng ~qu ~stop:(Atomic.make true)
-    ~gate:(Server.gate_create ~workers:1) ~pending ~max_retries:4 ~batch:64
-    ~verbose:false ();
+    ~gate:(Server.gate_create ~workers:1) ~pending ~verbose:false ();
   check_int "both jobs done" 0 (Atomic.get pending);
   check_int "the second put conflicted once" 1
     (Commlat_obs.Obs.value eng.Engine.c_aborts);
@@ -636,6 +655,8 @@ let suite =
         test_set_level_refuses_open_txn;
       Alcotest.test_case "engine: orset log drains" `Quick
         test_orset_log_drains_through_engine;
+      Alcotest.test_case "engine: a refused fast-path read conflicts once" `Quick
+        test_refused_read_conflicts_once;
       Alcotest.test_case "server: a failed swap is counted, the barrier released"
         `Quick test_gate_counts_swap_failure;
       Alcotest.test_case "server: a mid-epoch conflict keeps one write per epoch"

@@ -1447,9 +1447,9 @@ let explore_gate_failed = ref false
 (* Schedules/sec of the work-stealing explorer at 1/2/4 domains over the
    sweep workloads, with in-process correctness gates:
 
-   - on every configuration that exhausts its schedule tree, the
-     distinct-canonical-trace count ("states") and the violation verdict
-     must be identical at every domain count — the search tree is a fixed
+   - on every configuration that exhausts its schedule tree, the runs,
+     the pruned branches, the steps and the violation verdict must be
+     identical at every domain count — the search tree is a fixed
      function of the workload, so any difference is a parallelism bug;
    - on budget-cut configurations only the verdict is gated (the explored
      subset is domain-order-dependent, so run counters are reported but
@@ -1457,10 +1457,9 @@ let explore_gate_failed = ref false
    - the seeded ABBA deadlock must be found, shrunk, and replayable at 4
      domains.
 
-   Speedup expectations are honest about the host: on a single-core
-   container every domain count measures the same core, so schedules/sec
-   is flat; the point of the gates is correctness invariance, and of the
-   rates, the bookkeeping overhead of parallel mode. *)
+   The rates are honest about the host: N domains can replay in parallel
+   only on N cores, and domains beyond the core count add stealing and
+   contention, not throughput. *)
 let explore_bench scale =
   header "Parallel DPOR exploration: schedules/sec at 1/2/4 domains";
   let full = scale == full_scale in
@@ -1520,24 +1519,25 @@ let explore_bench scale =
               Sched_explore.default_config with
               Sched_explore.max_schedules = budget;
               domains;
-              dedup = true;
             }
           in
           let obs = Obs.create ~enabled:true "explore" in
           let t0 = Stats.now_s () in
           let r = Sched_explore.explore ~config ~obs w.Sched_workload.make in
           let dt = Stats.now_s () -. t0 in
-          let runs = r.Sched_explore.c.Sched_explore.runs in
-          (* dedup is on, so the search counted its states *)
-          let states = Option.get r.Sched_explore.states in
+          let c = r.Sched_explore.c in
+          let runs = c.Sched_explore.runs in
+          let shape =
+            Fmt.str "%d/%d/%d" runs c.Sched_explore.pruned c.Sched_explore.steps
+          in
           let violations =
             match r.Sched_explore.verdict with None -> 0 | Some _ -> 1
           in
           let rate = if dt > 0.0 then float_of_int runs /. dt else 0.0 in
           pf
-            "  %-22s domains=%d  %5d runs  %4d states  %s  %8.0f \
+            "  %-22s domains=%d  %5d runs  %4d pruned  %s  %8.0f \
              schedules/s%s@."
-            label domains runs states
+            label domains runs c.Sched_explore.pruned
             (if r.Sched_explore.exhausted then "exhausted" else "budget-cut")
             rate
             (if violations > 0 then "  VIOLATION" else "");
@@ -1546,13 +1546,14 @@ let explore_bench scale =
                        domains"
               label budget domains;
           (match !baseline with
-          | None -> baseline := Some (states, violations)
-          | Some (states1, viol1) ->
+          | None -> baseline := Some (shape, violations)
+          | Some (shape1, viol1) ->
               if r.Sched_explore.exhausted && expect_exhaust then begin
-                if states <> states1 then
+                if shape <> shape1 then
                   gate_fail
-                    "%s: states at %d domains = %d, expected %d (1 domain)"
-                    label domains states states1;
+                    "%s: runs/pruned/steps at %d domains = %s, expected %s \
+                     (1 domain)"
+                    label domains shape shape1;
                 if violations <> viol1 then
                   gate_fail
                     "%s: violations at %d domains = %d, expected %d"
@@ -1568,9 +1569,6 @@ let explore_bench scale =
                 ("txns", Jsonx.Int w.Sched_workload.w_txns);
                 ("domains", Jsonx.Int domains);
                 ("schedules", Jsonx.Int runs);
-                ("states", Jsonx.Int states);
-                ( "dedup_hits",
-                  Jsonx.Int r.Sched_explore.c.Sched_explore.dedup_hits );
                 ("violations", Jsonx.Int violations);
                 ("exhausted", Jsonx.Bool r.Sched_explore.exhausted);
                 ("wall_s", Jsonx.Float dt);
@@ -1585,7 +1583,7 @@ let explore_bench scale =
   let abba () = Commlat_sched.Seeded.workload ~buggy:true () in
   let r =
     Sched_explore.explore
-      ~config:{ Sched_explore.default_config with domains = 4; dedup = true }
+      ~config:{ Sched_explore.default_config with domains = 4 }
       abba
   in
   (match r.Sched_explore.verdict with

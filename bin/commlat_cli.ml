@@ -858,7 +858,6 @@ let explore_cmd =
                 max_schedules;
                 max_steps = steps;
                 domains;
-                dedup = domains > 1;
               }
             in
             let obs = Obs.create ~enabled:true "explore" in
@@ -868,17 +867,10 @@ let explore_cmd =
             let c = report.Sched.Explore.c in
             Fmt.pr
               "workload %s, detector %s, %d transactions, por=%b, domains=%d@.\
-               schedules: %d run, %d pruned (commutativity), %d sleep-set \
-               hits, %d shrink runs@."
+               schedules: %d run, %d pruned (commutativity), %d shrink runs@."
               w.Sched.Workload.w_name w.Sched.Workload.w_detector
               w.Sched.Workload.w_txns (not no_por) domains c.Sched.Explore.runs
-              c.Sched.Explore.pruned c.Sched.Explore.sleep_hits
-              c.Sched.Explore.shrink_runs;
-            (match report.Sched.Explore.states with
-            | Some states ->
-                Fmt.pr "states: %d distinct canonical traces, %d dedup hits@."
-                  states c.Sched.Explore.dedup_hits
-            | None -> ());
+              c.Sched.Explore.pruned c.Sched.Explore.shrink_runs;
             Fmt.pr "steps: %d total, %d truncated runs; search %s@."
               c.Sched.Explore.steps c.Sched.Explore.truncated
               (if report.Sched.Explore.exhausted then "exhausted"
@@ -971,10 +963,10 @@ let explore_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains for the search. $(b,N>1) work-steals schedule \
-             prefixes across N domains with canonical-trace deduplication \
-             (except under $(b,--no-por)) — same verdicts, same explored \
-             states, wall-clock divided by the available cores.")
+            "Worker domains for the search. N domains work-steal the \
+             schedule prefixes of one search tree: an exhausted search \
+             runs the same schedules with the same counters and verdict at \
+             any N, and only the wall-clock time changes.")
   in
   Cmd.v
     (Cmd.info "explore" ~exits

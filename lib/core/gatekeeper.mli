@@ -133,7 +133,7 @@ val active_count : t -> int
 
 (** Build a gatekeeper over [spec] and its detector facade.  The detector
     is named ["fwd-gk(ADT)"], ["gen-gk(ADT)"] or ["fwd-gk-sharded(ADT)"];
-    rendered traces and DPOR fingerprints embed that name.
+    rendered traces and canonical trace keys embed that name.
 
     - [~allow_rollback:false] is the forward gatekeeper (paper §3.3.1): it
       raises [Invalid_argument] if the spec has non-ONLINE-CHECKABLE

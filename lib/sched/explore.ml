@@ -28,37 +28,27 @@
     invocation) stays dependent, which is exactly what lets the explorer
     reach lock-order-inversion deadlocks between invocations and aborts.
 
-    A sleep-set refinement prunes sibling re-exploration: after the
-    subtree choosing fiber [c] at decision [k] is scheduled, the sibling
-    branches at [k] carry [(c, fingerprint of c's pending action)] as
-    {e asleep}; within such a branch, re-branching to a still-asleep fiber
-    is skipped (counted as a sleep-set hit) until some executed action
-    dependent with its sleeping action wakes it.
-
     Failing runs (deadlock, crash, oracle violation) are shrunk greedily —
     prefix truncation, then single-choice deletion to a fixpoint — and
     reported with a replayable schedule and a rendered trace.
 
-    {b Domains.}  A node's children are a deterministic function of the
-    node alone ({!Scheduler.run} is deterministic and {!expand} is pure),
-    so any domain can process any frontier node.  Each of
-    [config.domains] workers owns a {!Wsdeque} of nodes: it pops from the
-    front (depth-first), pushes a node's children back to the front, and
-    when empty steals from another deque.  {!Schedpoint} hooks are
-    domain-local, so each worker replays schedules through its own
+    {b Domains.}  A frontier node is just its schedule prefix, and its
+    children are a deterministic function of the prefix alone
+    ({!Scheduler.run} is deterministic and {!expand} is pure), so any
+    domain can process any frontier node.  A search that no failure or
+    budget stops runs and expands every node exactly once, so its counters
+    do not depend on [config.domains], which changes only wall-clock time.
+    Each of [config.domains] workers owns a {!Wsdeque} of nodes: it pops
+    from the front (depth-first), pushes a node's children back to the
+    front, and when empty steals from another deque.  {!Schedpoint} hooks
+    are domain-local, so each worker replays schedules through its own
     virtual scheduler.  All cross-domain state is explicit: an atomic
     run-ticket counter makes [max_schedules] exact, an atomic pending-node
     count gives exact termination (a node is pending from push until its
     children are pushed), and a mutex-claimed first-failure slot lets the
     winner stop the fleet and shrink alone.  With one domain the worker
-    visits nodes in plain depth-first order, so every counter, the first
-    failure and its shrink are deterministic.
-
-    {b Dedup.}  With [config.dedup], a sharded seen-trace table keyed on
-    the {e canonical linearization} of each run's happens-before order
-    ({!canonical_key}) counts distinct Mazurkiewicz traces ("states") and
-    skips expanding a trace some domain already expanded.  Without it no
-    key is computed and no states are counted. *)
+    visits nodes in plain depth-first order, so the first failure and its
+    shrink are deterministic. *)
 
 open Commlat_core
 module Obs = Commlat_obs.Obs
@@ -70,26 +60,15 @@ type config = {
   max_schedules : int;  (** run budget for the exploration phase *)
   max_steps : int;  (** per-run step budget (catches retry livelocks) *)
   domains : int;  (** worker domains *)
-  dedup : bool;
-      (** skip expanding a run whose canonical trace was already expanded,
-          and count distinct traces.  Ignored without [por]: the unpruned
-          search is the ground truth and runs every branch. *)
 }
 
 let default_config =
-  {
-    por = true;
-    max_schedules = 2000;
-    max_steps = 2000;
-    domains = 1;
-    dedup = false;
-  }
+  { por = true; max_schedules = 2000; max_steps = 2000; domains = 1 }
 
 (** One domain's counters; the report also carries their sum. *)
 type counters = {
   mutable runs : int;  (** schedules actually executed *)
   mutable pruned : int;  (** branches dropped by commutativity pruning *)
-  mutable sleep_hits : int;  (** branches dropped by the sleep set *)
   mutable steps : int;  (** total steps across all runs *)
   mutable truncated : int;  (** runs that hit the step budget *)
   mutable shrink_runs : int;  (** extra runs spent shrinking *)
@@ -97,7 +76,6 @@ type counters = {
   mutable pushed : int;  (** children pushed to the local deque *)
   mutable steals : int;  (** successful steals from other deques *)
   mutable steal_misses : int;  (** full sweeps that found nothing *)
-  mutable dedup_hits : int;  (** runs not expanded: trace already seen *)
 }
 
 type failure = {
@@ -112,8 +90,6 @@ type report = {
   verdict : failure option;  (** [None] = no counterexample found *)
   c : counters;  (** summed across domains *)
   per_domain : counters array;
-  states : int option;
-      (** distinct canonical traces; [None] when the search did not dedup *)
   exhausted : bool;
       (** false: the run budget cut the search short, or some run hit the
           step budget (a truncated run is never counted as clean) *)
@@ -123,7 +99,6 @@ let fresh_counters () =
   {
     runs = 0;
     pruned = 0;
-    sleep_hits = 0;
     steps = 0;
     truncated = 0;
     shrink_runs = 0;
@@ -131,7 +106,6 @@ let fresh_counters () =
     pushed = 0;
     steals = 0;
     steal_misses = 0;
-    dedup_hits = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -275,28 +249,21 @@ let shrink ~max_steps ~(c : counters) mk kind (schedule : int list) :
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type node = { prefix : int list; sleep : (int * string) list }
-
 (** What {!expand} found at one node: child prefixes in {e generation
     order} (outermost decision's first alternative first) plus how many
-    branches commutativity pruning and the sleep set dropped. *)
-type expansion = {
-  children : node list;
-  x_pruned : int;
-  x_sleep_hits : int;
-}
+    branches commutativity pruning dropped. *)
+type expansion = { children : int list list; x_pruned : int }
 
-(** Generate the backtrack children of [node] from the run [r] it
-    produced: for every decision at or beyond the prefix and every enabled
-    alternative fiber, a child prefix — unless partial-order reduction or
-    the sleep set proves the branch redundant.  Pure, so any domain can
-    expand any node. *)
-let expand ~por ~spec (r : Scheduler.result) (node : node) : expansion =
-  let x_pruned = ref 0 and x_sleep_hits = ref 0 in
+(** Generate the backtrack children of the node [prefix] from the run [r]
+    it produced: for every decision at or beyond the prefix and every
+    enabled alternative fiber, a child prefix — unless partial-order
+    reduction proves the branch redundant.  Pure, so any domain can expand
+    any node. *)
+let expand ~por ~spec (r : Scheduler.result) (prefix : int list) : expansion =
+  let x_pruned = ref 0 in
   let steps = Array.of_list r.Scheduler.steps in
   let nsteps = Array.length steps in
   let choices = Array.of_list r.Scheduler.choices in
-  let plen = List.length node.prefix in
   (* next index >= k at which fiber t executes, or nsteps *)
   let next_exec k t =
     let rec go j =
@@ -318,59 +285,17 @@ let expand ~por ~spec (r : Scheduler.result) (node : node) : expansion =
       scan k
     end
   in
-  (* sleep bookkeeping: walk decisions in order, waking entries when a
-     dependent action executes; collect children *)
   let children = ref [] in
-  let asleep = ref node.sleep in
-  let prefix_steps = ref [] (* steps.(0..k-1), reversed *) in
-  for k = 0 to nsteps - 1 do
-    let st = steps.(k) in
-    (if k >= plen then
-       let explored_here =
-         (* siblings already scheduled at this decision: the chosen fiber
-            first, then alternatives as we push them *)
-         ref
-           [
-             ( st.Trace.s_tid,
-               Trace.fingerprint (List.rev !prefix_steps) st.Trace.s_tid
-                 st.Trace.s_info );
-           ]
-       in
-       List.iter
-         (fun (t, _att, alt) ->
-           let fp = Trace.fingerprint (List.rev !prefix_steps) t alt in
-           if List.mem (t, fp) !asleep then incr x_sleep_hits
-           else if not (must_branch k t alt) then incr x_pruned
-           else begin
-             let child_prefix =
-               Array.to_list (Array.sub choices 0 k) @ [ t ]
-             in
-             children :=
-               { prefix = child_prefix; sleep = !explored_here } :: !children;
-             explored_here := (t, fp) :: !explored_here
-           end)
-         st.Trace.s_alts);
-    (* wake sleeping entries the executed step conflicts with *)
-    asleep :=
-      List.filter
-        (fun (t, fp) ->
-          if t = st.Trace.s_tid then false
-          else
-            match
-              List.find_opt (fun (t', _, _) -> t' = t) st.Trace.s_alts
-            with
-            | Some (_, _, pend)
-              when Trace.fingerprint (List.rev !prefix_steps) t pend = fp ->
-                not (dependent spec r.Scheduler.executed st.Trace.s_info pend)
-            | _ -> true)
-        !asleep;
-    prefix_steps := st :: !prefix_steps
+  for k = List.length prefix to nsteps - 1 do
+    List.iter
+      (fun (t, _att, alt) ->
+        if must_branch k t alt then
+          children :=
+            (Array.to_list (Array.sub choices 0 k) @ [ t ]) :: !children
+        else incr x_pruned)
+      steps.(k).Trace.s_alts
   done;
-  {
-    children = List.rev !children;
-    x_pruned = !x_pruned;
-    x_sleep_hits = !x_sleep_hits;
-  }
+  { children = List.rev !children; x_pruned = !x_pruned }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical trace keys                                                *)
@@ -381,7 +306,8 @@ let expand ~por ~spec (r : Scheduler.result) (node : node) : expansion =
     {!dependent} edges (within one thread only the earliest unscheduled
     event is ready, so the choice is total), rendered with
     {!Trace.render}'s first-appearance normalization.  Two runs are
-    Mazurkiewicz-equivalent iff their keys are equal. *)
+    Mazurkiewicz-equivalent iff their keys are equal.  The search never
+    computes it: it is the oracle the tests count distinct traces with. *)
 let canonical_key spec (r : Scheduler.result) : string =
   let arr = Array.of_list r.Scheduler.steps in
   let n = Array.length arr in
@@ -421,59 +347,28 @@ let canonical_key spec (r : Scheduler.result) : string =
   done;
   Trace.render (List.rev_map (fun i -> arr.(i)) !order)
 
-(** The sharded seen-trace table. *)
-module Seen = struct
-  type t = {
-    tables : (string, unit) Hashtbl.t array;
-    locks : Mutex.t array;
-  }
-
-  let shards = 64 (* power of two *)
-
-  let create () =
-    {
-      tables = Array.init shards (fun _ -> Hashtbl.create 64);
-      locks = Array.init shards (fun _ -> Mutex.create ());
-    }
-
-  (** [add t key] is [true] iff [key] was not present (first sighting). *)
-  let add t key =
-    let i = Hashtbl.hash key land (shards - 1) in
-    Mutex.protect t.locks.(i) (fun () ->
-        if Hashtbl.mem t.tables.(i) key then false
-        else begin
-          Hashtbl.replace t.tables.(i) key ();
-          true
-        end)
-
-  let cardinal t =
-    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.tables
-end
-
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** Explore [mk]'s schedule tree on [config.domains] domains.  [obs], when
-    given, receives the [schedules_run] / [schedules_pruned] /
-    [sleep_set_hits] counters (bumped from all domains). *)
+    given, receives the [schedules_run] / [schedules_pruned] counters
+    (bumped from all domains). *)
 let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     report =
   let { por; max_schedules; max_steps; _ } = config in
   let ndom = max 1 config.domains in
   let counter name = Option.map (fun o -> Obs.counter o name) obs in
   let o_runs = counter "schedules_run"
-  and o_pruned = counter "schedules_pruned"
-  and o_sleep = counter "sleep_set_hits" in
+  and o_pruned = counter "schedules_pruned" in
   let bump cnt n = Option.iter (fun x -> Obs.add x n) cnt in
   let spec = (mk ()).Scheduler.spec in
-  let seen = if config.dedup && por then Some (Seen.create ()) else None in
   let deques = Array.init ndom (fun _ -> Wsdeque.create ()) in
   let per_domain = Array.init ndom (fun _ -> fresh_counters ()) in
   (* nodes pushed but whose processing has not finished; exact because a
      worker increments for every child BEFORE decrementing for the parent *)
   let pending = Atomic.make 1 in
-  Wsdeque.push_front deques.(0) { prefix = []; sleep = [] };
+  Wsdeque.push_front deques.(0) [];
   let tickets = Atomic.make 0 in
   let budget_hit = Atomic.make false in
   let stop = Atomic.make false in
@@ -482,7 +377,7 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
   let failure : failure option ref =
     ref None (* written by the claim winner only; read after joins *)
   in
-  let process me node =
+  let process me prefix =
     let d = per_domain.(me) in
     if Atomic.get stop then ()
     else if Atomic.fetch_and_add tickets 1 >= max_schedules then begin
@@ -491,7 +386,7 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
       Atomic.set stop true
     end
     else begin
-      let r = Scheduler.run ~max_steps ~schedule:node.prefix mk in
+      let r = Scheduler.run ~max_steps ~schedule:prefix mk in
       d.runs <- d.runs + 1;
       bump o_runs 1;
       d.steps <- d.steps + List.length r.Scheduler.steps;
@@ -524,28 +419,19 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
                 }
           end
       | None -> (
-          let fresh =
-            match seen with
-            | None -> true
-            | Some s -> Seen.add s (canonical_key spec r)
-          in
-          if not fresh then d.dedup_hits <- d.dedup_hits + 1
-          else
-            let x = expand ~por ~spec r node in
-            d.pruned <- d.pruned + x.x_pruned;
-            bump o_pruned x.x_pruned;
-            d.sleep_hits <- d.sleep_hits + x.x_sleep_hits;
-            bump o_sleep x.x_sleep_hits;
-            d.expanded <- d.expanded + 1;
-            match x.children with
-            | [] -> ()
-            | children ->
-                let k = List.length children in
-                ignore (Atomic.fetch_and_add pending k);
-                (* push in generation order: the LAST decision's branch ends
-                   up at the front, so it is explored first *)
-                List.iter (Wsdeque.push_front deques.(me)) children;
-                d.pushed <- d.pushed + k)
+          let x = expand ~por ~spec r prefix in
+          d.pruned <- d.pruned + x.x_pruned;
+          bump o_pruned x.x_pruned;
+          d.expanded <- d.expanded + 1;
+          match x.children with
+          | [] -> ()
+          | children ->
+              let k = List.length children in
+              ignore (Atomic.fetch_and_add pending k);
+              (* push in generation order: the LAST decision's branch ends
+                 up at the front, so it is explored first *)
+              List.iter (Wsdeque.push_front deques.(me)) children;
+              d.pushed <- d.pushed + k)
     end
   in
   let worker me =
@@ -608,21 +494,18 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     (fun d ->
       c.runs <- c.runs + d.runs;
       c.pruned <- c.pruned + d.pruned;
-      c.sleep_hits <- c.sleep_hits + d.sleep_hits;
       c.steps <- c.steps + d.steps;
       c.truncated <- c.truncated + d.truncated;
       c.shrink_runs <- c.shrink_runs + d.shrink_runs;
       c.expanded <- c.expanded + d.expanded;
       c.pushed <- c.pushed + d.pushed;
       c.steals <- c.steals + d.steals;
-      c.steal_misses <- c.steal_misses + d.steal_misses;
-      c.dedup_hits <- c.dedup_hits + d.dedup_hits)
+      c.steal_misses <- c.steal_misses + d.steal_misses)
     per_domain;
   {
     verdict = !failure;
     c;
     per_domain;
-    states = Option.map Seen.cardinal seen;
     exhausted =
       !failure <> None || ((not (Atomic.get budget_hit)) && c.truncated = 0);
   }
@@ -649,17 +532,16 @@ let json_of_domain i (d : counters) : Jsonx.t =
       ("steps", Jsonx.Int d.steps);
       ("truncated", Jsonx.Int d.truncated);
       ("pruned", Jsonx.Int d.pruned);
-      ("sleep_hits", Jsonx.Int d.sleep_hits);
       ("expanded", Jsonx.Int d.expanded);
       ("pushed", Jsonx.Int d.pushed);
       ("steals", Jsonx.Int d.steals);
       ("steal_misses", Jsonx.Int d.steal_misses);
-      ("dedup_hits", Jsonx.Int d.dedup_hits);
       ("shrink_runs", Jsonx.Int d.shrink_runs);
     ]
 
-(** JSON document (schema ["commlat-explore/1"]).  [states], [dedup_hits]
-    and [dedup_rate] appear only when the search deduplicated. *)
+(** JSON document (schema ["commlat-explore/1"]).  [sleep_set_hits] is
+    always 0: the explorer has no sleep set, but perfbench/explore.py reads
+    the key. *)
 let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
     (r : report) : Jsonx.t =
   let fail_json =
@@ -676,19 +558,6 @@ let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
             ("trace", Jsonx.Str f.f_trace);
           ]
   in
-  let dedup_json =
-    match r.states with
-    | None -> []
-    | Some states ->
-        [
-          ("states", Jsonx.Int states);
-          ("dedup_hits", Jsonx.Int r.c.dedup_hits);
-          ( "dedup_rate",
-            Jsonx.Float
-              (if r.c.runs = 0 then 0.0
-               else float_of_int r.c.dedup_hits /. float_of_int r.c.runs) );
-        ]
-  in
   Jsonx.Obj
     ([
        ("schema", Jsonx.Str "commlat-explore/1");
@@ -697,26 +566,22 @@ let json_of_report ~workload ~detector ~txns ~(config : config) ?obs_snapshot
        ("txns", Jsonx.Int txns);
        ("domains", Jsonx.Int (Array.length r.per_domain));
        ("por", Jsonx.Bool config.por);
-       ("dedup", Jsonx.Bool (r.states <> None));
        ("max_schedules", Jsonx.Int config.max_schedules);
        ("max_steps", Jsonx.Int config.max_steps);
        ("schedules_run", Jsonx.Int r.c.runs);
        ("schedules_pruned", Jsonx.Int r.c.pruned);
-       ("sleep_set_hits", Jsonx.Int r.c.sleep_hits);
+       ("sleep_set_hits", Jsonx.Int 0);
        ("steps_total", Jsonx.Int r.c.steps);
        ("truncated_runs", Jsonx.Int r.c.truncated);
        ("shrink_runs", Jsonx.Int r.c.shrink_runs);
+       ("exhausted", Jsonx.Bool r.exhausted);
+       ( "verdict",
+         Jsonx.Str
+           (match r.verdict with None -> "ok" | Some _ -> "counterexample") );
+       ("counterexample", fail_json);
+       ( "per_domain",
+         Jsonx.List (Array.to_list (Array.mapi json_of_domain r.per_domain)) );
      ]
-    @ dedup_json
-    @ [
-        ("exhausted", Jsonx.Bool r.exhausted);
-        ( "verdict",
-          Jsonx.Str
-            (match r.verdict with None -> "ok" | Some _ -> "counterexample") );
-        ("counterexample", fail_json);
-        ( "per_domain",
-          Jsonx.List (Array.to_list (Array.mapi json_of_domain r.per_domain)) );
-      ]
     @
     match obs_snapshot with
     | Some s -> [ ("obs", Obs.snapshot_to_json s) ]

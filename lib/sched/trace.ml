@@ -49,52 +49,37 @@ type step = {
 (* ------------------------------------------------------------------ *)
 
 (** First-appearance normalizer: process-global ids to dense run-local
-    ones.  Unseen ids map to [-1] (rendered ["?"]) — used when
-    fingerprinting a pending action against a trace {e prefix} that never
-    touched its guard. *)
+    ones. *)
 let normalizer () =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let intern i =
+  fun i ->
     match Hashtbl.find_opt tbl i with
     | Some j -> j
     | None ->
         let j = Hashtbl.length tbl in
         Hashtbl.add tbl i j;
         j
-  in
-  let peek i = Option.value ~default:(-1) (Hashtbl.find_opt tbl i) in
-  (intern, peek)
-
-let pp_norm_id prefix ppf = function
-  | -1 -> Fmt.pf ppf "%s?" prefix
-  | j -> Fmt.pf ppf "%s%d" prefix j
 
 (** Render one action with [gid]/[cid] id translation.  Transaction ids
     are never printed (callers print [tid.attempt] instead), so output is
     stable across runs. *)
 let pp_action ~gid ~cid ppf (a : Schedpoint.action) =
   match a with
-  | Schedpoint.Acquire g -> Fmt.pf ppf "acq %a" (pp_norm_id "G") (gid g)
-  | Schedpoint.Release g -> Fmt.pf ppf "rel %a" (pp_norm_id "G") (gid g)
+  | Schedpoint.Acquire g -> Fmt.pf ppf "acq G%d" (gid g)
+  | Schedpoint.Release g -> Fmt.pf ppf "rel G%d" (gid g)
   | Schedpoint.Invoke { det; inv } ->
       Fmt.pf ppf "invoke %s(%a)=%a [%s]" inv.Invocation.meth.Invocation.name
         Fmt.(array ~sep:comma Value.pp)
         inv.Invocation.args Value.pp inv.Invocation.ret det
   | Schedpoint.Commit { det; _ } -> Fmt.pf ppf "commit [%s]" det
   | Schedpoint.Abort { det; _ } -> Fmt.pf ppf "abort [%s]" det
-  | Schedpoint.Read c -> Fmt.pf ppf "read %a" (pp_norm_id "C") (cid c)
-  | Schedpoint.Write c -> Fmt.pf ppf "write %a" (pp_norm_id "C") (cid c)
-
-let action_ids (a : Schedpoint.action) =
-  match a with
-  | Schedpoint.Acquire g | Schedpoint.Release g -> (Some g, None)
-  | Schedpoint.Read c | Schedpoint.Write c -> (None, Some c)
-  | _ -> (None, None)
+  | Schedpoint.Read c -> Fmt.pf ppf "read C%d" (cid c)
+  | Schedpoint.Write c -> Fmt.pf ppf "write C%d" (cid c)
 
 (** Render a full trace, one step per line:
     [<idx> t<tid>.<attempt> <action>]. *)
 let render (steps : step list) : string =
-  let gintern, _ = normalizer () and cintern, _ = normalizer () in
+  let gintern = normalizer () and cintern = normalizer () in
   let buf = Buffer.create 1024 in
   List.iteri
     (fun i st ->
@@ -104,19 +89,3 @@ let render (steps : step list) : string =
            st.s_info.i_action))
     steps;
   Buffer.contents buf
-
-(** Fingerprint a (tid, pending action) pair relative to a trace prefix:
-    the sleep-set key.  Ids are normalized by first appearance {e in the
-    prefix}, so the same logical pending action fingerprints identically
-    in a parent run and in the child run that replays the parent's
-    choices up to the branch point. *)
-let fingerprint (prefix : step list) (tid : int) (info : info) : string =
-  let gintern, gpeek = normalizer () and cintern, cpeek = normalizer () in
-  List.iter
-    (fun st ->
-      match action_ids st.s_info.i_action with
-      | Some g, _ -> ignore (gintern g)
-      | _, Some c -> ignore (cintern c)
-      | _ -> ())
-    prefix;
-  Fmt.str "t%d:%a" tid (pp_action ~gid:gpeek ~cid:cpeek) info.i_action

@@ -16,9 +16,9 @@
     [Value.Type_error] from a malformed argument, out-of-range union-find
     element — into a rolled-back transaction plus an [Err] response frame.
     Exceptions never escape to the calling worker domain, so a bad request
-    cannot kill a worker or wedge the server's pending-request
-    accounting.  Only {!Detector.Conflict} is surfaced (as {!Conflicted})
-    because the caller owns the retry/flush policy. *)
+    cannot kill a worker or go unanswered.  Only {!Detector.Conflict} is
+    surfaced (as {!Conflicted}) because the caller owns the retry/flush
+    policy. *)
 
 open Commlat_core
 open Commlat_adts

@@ -24,12 +24,12 @@
       already contained by {!Engine.try_req}.
 
     Termination: a [Quit] request stops the accept loop, lets every
-    worker drain its queue ([pending] outstanding-request counter must
-    reach zero), joins the worker domains and returns — the CLI then
-    exits 0.  Malformed frames answer an [Err] and keep the connection;
-    unrecoverable framing (oversized prefix, mid-frame EOF) closes just
-    that connection.  Both leave [pending] balanced, so a bad client can
-    neither kill a worker nor wedge shutdown. *)
+    worker drain its queue, joins the worker domains, answers any job a
+    racing reader enqueued after its worker exited, and returns — the CLI
+    then exits 0.  Malformed frames answer an [Err] and keep the
+    connection; unrecoverable framing (oversized prefix, mid-frame EOF)
+    closes just that connection, so a bad client can neither kill a
+    worker nor wedge shutdown. *)
 
 module Obs = Commlat_obs.Obs
 
@@ -270,7 +270,7 @@ let backoff_sleep attempt =
     Unix.sleepf (1e-6 *. float_of_int (1 lsl exp))
   end
 
-let worker ~eng ~qu ~stop ~gate ~pending ~verbose () =
+let worker ~eng ~qu ~stop ~gate ~verbose () =
   let ep = epoch_create () in
   let run_job job =
     let rec attempt n =
@@ -294,15 +294,14 @@ let worker ~eng ~qu ~stop ~gate ~pending ~verbose () =
             attempt (n + 1)
           end
     in
-    (match attempt 0 with
+    match attempt 0 with
     | () -> ()
     | exception e ->
         (* belt-and-braces: Engine.try_req contains per-request failures,
            but if anything else ever escapes, answer and keep the worker
-           (and the pending counter) alive *)
+           alive *)
         stage ep job.jconn
-          (Wire.Err (Wire.req_id job.req, "internal error: " ^ Printexc.to_string e)));
-    ignore (Atomic.fetch_and_add pending (-1))
+          (Wire.Err (Wire.req_id job.req, "internal error: " ^ Printexc.to_string e))
   in
   let unblock = gate_pending gate in
   let rec loop () =
@@ -323,7 +322,7 @@ let worker ~eng ~qu ~stop ~gate ~pending ~verbose () =
 (* Connection readers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let reader ~eng ~queues ~rr ~stop ~pending conn () =
+let reader ~eng ~queues ~rr ~stop conn () =
   let nworkers = Array.length queues in
   let route job =
     let w =
@@ -331,7 +330,6 @@ let reader ~eng ~queues ~rr ~stop ~pending conn () =
       | Some h -> (h land max_int) mod nworkers
       | None -> (Atomic.fetch_and_add rr 1) mod nworkers
     in
-    ignore (Atomic.fetch_and_add pending 1);
     queue_push queues.(w) job
   in
   let rec loop () =
@@ -470,7 +468,6 @@ let run (cfg : config) : Engine.t =
      allowed to exit — which is what guarantees every posted barrier
      completes (all workers stay alive until then) *)
   let stop_workers = Atomic.make false in
-  let pending = Atomic.make 0 in
   let rr = Atomic.make 0 in
   let queues = Array.init cfg.domains (fun _ -> queue_create ()) in
   let gate = gate_create ~workers:cfg.domains in
@@ -478,7 +475,7 @@ let run (cfg : config) : Engine.t =
     Array.mapi
       (fun _i qu ->
         Domain.spawn
-          (worker ~eng ~qu ~stop:stop_workers ~gate ~pending ~verbose:cfg.verbose))
+          (worker ~eng ~qu ~stop:stop_workers ~gate ~verbose:cfg.verbose))
       queues
   in
   let ctrl =
@@ -499,7 +496,7 @@ let run (cfg : config) : Engine.t =
         | fd, _ ->
             let conn = { fd; out_mu = Mutex.create (); alive = true } in
             ignore
-              (Thread.create (reader ~eng ~queues ~rr ~stop ~pending conn) ())
+              (Thread.create (reader ~eng ~queues ~rr ~stop conn) ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | _ -> ()
   done;
@@ -512,14 +509,13 @@ let run (cfg : config) : Engine.t =
   Array.iter wake_all queues;
   Array.iter Domain.join workers;
   (* a reader racing [Quit] may have enqueued after its worker exited:
-     answer those with an error so the pending counter still balances *)
+     answer those with an error, so every request is answered *)
   Array.iter
     (fun qu ->
       Mutex.protect qu.mu (fun () ->
           while not (Queue.is_empty qu.q) do
             let j = Queue.pop qu.q in
-            send_resp j.jconn (Wire.Err (Wire.req_id j.req, "server shutting down"));
-            ignore (Atomic.fetch_and_add pending (-1))
+            send_resp j.jconn (Wire.Err (Wire.req_id j.req, "server shutting down"))
           done))
     queues;
   (try Unix.close lsock with _ -> ());

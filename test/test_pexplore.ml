@@ -1,11 +1,13 @@
 (* The DPOR explorer across domains (lib/sched/explore.ml): pinned
-   one-domain counters and counterexample, domain-count invariance of
-   explored states and violations, canonical-trace dedup keys, the
-   unpruned search at any domain count, the seeded ABBA bug under
-   parallel search, and budget honesty (run and step budgets). *)
+   one-domain counters and counterexample, domain-count invariance of the
+   counters and violations, canonical-trace keys of the pruned and the
+   unreduced tree, the unpruned search at any domain count, the seeded
+   ABBA bug under parallel search, budget honesty (run and step budgets)
+   and the keys of the commlat-explore/1 report. *)
 
 open Commlat_runtime
 open Commlat_sched
+module Jsonx = Commlat_obs.Jsonx
 
 let mk_set ?(txns = 3) ?(keys = 3) ?(seed = 7) scheme =
   match Workload.set ~txns ~ops_per_txn:2 ~keys ~seed scheme with
@@ -19,15 +21,20 @@ let mk_uf seed =
   | Ok w -> w
   | Error e -> Alcotest.fail e
 
-let pconfig ?(por = true) ?(max_schedules = 2000) ?(dedup = true) domains =
-  { Explore.default_config with por; max_schedules; domains; dedup }
+let pconfig ?(por = true) ?(max_schedules = 2000) domains =
+  { Explore.default_config with por; max_schedules; domains }
 
-(* ---- one domain, no dedup (the CLI's default): the counters and the
+(* the counters that describe an exhausted search tree *)
+let shape (r : Explore.report) =
+  let c = r.Explore.c in
+  (c.Explore.runs, c.Explore.pruned, c.Explore.steps)
+
+(* ---- one domain (the CLI's default): the counters and the
    counterexample are pinned ---- *)
 
 let test_one_domain_counters () =
   List.iter
-    (fun (name, scheme, seed, (runs, pruned, sleep_hits, steps)) ->
+    (fun (name, scheme, seed, (runs, pruned, steps)) ->
       let w =
         match Workload.by_name ~txns:2 ~seed name scheme with
         | Ok w -> w
@@ -44,14 +51,10 @@ let test_one_domain_counters () =
       Alcotest.(check bool) (name ^ ": exhausted") true r.Explore.exhausted;
       Alcotest.(check int) (name ^ ": runs") runs c.Explore.runs;
       Alcotest.(check int) (name ^ ": pruned") pruned c.Explore.pruned;
-      Alcotest.(check int) (name ^ ": sleep hits") sleep_hits
-        c.Explore.sleep_hits;
-      Alcotest.(check int) (name ^ ": steps") steps c.Explore.steps;
-      Alcotest.(check (option int)) (name ^ ": no states without dedup") None
-        r.Explore.states)
+      Alcotest.(check int) (name ^ ": steps") steps c.Explore.steps)
     [
-      ("union-find", Protect.General_gk, 1, (2182, 39, 0, 39276));
-      ("delaunay", Protect.Forward_gk, 17, (918, 0, 0, 41310));
+      ("union-find", Protect.General_gk, 1, (2182, 39, 39276));
+      ("delaunay", Protect.Forward_gk, 17, (918, 0, 41310));
     ]
 
 let test_one_domain_abba () =
@@ -67,8 +70,8 @@ let test_one_domain_abba () =
       Alcotest.(check int) "shrunk from" 19 f.Explore.f_shrunk_from;
       Alcotest.(check int) "runs before the failure" 5 r.Explore.c.Explore.runs
 
-(* ---- the search tree is fixed, so states and violations cannot depend
-   on the domain count (the BENCH gate, in-process) ---- *)
+(* ---- the search tree is fixed, so an exhausted search runs the same
+   schedules at every domain count (the BENCH gate, in-process) ---- *)
 
 let test_domain_count_invariance () =
   let workloads =
@@ -114,9 +117,10 @@ let test_domain_count_invariance () =
           Alcotest.(check bool)
             (Fmt.str "%s: exhausted at %d domains" name domains)
             true r.Explore.exhausted;
-          Alcotest.(check (option int))
-            (Fmt.str "%s: states at %d domains match 1 domain" name domains)
-            base.Explore.states r.Explore.states;
+          Alcotest.(check (triple int int int))
+            (Fmt.str "%s: runs/pruned/steps at %d domains match 1 domain"
+               name domains)
+            (shape base) (shape r);
           Alcotest.(check bool)
             (Fmt.str "%s: no violation at %d domains" name domains)
             true
@@ -126,50 +130,47 @@ let test_domain_count_invariance () =
 
 (* ---- canonical keys quotient by Mazurkiewicz equivalence: the search
    with no reduction at all reaches more interleavings but the same set
-   of traces as the pruned, deduplicated one ---- *)
+   of traces as the pruned one ---- *)
 
-(* The unreduced search written out: every branch, no POR, no dedup.
-   Returns (runs, distinct canonical keys, runs whose key was seen). *)
-let unreduced_states mk =
+(* The search tree written out, one domain, depth-first.  Returns (runs,
+   distinct canonical keys, runs whose key was seen). *)
+let distinct_traces ~por mk =
   let spec = (mk ()).Scheduler.spec in
   let keys = Hashtbl.create 1024 in
   let runs = ref 0 and hits = ref 0 in
-  let rec go node =
+  let rec go prefix =
     let r =
       Scheduler.run ~max_steps:Explore.default_config.Explore.max_steps
-        ~schedule:node.Explore.prefix mk
+        ~schedule:prefix mk
     in
     incr runs;
     if r.Scheduler.status <> Scheduler.Completed then
       Alcotest.fail (Fmt.str "%a" Scheduler.pp_status r.Scheduler.status);
     let k = Explore.canonical_key spec r in
     if Hashtbl.mem keys k then incr hits else Hashtbl.replace keys k ();
-    List.iter go (Explore.expand ~por:false ~spec r node).Explore.children
+    List.iter go (Explore.expand ~por ~spec r prefix).Explore.children
   in
-  go { Explore.prefix = []; sleep = [] };
+  go [];
   (!runs, Hashtbl.length keys, !hits)
 
 let test_states_por_invariant () =
-  let w () = mk_uf 1 in
-  let rp =
-    Explore.explore
-      ~config:(pconfig ~por:true ~max_schedules:25000 1)
-      (w ()).Workload.make
-  in
-  let runs, states, hits = unreduced_states (w ()).Workload.make in
-  Alcotest.(check bool) "por run exhausts" true rp.Explore.exhausted;
-  Alcotest.(check (option int))
-    (Fmt.str "same canonical states with and without POR (%d runs vs %d)"
-       rp.Explore.c.Explore.runs runs)
-    (Some states) rp.Explore.states;
+  let mk = (mk_uf 1).Workload.make in
+  let pruned_runs, pruned_traces, _ = distinct_traces ~por:true mk in
+  let runs, traces, hits = distinct_traces ~por:false mk in
+  Alcotest.(check int)
+    (Fmt.str "same canonical traces with and without POR (%d runs vs %d)"
+       pruned_runs runs)
+    traces pruned_traces;
+  Alcotest.(check int) "distinct traces" 541 pruned_traces;
+  Alcotest.(check int) "the pruned walk is the explorer's tree" 2182
+    pruned_runs;
   (* without pruning, equivalent interleavings are re-executed — the
      canonical key must recognize them *)
   Alcotest.(check bool)
     (Fmt.str "unreduced search re-runs equivalent traces (%d)" hits)
     true (hits > 0)
 
-(* ---- --no-por is the ground truth at any domain count: the engine
-   builds no seen table without POR, even when dedup is asked for ---- *)
+(* ---- --no-por is the ground truth at any domain count ---- *)
 
 let test_no_por_domains () =
   List.iter
@@ -184,10 +185,7 @@ let test_no_por_domains () =
         true r.Explore.exhausted;
       Alcotest.(check int)
         (Fmt.str "every branch run at %d domains" domains)
-        3116 r.Explore.c.Explore.runs;
-      Alcotest.(check (option int))
-        (Fmt.str "no states counted at %d domains" domains)
-        None r.Explore.states)
+        3116 r.Explore.c.Explore.runs)
     [ 1; 2 ]
 
 (* ---- the seeded ABBA bug under parallel search ---- *)
@@ -238,9 +236,7 @@ let test_truncation_not_exhausted () =
     (fun domains ->
       let r =
         Explore.explore
-          ~config:
-            { Explore.default_config with max_steps = 3; domains;
-              dedup = domains > 1 }
+          ~config:{ Explore.default_config with max_steps = 3; domains }
           (fun () -> Seeded.workload ~buggy:true ())
       in
       let c = r.Explore.c in
@@ -250,6 +246,37 @@ let test_truncation_not_exhausted () =
       Alcotest.(check int) (at "every run truncated") 27 c.Explore.truncated;
       Alcotest.(check bool) (at "no verdict") true (r.Explore.verdict = None))
     [ 1; 2 ]
+
+(* ---- the commlat-explore/1 report renders the keys perfbench/explore.py
+   reads, sleep_set_hits at 0, and no seen-trace-table keys ---- *)
+
+let test_json_keys () =
+  let config = pconfig ~max_schedules:1_000_000 1 in
+  let r = Explore.explore ~config (mk_uf 1).Workload.make in
+  let doc =
+    Explore.json_of_report ~workload:"union-find" ~detector:"gen-gk" ~txns:2
+      ~config r
+  in
+  let doc =
+    match Jsonx.parse (Jsonx.to_string doc) with
+    | Ok j -> j
+    | Error m -> Alcotest.fail m
+  in
+  let keys = Option.get (Jsonx.to_obj doc) in
+  let has k = List.mem_assoc k keys in
+  Alcotest.(check (option string)) "schema" (Some "commlat-explore/1")
+    (Option.bind (Jsonx.member "schema" doc) Jsonx.to_str);
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " present") true (has k))
+    [
+      "schedules_run"; "schedules_pruned"; "steps_total"; "exhausted";
+      "verdict"; "counterexample";
+    ];
+  Alcotest.(check (option int)) "sleep_set_hits" (Some 0)
+    (Option.bind (Jsonx.member "sleep_set_hits" doc) Jsonx.to_int);
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " absent") false (has k))
+    [ "dedup"; "states"; "dedup_hits"; "dedup_rate" ]
 
 let suite =
   [
@@ -265,4 +292,5 @@ let suite =
     Alcotest.test_case "pexplore-budget-exact" `Quick test_budget_exact;
     Alcotest.test_case "pexplore-truncation-not-exhausted" `Quick
       test_truncation_not_exhausted;
+    Alcotest.test_case "pexplore-json-keys" `Quick test_json_keys;
   ]

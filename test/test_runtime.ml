@@ -212,7 +212,7 @@ let test_mem_trace_collector () =
   Alcotest.(check (list int)) "cleared" [] (Mem_trace.read_list c)
 
 (* The detector name of every scheme Protect builds.  Rendered traces and
-   DPOR sleep-set fingerprints (Trace.fingerprint) embed these names, so a
+   canonical trace keys (Explore.canonical_key) embed these names, so a
    rename would silently change both. *)
 let test_protect_names () =
   let adt =

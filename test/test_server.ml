@@ -504,10 +504,8 @@ let test_conflict_keeps_one_write () =
   List.iter
     (fun req -> Server.queue_push qu { Server.req; jconn = conn })
     [ put 1 1; put 2 2 ];
-  let pending = Atomic.make 2 in
   Server.worker ~eng ~qu ~stop:(Atomic.make true)
-    ~gate:(Server.gate_create ~workers:1) ~pending ~verbose:false ();
-  check_int "both jobs done" 0 (Atomic.get pending);
+    ~gate:(Server.gate_create ~workers:1) ~verbose:false ();
   check_int "the second put conflicted once" 1
     (Commlat_obs.Obs.value eng.Engine.c_aborts);
   let buf = Bytes.create 4096 in

@@ -40,7 +40,10 @@
     do not depend on [config.domains], which changes only wall-clock time.
     Each of [config.domains] workers owns a {!Wsdeque} of nodes: it pops
     from the front (depth-first), pushes a node's children back to the
-    front, and when empty steals from another deque.  {!Schedpoint} hooks
+    front, and when empty steals from another deque.  A worker whose steal
+    sweep finds nothing parks on a condition variable until children are
+    pushed, the search ends or it stops, so idle domains leave the cores
+    to the ones replaying schedules.  {!Schedpoint} hooks
     are domain-local, so each worker replays schedules through its own
     virtual scheduler.  All cross-domain state is explicit: an atomic
     run-ticket counter makes [max_schedules] exact, an atomic pending-node
@@ -75,7 +78,8 @@ type counters = {
   mutable expanded : int;  (** nodes whose children were generated *)
   mutable pushed : int;  (** children pushed to the local deque *)
   mutable steals : int;  (** successful steals from other deques *)
-  mutable steal_misses : int;  (** full sweeps that found nothing *)
+  mutable steal_misses : int;
+      (** full steal sweeps that found nothing (each one parks) *)
 }
 
 type failure = {
@@ -372,6 +376,18 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
   let tickets = Atomic.make 0 in
   let budget_hit = Atomic.make false in
   let stop = Atomic.make false in
+  (* workers out of local work park on [park_cv]; [idle] counts them so
+     that a pusher takes [park_mu] only when someone may be waiting *)
+  let park_mu = Mutex.create () and park_cv = Condition.create () in
+  let idle = Atomic.make 0 in
+  let wake () =
+    if Atomic.get idle > 0 then
+      Mutex.protect park_mu (fun () -> Condition.broadcast park_cv)
+  in
+  let halt () =
+    Atomic.set stop true;
+    wake ()
+  in
   let found_mu = Mutex.create () in
   let claimed = ref false (* protected by found_mu *) in
   let failure : failure option ref =
@@ -383,7 +399,7 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     else if Atomic.fetch_and_add tickets 1 >= max_schedules then begin
       (* budget honesty: this node was frontier work we did NOT run *)
       Atomic.set budget_hit true;
-      Atomic.set stop true
+      halt ()
     end
     else begin
       let r = Scheduler.run ~max_steps ~schedule:prefix mk in
@@ -401,7 +417,7 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
                 first)
           in
           if win then begin
-            Atomic.set stop true;
+            halt ();
             let sched, rr = shrink ~max_steps ~c:d mk kind r.Scheduler.choices in
             let detail =
               match failure_of_run rr with
@@ -431,44 +447,54 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
               (* push in generation order: the LAST decision's branch ends
                  up at the front, so it is explored first *)
               List.iter (Wsdeque.push_front deques.(me)) children;
+              wake ();
               d.pushed <- d.pushed + k)
     end
   in
   let worker me =
     let d = per_domain.(me) in
     let mine = deques.(me) in
-    let rec obtain () =
-      if Atomic.get stop then None
+    let rec sweep k =
+      if k >= ndom then None
       else
-        match Wsdeque.pop mine with
-        | Some n -> Some n
-        | None ->
-            if Atomic.get pending = 0 then None
-            else begin
-              let stolen = ref None in
-              let k = ref 1 in
-              while !stolen = None && !k < ndom do
-                (match Wsdeque.steal deques.((me + !k) mod ndom) with
-                | Some n ->
-                    stolen := Some n;
-                    d.steals <- d.steals + 1
-                | None -> ());
-                incr k
-              done;
-              match !stolen with
-              | Some n -> Some n
-              | None ->
-                  d.steal_misses <- d.steal_misses + 1;
-                  Domain.cpu_relax ();
-                  obtain ()
-            end
+        match Wsdeque.steal deques.((me + k) mod ndom) with
+        | Some n ->
+            d.steals <- d.steals + 1;
+            Some n
+        | None -> sweep (k + 1)
+    in
+    (* Out of local work: count this worker idle, then steal or wait,
+       under [park_mu].  A pusher or finisher that read [idle] before the
+       count changed made its node or its [pending]/[stop] write visible
+       to the sweep; one that reads it after wakes the wait. *)
+    let park () =
+      Mutex.lock park_mu;
+      Atomic.incr idle;
+      let rec wait () =
+        if Atomic.get stop || Atomic.get pending = 0 then None
+        else
+          match sweep 1 with
+          | Some n -> Some n
+          | None ->
+              d.steal_misses <- d.steal_misses + 1;
+              Condition.wait park_cv park_mu;
+              wait ()
+      in
+      let r = wait () in
+      Atomic.decr idle;
+      Mutex.unlock park_mu;
+      r
+    in
+    let obtain () =
+      if Atomic.get stop then None
+      else match Wsdeque.pop mine with Some n -> Some n | None -> park ()
     in
     let rec loop () =
       match obtain () with
       | None -> ()
       | Some node ->
           process me node;
-          Atomic.decr pending;
+          if Atomic.fetch_and_add pending (-1) = 1 then wake ();
           loop ()
     in
     loop ()
@@ -477,7 +503,7 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
     try worker me
     with e ->
       (* unblock the other workers before propagating *)
-      Atomic.set stop true;
+      halt ();
       raise e
   in
   let spawned =

@@ -70,6 +70,12 @@ type t = {
   c_strengthens : Obs.counter;  (** lattice moves away from precise *)
   c_weakens : Obs.counter;  (** lattice moves back toward precise *)
   c_swap_failures : Obs.counter;  (** swap thunks that raised at a barrier *)
+  (* the server's front end and epochs bump these (DESIGN.md §11) *)
+  c_socket_reads : Obs.counter;  (** connection [read]s that returned bytes *)
+  c_handoffs : Obs.counter;  (** job batches pushed to a worker queue *)
+  c_epochs : Obs.counter;  (** worker epochs that ran a request *)
+  c_epoch_requests : Obs.counter;  (** requests those epochs ran *)
+  c_response_writes : Obs.counter;  (** response [write] bursts *)
 }
 
 (** A successfully executed request whose transaction is still open,
@@ -320,6 +326,11 @@ let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
       c_strengthens = Obs.counter obs "adaptive_strengthens";
       c_weakens = Obs.counter obs "adaptive_weakens";
       c_swap_failures = Obs.counter obs "swap_failures";
+      c_socket_reads = Obs.counter obs "socket_reads";
+      c_handoffs = Obs.counter obs "handoffs";
+      c_epochs = Obs.counter obs "epochs";
+      c_epoch_requests = Obs.counter obs "epoch_requests";
+      c_response_writes = Obs.counter obs "response_writes";
     }
   in
   (match level with

@@ -3,11 +3,15 @@
 
     Threading model (DESIGN.md §11):
 
-    - One {e reader systhread per connection} decodes frames and routes
-      each invoke request to a worker queue by its footprint hash
-      ({!Engine.route_hash}); keyless requests round-robin.  Readers never
-      touch a detector — {!Commlat_core.Guard} ownership is per-{e domain},
-      so all transactional work happens on worker domains.
+    - One {e reader systhread per connection} reads bursts: one [read]
+      takes whatever the socket holds, {!Wire.frame_at} splits every
+      whole frame out of it, and each invoke request joins a per-worker
+      batch chosen by its footprint hash ({!Engine.route_hash}); keyless
+      requests round-robin.  Before it reads again, the reader hands each
+      non-empty batch to its worker queue with one lock and one signal.
+      Readers never touch a detector — {!Commlat_core.Guard} ownership is
+      per-{e domain}, so all transactional work happens on worker
+      domains.
     - [domains] {e worker domains} each drain their queue in epochs of up
       to [batch] requests.  Within an epoch every admitted request's
       transaction stays open; at the epoch boundary the worker commits
@@ -86,11 +90,13 @@ type conn = {
   mutable alive : bool;
 }
 
-let send_resp conn resp =
+let send_resp eng conn resp =
   Mutex.protect conn.out_mu (fun () ->
-      if conn.alive then
+      if conn.alive then begin
+        Obs.incr eng.Engine.c_response_writes;
         try Wire.write_frame conn.fd (Wire.encode_resp resp)
-        with _ -> conn.alive <- false)
+        with _ -> conn.alive <- false
+      end)
 
 type job = { req : Wire.req; jconn : conn }
 
@@ -103,9 +109,10 @@ type queue = {
 
 let queue_create () = { mu = Mutex.create (); cv = Condition.create (); q = Queue.create () }
 
-let queue_push qu j =
+(* Hand a batch of jobs to a worker: one lock and one wake-up for all. *)
+let queue_push qu jobs =
   Mutex.protect qu.mu (fun () ->
-      Queue.push j qu.q;
+      List.iter (fun j -> Queue.push j qu.q) jobs;
       Condition.signal qu.cv)
 
 (* Pop up to [n] jobs; blocks while empty unless [stop] is set or
@@ -255,11 +262,13 @@ let flush_epoch eng ep =
         let s = Buffer.contents b in
         Buffer.clear b;
         Mutex.protect conn.out_mu (fun () ->
-            if conn.alive then
+            if conn.alive then begin
+              Obs.incr eng.Engine.c_response_writes;
               try
                 Wire.really_write conn.fd (Bytes.unsafe_of_string s) 0
                   (String.length s)
-              with _ -> conn.alive <- false)
+              with _ -> conn.alive <- false
+            end)
       end)
     !(ep.outboxes);
   ep.outboxes := []
@@ -309,6 +318,10 @@ let worker ~eng ~qu ~stop ~gate ~verbose () =
     | [] when Atomic.get stop && not (unblock ()) ->
         flush_epoch eng ep (* stopping, drained, no swap pending: exit *)
     | jobs ->
+        if jobs <> [] then begin
+          Obs.incr eng.Engine.c_epochs;
+          Obs.add eng.Engine.c_epoch_requests (List.length jobs)
+        end;
         List.iter run_job jobs;
         flush_epoch eng ep;
         (* epoch boundary: all this worker's transactions are committed —
@@ -322,40 +335,92 @@ let worker ~eng ~qu ~stop ~gate ~verbose () =
 (* Connection readers                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(** Initial size of a connection's read buffer, so one [read] takes at
+    most this many bytes.  A larger frame grows the buffer to fit it;
+    the buffer never shrinks and never exceeds {!Wire.max_frame} plus
+    the 4-byte prefix. *)
+let burst_bytes = 65536
+
 let reader ~eng ~queues ~rr ~stop conn () =
   let nworkers = Array.length queues in
-  let route job =
+  (* jobs routed to each worker since the last hand-off, newest first *)
+  let batches = Array.make nworkers [] in
+  let hand_off () =
+    Array.iteri
+      (fun w jobs ->
+        if jobs <> [] then begin
+          batches.(w) <- [];
+          Obs.incr eng.Engine.c_handoffs;
+          queue_push queues.(w) (List.rev jobs)
+        end)
+      batches
+  in
+  let route req =
     let w =
-      match Engine.route_hash eng job.req with
+      match Engine.route_hash eng req with
       | Some h -> (h land max_int) mod nworkers
       | None -> (Atomic.fetch_and_add rr 1) mod nworkers
     in
-    queue_push queues.(w) job
+    batches.(w) <- { req; jconn = conn } :: batches.(w)
+  in
+  (* one frame's payload; false once it was a [Quit] *)
+  let handle payload =
+    match Wire.decode_req payload with
+    | exception Wire.Malformed msg ->
+        (* the frame boundary survived, so answer and keep splitting *)
+        send_resp eng conn (Wire.Err (0, msg));
+        true
+    | Wire.Quit id ->
+        hand_off ();
+        send_resp eng conn (Wire.Reply (id, Commlat_core.Value.Unit));
+        Atomic.set stop true;
+        Array.iter wake_all queues;
+        false
+    | Wire.Stats _ | Wire.Ping _ as req ->
+        (* answered inline: no transaction, no detector guard *)
+        (match Engine.try_req eng req with
+        | Engine.Done (None, resp) -> send_resp eng conn resp
+        | _ -> assert false);
+        true
+    | req ->
+        route req;
+        true
+  in
+  (* bytes [lo, hi) of [buf] are read but not yet split *)
+  let buf = ref (Bytes.create burst_bytes) and lo = ref 0 and hi = ref 0 in
+  (* split every whole frame read so far; false once one was a [Quit] *)
+  let rec split () =
+    match Wire.frame_at !buf !lo !hi with
+    | Wire.Frame n ->
+        let payload = Bytes.sub_string !buf (!lo + 4) n in
+        lo := !lo + 4 + n;
+        handle payload && split ()
+    | Wire.Short need ->
+        (* keep the cut frame at the front of a buffer that holds it
+           whole, so the next read always has room *)
+        let grow = need > Bytes.length !buf in
+        if grow || !lo > 0 then begin
+          let b = if grow then Bytes.create need else !buf in
+          Bytes.blit !buf !lo b 0 (!hi - !lo);
+          buf := b;
+          hi := !hi - !lo;
+          lo := 0
+        end;
+        true
   in
   let rec loop () =
-    match Wire.read_frame conn.fd with
-    | None -> () (* clean EOF *)
-    | exception Wire.Malformed _ | exception Unix.Unix_error _ ->
-        () (* framing broken: drop the connection *)
-    | Some payload -> (
-        match Wire.decode_req payload with
-        | exception Wire.Malformed msg ->
-            (* the frame boundary survived, so answer and keep reading *)
-            send_resp conn (Wire.Err (0, msg));
-            loop ()
-        | Wire.Quit id ->
-            send_resp conn (Wire.Reply (id, Commlat_core.Value.Unit));
-            Atomic.set stop true;
-            Array.iter wake_all queues
-        | Wire.Stats _ | Wire.Ping _ as req ->
-            (* answered inline: no transaction, no detector guard *)
-            (match Engine.try_req eng req with
-            | Engine.Done (None, resp) -> send_resp conn resp
-            | _ -> assert false);
-            loop ()
-        | req ->
-            route { req; jconn = conn };
-            loop ())
+    match Unix.read conn.fd !buf !hi (Bytes.length !buf - !hi) with
+    | 0 -> () (* EOF; a frame it cuts is dropped with the connection *)
+    | n ->
+        Obs.incr eng.Engine.c_socket_reads;
+        hi := !hi + n;
+        (* an oversized prefix ends the connection: framing is lost *)
+        let more = try split () with Wire.Malformed _ -> false in
+        (* never block in [read] holding jobs a worker could run *)
+        hand_off ();
+        if more then loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | exception Unix.Unix_error _ -> ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -515,7 +580,8 @@ let run (cfg : config) : Engine.t =
       Mutex.protect qu.mu (fun () ->
           while not (Queue.is_empty qu.q) do
             let j = Queue.pop qu.q in
-            send_resp j.jconn (Wire.Err (Wire.req_id j.req, "server shutting down"))
+            send_resp eng j.jconn
+              (Wire.Err (Wire.req_id j.req, "server shutting down"))
           done))
     queues;
   (try Unix.close lsock with _ -> ());

@@ -2,8 +2,8 @@
 
     Framing: every message is a 4-byte big-endian payload length followed
     by that many payload bytes.  Payloads longer than {!max_frame} are a
-    protocol violation — {!read_frame} refuses to allocate for them
-    (connection-level error), and {!decode_req} never sees them.
+    protocol violation — {!frame_at} and {!read_frame} refuse to allocate
+    for them (connection-level error), and {!decode_req} never sees them.
 
     Payload grammar (all integers big-endian):
 
@@ -29,10 +29,11 @@
 
     The codec is pure (strings in, strings out) so the round-trip property
     tests and the in-process conformance test run in tier-1 without
-    touching a socket; {!add_frame} builds a frame and
-    {!read_frame}/{!write_frame} add the [Unix] framing on top.  Every
-    decoder is total: malformed input raises {!Malformed}, never
-    [Invalid_argument] or an out-of-bounds crash. *)
+    touching a socket; {!add_frame} builds a frame, {!frame_at} splits the
+    frames out of whatever bytes one [read] returned, and
+    {!read_frame}/{!write_frame} add one-frame-at-a-time [Unix] framing on
+    top.  Every decoder is total: malformed input raises {!Malformed},
+    never [Invalid_argument] or an out-of-bounds crash. *)
 
 open Commlat_core
 
@@ -322,6 +323,34 @@ let really_read fd buf ofs len =
   in
   go ofs len
 
+(* The payload length declared by the 4-byte prefix at [pos] of [b]. *)
+let declared_len b pos =
+  let n = Int32.to_int (Bytes.get_int32_be b pos) in
+  if n < 0 || n > max_frame then
+    malformed "frame: declared payload %dB exceeds cap" n;
+  n
+
+(** What {!frame_at} finds at a position of a read buffer. *)
+type frame =
+  | Frame of int
+      (** a whole frame: its payload length (the payload follows the
+          4-byte prefix) *)
+  | Short of int
+      (** part of a frame: the bytes the whole frame takes, prefix
+          included (4 while the prefix itself is cut) *)
+
+(** [frame_at b pos lim] splits off the frame that starts at [pos] of
+    [b], whose bytes up to [lim] have been read.  Pure and incremental:
+    a reader calls it after every [read] until it answers [Short],
+    consumes each [Frame], and keeps the [Short] frame's bytes for the
+    next [read].  Raises [Malformed] on an oversized length prefix,
+    before any allocation. *)
+let frame_at b pos lim =
+  if lim - pos < 4 then Short 4
+  else
+    let n = declared_len b pos in
+    if lim - pos < 4 + n then Short (4 + n) else Frame n
+
 (** Append one frame (length prefix + payload) to [b].  Raises
     [Malformed] on a payload over {!max_frame}. *)
 let add_frame b (payload : string) =
@@ -344,10 +373,9 @@ let read_frame fd : string option =
   let hdr = Bytes.create 4 in
   if not (really_read fd hdr 0 4) then None
   else begin
-    let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
-    if n < 0 || n > max_frame then
-      malformed "read_frame: declared payload %dB exceeds cap" n;
+    let n = declared_len hdr 0 in
     let buf = Bytes.create n in
-    if n > 0 then ignore (really_read fd buf 0 n);
+    if n > 0 && not (really_read fd buf 0 n) then
+      malformed "read: connection closed mid-frame";
     Some (Bytes.unsafe_to_string buf)
   end

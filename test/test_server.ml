@@ -126,6 +126,91 @@ let prop_trailing_rejected =
       | _ -> false
       | exception Wire.Malformed _ -> true)
 
+(* The frame splitter against [read_frame]: a request stream fed to
+   [Wire.frame_at] in pieces cut at random offsets, as a reader's [read]s
+   would deliver it, yields exactly the payloads [read_frame] reads from
+   the uncut stream.  The stream ends cleanly, with a frame cut short
+   (the splitter reports [Short], never a payload), or with an oversized
+   length prefix (the splitter raises [Malformed] at that frame). *)
+type stream_end = Clean | Cut of int | Oversize of int
+
+let stream_end_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Clean;
+        map (fun k -> Cut k) (1 -- 1_000);
+        map (fun n -> Oversize n) (Wire.max_frame + 1 -- 0xffff_ffff);
+      ])
+
+(* every payload [read_frame] reads from [stream], and whether it ended
+   at a frame boundary *)
+let read_frames stream =
+  let path = Filename.temp_file "commlat-frames-" ".bin" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc stream);
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let rec go acc =
+    match Wire.read_frame fd with
+    | Some p -> go (p :: acc)
+    | None -> (List.rev acc, true)
+    | exception Wire.Malformed _ -> (List.rev acc, false)
+  in
+  let r = go [] in
+  Unix.close fd;
+  Sys.remove path;
+  r
+
+(* feed [stream] to the splitter one read at a time, as a reader holding
+   exactly the bytes before each cut would: the payloads in order, and
+   whether the stream ended [`Clean], in a [`Short] frame or [`Malformed] *)
+let split_frames stream cuts =
+  let n = String.length stream in
+  let lims = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) @ [ n ] in
+  let rec feed pos acc = function
+    | [] -> (List.rev acc, if pos = n then `Clean else `Short)
+    | lim :: rest ->
+        let b = Bytes.of_string (String.sub stream 0 lim) in
+        let rec split pos acc =
+          match Wire.frame_at b pos lim with
+          | Wire.Frame len ->
+              split (pos + 4 + len) (Bytes.sub_string b (pos + 4) len :: acc)
+          | Wire.Short need ->
+              if need <= lim - pos then (List.rev acc, `Short_with_frame_there)
+              else feed pos acc rest
+          | exception Wire.Malformed _ -> (List.rev acc, `Malformed)
+        in
+        split pos acc
+  in
+  feed 0 [] lims
+
+let prop_frame_splitter =
+  QCheck2.Test.make ~count:300
+    ~name:"wire: frame_at splits a stream cut anywhere as read_frame reads it"
+    QCheck2.Gen.(
+      triple (list_size (0 -- 8) req_gen) (list_size (0 -- 8) (0 -- 100_000))
+        stream_end_gen)
+    (fun (reqs, cuts, tail) ->
+      let b = Buffer.create 256 in
+      List.iter (fun r -> Wire.add_frame b (Wire.encode_req r)) reqs;
+      (match tail with
+      | Clean -> ()
+      | Cut k ->
+          let f = Buffer.create 64 in
+          Wire.add_frame f (Wire.encode_req (Wire.Ping 1));
+          Buffer.add_string b (Buffer.sub f 0 (k mod (Buffer.length f - 1) + 1))
+      | Oversize n -> Buffer.add_int32_be b (Int32.of_int n));
+      let stream = Buffer.contents b in
+      let want, clean = read_frames stream in
+      let got, ending = split_frames stream cuts in
+      List.length want = List.length reqs
+      && clean = (tail = Clean)
+      && got = want
+      && ending
+         = match tail with
+           | Clean -> `Clean
+           | Cut _ -> `Short
+           | Oversize _ -> `Malformed)
+
 let test_codec_malformed_tags () =
   let m s = match Wire.decode_req s with
     | _ -> false
@@ -184,6 +269,14 @@ let test_framing_pipe () =
   Unix.close w;
   (match Wire.read_frame r with
   | _ -> Alcotest.fail "mid-frame EOF must be Malformed"
+  | exception Wire.Malformed _ -> ());
+  Unix.close r;
+  (* EOF right after a length prefix is mid-frame too, not a payload *)
+  let r, w = Unix.pipe () in
+  ignore (Unix.write w hdr 0 4);
+  Unix.close w;
+  (match Wire.read_frame r with
+  | _ -> Alcotest.fail "EOF after a length prefix must be Malformed"
   | exception Wire.Malformed _ -> ());
   Unix.close r;
   (* writer-side caps *)
@@ -501,9 +594,8 @@ let test_conflict_keeps_one_write () =
   let conn = { Server.fd = srv_fd; out_mu = Mutex.create (); alive = true } in
   let qu = Server.queue_create () in
   let put id v = invoke ~id "kvmap" "put" [| Value.Int 1; Value.Int v |] in
-  List.iter
-    (fun req -> Server.queue_push qu { Server.req; jconn = conn })
-    [ put 1 1; put 2 2 ];
+  Server.queue_push qu
+    (List.map (fun req -> { Server.req; jconn = conn }) [ put 1 1; put 2 2 ]);
   Server.worker ~eng ~qu ~stop:(Atomic.make true)
     ~gate:(Server.gate_create ~workers:1) ~verbose:false ();
   check_int "the second put conflicted once" 1
@@ -570,19 +662,19 @@ let test_histo_merge_and_edges () =
     (got >= v && float_of_int (got - v) /. float_of_int v < 2.0 /. 64.0)
 
 (* ------------------------------------------------------------- *)
-(* Load rows                                                      *)
+(* A real server on a temporary Unix socket                       *)
 (* ------------------------------------------------------------- *)
 
-(* Each phase of a phase-shifting run must be reported with its own mix,
-   key space, skew, duration and burst, not the base config's: the base
-   below differs from every phase in each of them. *)
-let test_phase_rows () =
+(* Run [f addr] against an in-process server with [domains] workers, then
+   [Quit] it; returns [f]'s result and the server's engine. *)
+let with_server ~domains f =
   let path = Filename.temp_file "commlat-test-" ".sock" in
   Sys.remove path;
   let addr = Server.Unix_sock path in
+  let eng = ref None in
   let srv =
     Thread.create
-      (fun () -> ignore (Server.run { Server.default_config with addr; domains = 1 }))
+      (fun () -> eng := Some (Server.run { Server.default_config with addr; domains }))
       ()
   in
   let rec wait_ready n =
@@ -592,19 +684,94 @@ let test_phase_rows () =
         Unix.sleepf 0.02;
         wait_ready (n - 1)
   in
-  let base =
-    { Load.default_config with
-      Load.addr; conns = 2; rate = 1000.0; mix = Load.Write_heavy; keys = 7;
-      theta = 0.3; duration = 9.0; burst = 1 }
-  in
-  let phases = Load.default_phases ~burst:4 ~duration:0.1 () in
-  let prs =
+  let r =
     Fun.protect
       ~finally:(fun () ->
         (try ignore (Load.rpc addr (Wire.Quit 0)) with _ -> ());
         Thread.join srv)
       (fun () ->
         wait_ready 250;
+        f addr)
+  in
+  (r, Option.get !eng)
+
+(* One write carrying many frames is read in a few bursts and handed to
+   the workers in batches, so epochs group requests.  Among the invokes
+   sit a Ping, an undecodable frame (answered [Err] with id 0) and one
+   frame larger than a read buffer; every id is answered exactly once,
+   and a get sees the put its connection sent before it. *)
+let test_burst_read () =
+  let module Obs = Commlat_obs.Obs in
+  let n = 200 in
+  let big = String.make 300_000 'v' in
+  let frames = Buffer.create 400_000 in
+  let add req = Wire.add_frame frames (Wire.encode_req req) in
+  for k = 1 to n / 2 do
+    add (invoke ~id:((2 * k) - 1) "kvmap" "put" [| Value.Int k; Value.Int k |]);
+    add (invoke ~id:(2 * k) "kvmap" "get" [| Value.Int k |]);
+    if k = n / 4 then begin
+      add (Wire.Ping (n + 1));
+      Wire.add_frame frames "\x2a";
+      add (invoke ~id:(n + 2) "kvmap" "put" [| Value.Int 0; Value.Str big |]);
+      add (invoke ~id:(n + 3) "kvmap" "get" [| Value.Int 0 |])
+    end
+  done;
+  let replies, eng =
+    with_server ~domains:2 (fun addr ->
+        let fd = Load.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Wire.really_write fd (Buffer.to_bytes frames) 0 (Buffer.length frames);
+            List.init (n + 4) (fun _ ->
+                match Wire.read_frame fd with
+                | Some p -> Wire.decode_resp p
+                | None -> Alcotest.fail "server closed the connection")))
+  in
+  let id = function Wire.Reply (id, _) | Wire.Err (id, _) -> id in
+  check_bool "every id answered exactly once" true
+    (List.sort compare (List.map id replies) = List.init (n + 4) Fun.id);
+  List.iter
+    (fun r ->
+      match r with
+      | Wire.Err (0, _) -> ()
+      | Wire.Reply (i, v) when i >= 1 && i <= n ->
+          let want =
+            if i mod 2 = 1 then Value.Opt None
+            else Value.Opt (Some (Value.Int (i / 2)))
+          in
+          if not (Value.equal v want) then
+            Alcotest.failf "reply %d: %a" i Value.pp v
+      | Wire.Reply (i, v) when i = n + 3 ->
+          check_bool "the large value round-trips" true
+            (Value.equal v (Value.Opt (Some (Value.Str big))))
+      | Wire.Reply (i, _) when i = n + 1 || i = n + 2 -> ()
+      | r -> Alcotest.failf "unexpected %s" (resp_repr r))
+    replies;
+  let c = Obs.value in
+  let reads = c eng.Engine.c_socket_reads in
+  if reads >= n then Alcotest.failf "%d socket reads for %d frames" reads n;
+  let epochs = c eng.Engine.c_epochs and reqs = c eng.Engine.c_epoch_requests in
+  if reqs <= epochs then
+    Alcotest.failf "%d requests in %d epochs: no grouping" reqs epochs;
+  check_bool "fewer hand-offs than requests" true (c eng.Engine.c_handoffs < reqs)
+
+(* ------------------------------------------------------------- *)
+(* Load rows                                                      *)
+(* ------------------------------------------------------------- *)
+
+(* Each phase of a phase-shifting run must be reported with its own mix,
+   key space, skew, duration and burst, not the base config's: the base
+   below differs from every phase in each of them. *)
+let test_phase_rows () =
+  let phases = Load.default_phases ~burst:4 ~duration:0.1 () in
+  let prs, _ =
+    with_server ~domains:1 (fun addr ->
+        let base =
+          { Load.default_config with
+            Load.addr; conns = 2; rate = 1000.0; mix = Load.Write_heavy; keys = 7;
+            theta = 0.3; duration = 9.0; burst = 1 }
+        in
         Load.run_phases base phases)
   in
   check_int "one result per phase" (List.length phases) (List.length prs);
@@ -637,6 +804,7 @@ let suite =
       prop_resp_roundtrip;
       prop_truncated_rejected;
       prop_trailing_rejected;
+      prop_frame_splitter;
     ]
   @ [
       Alcotest.test_case "wire: malformed tags and lengths" `Quick
@@ -659,6 +827,8 @@ let suite =
         `Quick test_gate_counts_swap_failure;
       Alcotest.test_case "server: a mid-epoch conflict keeps one write per epoch"
         `Quick test_conflict_keeps_one_write;
+      Alcotest.test_case "server: one write of many frames is read in bursts"
+        `Quick test_burst_read;
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;
       Alcotest.test_case "histo: merge and edge cases" `Quick
         test_histo_merge_and_edges;

@@ -28,6 +28,10 @@ type t = { tbl : (int, unit) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
 
+(** An independent set with the same elements.  [Hashtbl.copy] keeps the
+    bucket layout, so the copy iterates in the original's order. *)
+let copy t = { tbl = Hashtbl.copy t.tbl }
+
 let add t id =
   if Hashtbl.mem t.tbl id then false
   else begin

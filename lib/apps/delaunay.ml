@@ -224,6 +224,22 @@ let create ?(max_pts = 4096) ?(size = 100.0) (input : (float * float) array) :
   Array.iter (insert_seq t) input;
   t
 
+(** An independent mesh equal to [t]: refining the copy leaves [t] as it
+    was.  The tables are copied with [Hashtbl.copy], which keeps their
+    bucket layout, so the copy iterates, and therefore refines, exactly
+    as [t] would; the copy gets its own [mu].  [t] is only read, so
+    several domains may copy one mesh at once as long as nothing
+    refines it. *)
+let copy t =
+  {
+    t with
+    pts = Array.copy t.pts;
+    tris = Hashtbl.copy t.tris;
+    edge_tris = Hashtbl.copy t.edge_tris;
+    live = Triset.copy t.live;
+    mu = Mutex.create ();
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Refinement                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -104,7 +104,21 @@ type logged = {
   post_exec : bool;  (** an argument reads the return value *)
 }
 
-type t = {
+(* Everything a gatekeeper derives from its spec alone, built once by
+   {!plan} and shared by every {!instance} of it.  Read-only after
+   construction, so instances on different domains may share one plan. *)
+type plan = {
+  p_spec : Spec.t;
+  p_allow_rollback : bool;
+  p_nshards : int;
+  p_scope : string;  (** the obs registry's (and detector's) name *)
+  p_cm : (string, logged list) Hashtbl.t;
+  p_fp : Footprint.t option;
+  p_cond_info : (string * string, cond_info) Hashtbl.t;
+  p_false_info : cond_info;
+}
+
+and t = {
   spec : Spec.t;
   hooks : hooks;
   allow_rollback : bool;
@@ -122,13 +136,13 @@ type t = {
       (** per transaction, each bucket holding one of its active entries,
           once, with the bucket's shard index; read and written under
           [mu], so the end of a transaction visits only its own buckets *)
-  (* per ordered method pair: the condition and its rollback-function set,
-     precomputed at construction so the table is read-only at runtime
-     (striped shards evaluate conditions concurrently); only an entry's
-     [pair] label is filled in later, see {!raise_conflict} *)
+  (* per ordered method pair: the condition, its rollback-function set
+     and its refusal label, precomputed by the plan so the table is
+     read-only at runtime (striped shards, and instances of one plan on
+     other domains, evaluate conditions concurrently) *)
   cond_info : (string * string, cond_info) Hashtbl.t;
   false_info : cond_info;
-      (** for methods the spec never mentions; its [pair] stays empty *)
+      (** for methods the spec never mentions; its [pair] is empty *)
   mutable mutation_log : Invocation.t list;
       (** general gatekeepers: mutating invocations, newest first (a
           forward gatekeeper never reconstructs a past state, so it keeps
@@ -163,11 +177,10 @@ and cond_info = {
   rollback_fns : (string * Formula.term list) list;
       (** s1-functions needing state reconstruction, from
           {!Formula.rollback_functions} *)
-  mutable pair : string;
+  pair : string;
       (** ["first;second"]: a refusal's [abort_cause] label and
-          {!Detector.Conflict} reason, formatted at the pair's first
-          refusal and kept, so later refusals format nothing; empty
-          before that *)
+          {!Detector.Conflict} reason, formatted once by the plan so
+          refusals format nothing *)
 }
 
 (* Deduplication goes through a hash set keyed by (method, function):
@@ -200,7 +213,7 @@ let build_cm (spec : Spec.t) =
     (Spec.pairs spec);
   cm
 
-let cond_info_of_check (check : Compile.check) =
+let cond_info_of_check ~pair (check : Compile.check) =
   let rollback_fns =
     match check with
     | Compile.Interp f ->
@@ -208,7 +221,7 @@ let cond_info_of_check (check : Compile.check) =
         |> List.map (fun (name, args, _) -> (name, args))
     | Compile.Static _ | Compile.Fast _ -> []
   in
-  { check; rollback_fns; pair = "" }
+  { check; rollback_fns; pair }
 
 (* The condition table is fully precomputed over the spec's method pairs;
    an invocation of a method the spec never declared falls back to the
@@ -442,7 +455,8 @@ let record_avoided (t : t) idx =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
+(* The spec stage: validation and every table derived from the spec. *)
+let plan ?(nshards = 0) ~allow_rollback spec =
   (match Spec.classify spec with
   | Formula.General when not allow_rollback ->
       invalid_arg
@@ -466,13 +480,36 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
          "Gatekeeper: spec %s cannot be sharded (only a forward gatekeeper \
           over state-free conditions can)"
          (Spec.adt spec));
-  let obs =
-    Obs.create ?enabled:obs_enabled
-      (Fmt.str "%s-gk%s(%s)"
-         (if allow_rollback then "gen" else "fwd")
-         (if sharded then "-sharded" else "")
-         (Spec.adt spec))
-  in
+  let cspec = Compile.of_spec spec in
+  let cond_info = Hashtbl.create 32 in
+  List.iter
+    (fun (m1 : Invocation.meth) ->
+      List.iter
+        (fun (m2 : Invocation.meth) ->
+          Hashtbl.replace cond_info (m1.name, m2.name)
+            (cond_info_of_check ~pair:(m1.name ^ ";" ^ m2.name)
+               (Compile.condition cspec ~first:m1.name ~second:m2.name)))
+        (Spec.methods spec))
+    (Spec.methods spec);
+  {
+    p_spec = spec;
+    p_allow_rollback = allow_rollback;
+    p_nshards = nshards;
+    p_scope =
+      Fmt.str "%s-gk%s(%s)"
+        (if allow_rollback then "gen" else "fwd")
+        (if sharded then "-sharded" else "")
+        (Spec.adt spec);
+    p_cm = build_cm spec;
+    p_fp = (if sharded then Some (Footprint.analyze spec) else None);
+    p_cond_info = cond_info;
+    p_false_info = cond_info_of_check ~pair:"" (Compile.Static false);
+  }
+
+(* The instance stage: every piece of mutable state, fresh per call. *)
+let create (p : plan) ?obs:obs_enabled hooks =
+  let nshards = p.p_nshards in
+  let obs = Obs.create ?enabled:obs_enabled p.p_scope in
   let fresh_shard () =
     { s_active = Hashtbl.create 8; s_n = 0; s_guard = Guard.create () }
   in
@@ -482,29 +519,18 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
   let shards = Array.init (nshards + 1) (fun _ -> fresh_shard ()) in
   let shard_guards = Array.to_list (Array.map (fun s -> s.s_guard) shards) in
   let mu = Guard.create () in
-  let cspec = Compile.of_spec spec in
-  let cond_info = Hashtbl.create 32 in
-  List.iter
-    (fun (m1 : Invocation.meth) ->
-      List.iter
-        (fun (m2 : Invocation.meth) ->
-          Hashtbl.replace cond_info (m1.name, m2.name)
-            (cond_info_of_check
-               (Compile.condition cspec ~first:m1.name ~second:m2.name)))
-        (Spec.methods spec))
-    (Spec.methods spec);
   {
-    spec;
+    spec = p.p_spec;
     hooks;
-    allow_rollback;
-    cm = build_cm spec;
-    fp = (if sharded then Some (Footprint.analyze spec) else None);
+    allow_rollback = p.p_allow_rollback;
+    cm = p.p_cm;
+    fp = p.p_fp;
     nshards;
     shards;
     shard_guards;
     by_txn = Hashtbl.create 16;
-    cond_info;
-    false_info = cond_info_of_check (Compile.Static false);
+    cond_info = p.p_cond_info;
+    false_info = p.p_false_info;
     mutation_log = [];
     seq = 0;
     mu;
@@ -522,7 +548,7 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
     c_overflow_inserts = Obs.counter obs "overflow_inserts";
     c_checks_avoided = Obs.counter obs "checks_avoided";
     c_per_shard =
-      (if sharded then
+      (if nshards > 0 then
          Array.init (nshards + 1) (fun i ->
              Obs.counter obs
                (if i = nshards then "shard_overflow_inserts"
@@ -535,20 +561,12 @@ let create ~nshards ?obs:obs_enabled ~allow_rollback hooks spec =
 (* ------------------------------------------------------------------ *)
 
 (* Refuse [inv] because [e]'s condition [info] failed.  The reason is the
-   method pair, formatted at the pair's first refusal and kept in [info];
-   [false_info] is shared by every undeclared pair, so its refusals are
-   formatted each time.  The pair is not formatted at construction: the
-   explorer builds a gatekeeper per schedule, and most of its pairs never
-   refuse.  Striped scans may race on the first store; both write the
-   same string, and a racing reader sees [""] or the whole string. *)
+   method pair, formatted by the plan; [false_info] is shared by every
+   undeclared pair, so its refusals are formatted each time. *)
 let raise_conflict (t : t) (info : cond_info) (e : entry) (inv : Invocation.t) =
   let pair =
-    if String.length info.pair > 0 then info.pair
-    else begin
-      let p = e.inv.Invocation.meth.name ^ ";" ^ inv.Invocation.meth.name in
-      if info != t.false_info then info.pair <- p;
-      p
-    end
+    if info != t.false_info then info.pair
+    else e.inv.Invocation.meth.name ^ ";" ^ inv.Invocation.meth.name
   in
   Obs.incr t.c_conflicts;
   Obs.label t.obs ~cat:"abort_cause" pair;
@@ -914,9 +932,12 @@ let detector (t : t) : Detector.t =
     txn_guards = (fun txn -> txn_guards t txn);
   }
 
+let instance ?obs (p : plan) ~hooks : Detector.t * t =
+  let t = create p ?obs hooks in
+  (detector t, t)
+
 (** Forward ([~allow_rollback:false], paper §3.3.1) or general
     ([~allow_rollback:true], §3.3.2) gatekeeper, footprint-sharded and
     striped when [nshards > 0]. *)
-let make ?(nshards = 0) ?obs ~allow_rollback ~hooks spec : Detector.t * t =
-  let t = create ~nshards ?obs ~allow_rollback hooks spec in
-  (detector t, t)
+let make ?nshards ?obs ~allow_rollback ~hooks spec : Detector.t * t =
+  instance ?obs (plan ?nshards ~allow_rollback spec) ~hooks

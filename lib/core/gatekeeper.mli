@@ -8,7 +8,7 @@
     raises {!Detector.Conflict} if any condition is false.  The whole
     sequence is atomic (one mutex per gatekeeper).  A refusal's reason,
     and its [abort_cause] label, is the method pair ["ma;m"], formatted
-    at the pair's first refusal and reused by every later one.
+    once per declared pair by {!plan}.
 
     When a transaction ends (the detector's [on_commit]/[on_abort]), its
     entries leave the active table; a per-transaction index names the
@@ -148,7 +148,9 @@ val active_count : t -> int
       condition is state-free.  Sharding reports exactly the conflicts of
       the unsharded gatekeeper; [Footprint.all_keyless] specs degenerate
       to a single overflow shard.
-    - [?obs] defaults to the [COMMLAT_OBS] environment toggle. *)
+    - [?obs] defaults to the [COMMLAT_OBS] environment toggle.
+
+    [make] is {!plan} followed by {!instance}. *)
 val make :
   ?nshards:int ->
   ?obs:bool ->
@@ -156,3 +158,21 @@ val make :
   hooks:hooks ->
   Spec.t ->
   Detector.t * t
+
+(** The spec stage of a gatekeeper: the validation {!make} performs and
+    every table it derives from the spec alone — the compiled condition
+    and refusal label of each method pair, the [C_m] log sets and, when
+    sharded, the {!Footprint} analysis. *)
+type plan
+
+(** [plan ?nshards ~allow_rollback spec] validates and analyses [spec] as
+    {!make} does, raising the same [Invalid_argument]s, but builds no
+    mutable state.  A plan is never written once built, so instances on
+    different domains may share it. *)
+val plan : ?nshards:int -> allow_rollback:bool -> Spec.t -> plan
+
+(** The instance stage: a gatekeeper with fresh mutable state — obs
+    registry and counters, shards and their guards, the transaction index
+    and the logs — over [hooks], sharing [plan]'s tables.  Every instance
+    of one plan starts from the same state. *)
+val instance : ?obs:bool -> plan -> hooks:hooks -> Detector.t * t

@@ -11,7 +11,9 @@
     memory-trace connector for the STM.  {!protect} puts them together by
     calling the one constructor each detector module exposes:
     [Detector.global_lock], [Abstract_lock.detector], [Gatekeeper.make]
-    (always through {!protect_gatekeeper}) and [Stm.create]. *)
+    (as its two stages, {!Gatekeeper.plan} and {!Gatekeeper.instance})
+    and [Stm.create].  {!prepare} is the staged form of {!protect}, for
+    callers that build many detectors from one spec. *)
 
 open Commlat_core
 open Commlat_adts
@@ -100,16 +102,9 @@ let require_hooks s = function
       invalid_arg
         (Fmt.str "Protect.protect: %s needs adt hooks" (scheme_name s))
 
-(** The gatekeeper schemes, each as one {!Gatekeeper.make} call: the
-    scheme fixes [allow_rollback] (forward vs general) and [nshards]
-    (unsharded vs footprint-sharded, forward only).  Also hands back the
-    {!Gatekeeper.t} so embedders that manage their own admission (the
-    server's read-only fast path admits reads with
-    {!Gatekeeper.batch_check}, which takes its own guards) can reach past
-    the {!Detector.t} facade.  Raises [Invalid_argument] on
-    non-gatekeeper schemes. *)
-let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
-    (s : scheme) : Detector.t * Gatekeeper.t =
+(* The scheme fixes [allow_rollback] (forward vs general) and [nshards]
+   (unsharded vs footprint-sharded, forward only). *)
+let gatekeeper_plan ~(spec : Spec.t) (s : scheme) =
   let allow_rollback, nshards =
     match s with
     | Forward_gk -> (false, 0)
@@ -120,11 +115,55 @@ let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
           (Fmt.str "Protect.protect_gatekeeper: %s is not a gatekeeper scheme"
              (scheme_name s))
   in
-  Gatekeeper.make ~nshards ?obs ~allow_rollback ~hooks spec
+  Gatekeeper.plan ~nshards ~allow_rollback spec
 
-(** Build a detector for [spec] over [adt] with the given scheme.  [?obs]
-    enables/disables the detector's observability registry.
-    [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.
+(** The gatekeeper schemes, built as {!Gatekeeper.make} would.  Also
+    hands back the {!Gatekeeper.t} so embedders that manage their own
+    admission (the server's read-only fast path admits reads with
+    {!Gatekeeper.batch_check}, which takes its own guards) can reach past
+    the {!Detector.t} facade.  Raises [Invalid_argument] on
+    non-gatekeeper schemes. *)
+let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
+    (s : scheme) : Detector.t * Gatekeeper.t =
+  Gatekeeper.instance ?obs (gatekeeper_plan ~spec s) ~hooks
+
+(** The staged form of {!protect}: everything that depends only on the
+    spec and the scheme happens now, and the returned function builds a
+    detector over one [adt].  Only the gatekeeper schemes stage work:
+    their {!Gatekeeper.plan} is built once and shared, read-only, by
+    every detector the function returns.  The global lock, abstract
+    locking and the STM build everything inside the returned function.
+    Scheme errors raise here; errors about the [adt] raise when it is
+    applied. *)
+let prepare ?reduce_scheme ~(spec : Spec.t) (s : scheme) :
+    ?obs:bool -> adt -> Detector.t =
+  match s with
+  | Global_lock -> fun ?obs _ -> Detector.global_lock ?obs ()
+  | Abstract_lock ->
+      fun ?obs _ -> Abstract_lock.detector ?reduce_scheme ?obs spec
+  | Stm -> (
+      fun ?obs adt ->
+        match adt.connect_tracer with
+        | None -> invalid_arg "Protect.protect: stm needs adt connect_tracer"
+        | Some connect ->
+            let det, tracer = Stm.create ?obs () in
+            connect tracer;
+            det)
+  | Sharded (_, n) when n <= 0 ->
+      invalid_arg "Protect.protect: shard count must be positive"
+  | Sharded (Abstract_lock, n) ->
+      fun ?obs _ -> Abstract_lock.detector ?reduce_scheme ~stripes:n ?obs spec
+  | Sharded ((Global_lock | General_gk | Stm | Sharded _) as base, _) ->
+      invalid_arg
+        (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base))
+  | Forward_gk | General_gk | Sharded (Forward_gk, _) ->
+      let plan = gatekeeper_plan ~spec s in
+      fun ?obs adt ->
+        fst (Gatekeeper.instance ?obs plan ~hooks:(require_hooks s adt))
+
+(** Build a detector for [spec] over [adt] with the given scheme: {!prepare}
+    applied once.  [?obs] enables/disables the detector's observability
+    registry.  [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.
 
     Every scheme that evaluates commutativity conditions does so through
     the spec compiler ({!Commlat_core.Compile}): gatekeepers check
@@ -142,25 +181,7 @@ let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
     globally ordered mutation log. *)
 let protect ?obs ?reduce_scheme ~(spec : Spec.t) ~(adt : adt) (s : scheme) :
     Detector.t =
-  match s with
-  | Global_lock -> Detector.global_lock ?obs ()
-  | Abstract_lock -> Abstract_lock.detector ?reduce_scheme ?obs spec
-  | Stm -> (
-      match adt.connect_tracer with
-      | None -> invalid_arg "Protect.protect: stm needs adt connect_tracer"
-      | Some connect ->
-          let det, tracer = Stm.create ?obs () in
-          connect tracer;
-          det)
-  | Sharded (_, n) when n <= 0 ->
-      invalid_arg "Protect.protect: shard count must be positive"
-  | Sharded (Abstract_lock, n) ->
-      Abstract_lock.detector ?reduce_scheme ~stripes:n ?obs spec
-  | Sharded ((Global_lock | General_gk | Stm | Sharded _) as base, _) ->
-      invalid_arg
-        (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base))
-  | Forward_gk | General_gk | Sharded (Forward_gk, _) ->
-      fst (protect_gatekeeper ?obs ~hooks:(require_hooks s adt) ~spec s)
+  prepare ?reduce_scheme ~spec s ?obs adt
 
 (** Every base scheme, in lattice-ish order (coarsest first). *)
 let all_schemes = [ Global_lock; Abstract_lock; Forward_gk; General_gk; Stm ]

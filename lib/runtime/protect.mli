@@ -81,6 +81,24 @@ val protect :
   scheme ->
   Detector.t
 
+(** The staged form of {!protect}, which is [prepare] applied once:
+    [prepare ~spec scheme] does now the work that depends only on the
+    spec and the scheme, and the returned function builds a detector over
+    one [adt], as {!protect} would.  For a gatekeeper scheme the spec's
+    {!Gatekeeper.plan} — validation, compiled conditions, log sets,
+    footprint — is built once here and shared, read-only, by every
+    detector the function returns, each with its own mutable state; the
+    other schemes build everything inside the returned function.  Errors
+    that depend on the spec and the scheme alone may raise here, errors
+    about the [adt] when it is applied. *)
+val prepare :
+  ?reduce_scheme:bool ->
+  spec:Spec.t ->
+  scheme ->
+  ?obs:bool ->
+  adt ->
+  Detector.t
+
 (** Like {!protect} restricted to the gatekeeper schemes ([Forward_gk],
     [General_gk] and [Sharded (Forward_gk, n)]), returning the underlying
     {!Gatekeeper.t} alongside the detector — for embedders that need the

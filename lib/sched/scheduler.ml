@@ -33,9 +33,17 @@ module Obs = Commlat_obs.Obs
 
 type task = { body : det:Detector.t -> txn:Txn.t -> unit }
 
-(** One runnable concurrency-test workload.  [make] builds a {e fresh}
-    instance — new ADT, new detector, new guards — every run: exploration
-    replays the workload from its initial state under many schedules. *)
+(** One runnable concurrency-test workload.  Its factory builds a {e
+    fresh} instance every run — new ADT state, new detector state (obs
+    counters, active tables, logs), new guards — because exploration
+    replays the workload from its initial state under many schedules.
+
+    What depends only on the workload may be built once, outside the
+    factory, and shared by every instance: a detector's spec stage
+    ({!Commlat_runtime.Protect.prepare}), specs, plans, an input the
+    factory copies.  The explorer's domains call the factory at the same
+    time, so such shared values must never change after construction: a
+    run may read them and copy them, and must not write them. *)
 type instance = {
   det : Detector.t;
   spec : Spec.t option;

@@ -2,8 +2,18 @@
 
     Each workload is a deterministic plan — [txns] transactions of a few
     method calls each, generated from a seed — plus a factory building a
-    fresh instance (ADT, detector via {!Protect.protect}, serializability
-    oracle against the ADT's reference {!History.model}) for every run.
+    fresh instance (ADT, detector, serializability oracle against the
+    ADT's reference {!History.model}) for every run.
+
+    Work that depends only on the workload is done once, outside
+    the factory: each detector's spec stage ({!Protect.prepare}), the
+    specs, and for Delaunay the triangulated input mesh, its initial
+    worklist and liveness set.  The factory builds only mutable state —
+    the ADT (for Delaunay a {!Delaunay.copy} of the input mesh), the
+    detector's instance stage and the oracle's model — so every run
+    starts from the same fresh state.  The explorer's domains call the
+    factory concurrently, so what is built once is never written after
+    construction (see {!Scheduler.instance}).
 
     Scheme support follows the lattice: the set and kvmap specs are
     SIMPLE/ONLINE-CHECKABLE, so they explore under the global lock,
@@ -40,10 +50,17 @@ let serializability_oracle (model : History.model) final history =
 let call ~det ~txn ~undo meth args exec =
   ignore (Boost.invoke det txn ~undo meth args exec)
 
-let check_scheme ~what mk =
-  match mk () with
-  | (_ : Scheduler.instance) -> Ok ()
-  | exception Invalid_argument msg -> Error (Fmt.str "%s: %s" what msg)
+(* [build ()] does the once-per-workload work and returns the factory.
+   A scheme the workload cannot run raises [Invalid_argument], from
+   [build] or from a trial run of the factory, and becomes [Error]. *)
+let workload ~name ~detector ~txns build : (t, string) result =
+  match
+    let make = build () in
+    ignore (make () : Scheduler.instance);
+    make
+  with
+  | make -> Ok { w_name = name; w_detector = detector; w_txns = txns; make }
+  | exception Invalid_argument msg -> Error (Fmt.str "%s: %s" name msg)
 
 (* ------------------------------------------------------------------ *)
 (* Set                                                                 *)
@@ -73,13 +90,12 @@ let set ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
         Iset.simple_spec ()
     | _ -> Iset.precise_spec ()
   in
-  let make () =
+  workload ~name:"set" ~detector:(Protect.scheme_name scheme) ~txns
+  @@ fun () ->
+  let protect = Protect.prepare ~spec scheme in
+  fun () ->
     let s = Iset.create () in
-    let det =
-      Protect.protect ~obs:true ~spec
-        ~adt:(Protect.adt ~hooks:(Iset.hooks s) ())
-        scheme
-    in
+    let det = protect ~obs:true (Protect.adt ~hooks:(Iset.hooks s) ()) in
     let body ops ~det ~txn =
       List.iter
         (fun ((m : Invocation.meth), k) ->
@@ -97,11 +113,6 @@ let set ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
       final;
       oracle = serializability_oracle model final;
     }
-  in
-  Result.map
-    (fun () ->
-      { w_name = "set"; w_detector = Protect.scheme_name scheme; w_txns = txns; make })
-    (check_scheme ~what:"set" make)
 
 (* ------------------------------------------------------------------ *)
 (* Kvmap                                                               *)
@@ -126,13 +137,12 @@ let kvmap ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
         Kvmap.simple_spec ()
     | _ -> Kvmap.precise_spec ()
   in
-  let make () =
+  workload ~name:"kvmap" ~detector:(Protect.scheme_name scheme) ~txns
+  @@ fun () ->
+  let protect = Protect.prepare ~spec scheme in
+  fun () ->
     let m = Kvmap.create () in
-    let det =
-      Protect.protect ~obs:true ~spec
-        ~adt:(Protect.adt ~hooks:(Kvmap.hooks m) ())
-        scheme
-    in
+    let det = protect ~obs:true (Protect.adt ~hooks:(Kvmap.hooks m) ()) in
     let body ops ~det ~txn =
       List.iter
         (fun ((meth : Invocation.meth), args) ->
@@ -152,11 +162,6 @@ let kvmap ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
       final;
       oracle = serializability_oracle model final;
     }
-  in
-  Result.map
-    (fun () ->
-      { w_name = "kvmap"; w_detector = Protect.scheme_name scheme; w_txns = txns; make })
-    (check_scheme ~what:"kvmap" make)
 
 (* ------------------------------------------------------------------ *)
 (* Union-find                                                          *)
@@ -174,16 +179,17 @@ let union_find ?(txns = 3) ?(ops_per_txn = 2) ?(elements = 8) ?(seed = 42)
               (Union_find.m_union, [| Value.Int a; Value.Int b |])
             else (Union_find.m_find, [| Value.Int a |])))
   in
-  let make () =
+  workload ~name:"union-find" ~detector:(Protect.scheme_name scheme) ~txns
+  @@ fun () ->
+  let spec = Union_find.spec () in
+  let protect = Protect.prepare ~spec scheme in
+  fun () ->
     let uf = Union_find.create () in
     ignore (Union_find.create_elements uf elements);
-    let spec = Union_find.spec () in
     let det =
-      Protect.protect ~obs:true ~spec
-        ~adt:
-          (Protect.adt ~hooks:(Union_find.hooks uf)
-             ~connect_tracer:(Union_find.set_tracer uf) ())
-        scheme
+      protect ~obs:true
+        (Protect.adt ~hooks:(Union_find.hooks uf)
+           ~connect_tracer:(Union_find.set_tracer uf) ())
     in
     let body ops ~det ~txn =
       List.iter
@@ -201,16 +207,6 @@ let union_find ?(txns = 3) ?(ops_per_txn = 2) ?(elements = 8) ?(seed = 42)
       final;
       oracle = serializability_oracle model final;
     }
-  in
-  Result.map
-    (fun () ->
-      {
-        w_name = "union-find";
-        w_detector = Protect.scheme_name scheme;
-        w_txns = txns;
-        make;
-      })
-    (check_scheme ~what:"union-find" make)
 
 (* ------------------------------------------------------------------ *)
 (* Detector hot-swap protocol                                          *)
@@ -250,17 +246,15 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
             in
             (m, k)))
   in
-  let make () =
+  workload ~name:"swap-set" ~detector:"fwd-gk|global-lock" ~txns:(txns + 1)
+  @@ fun () ->
+  let protect_a = Protect.prepare ~spec:(Iset.precise_spec ()) Protect.Forward_gk
+  and protect_b = Protect.prepare ~spec:(Iset.simple_spec ()) Protect.Global_lock in
+  fun () ->
     let s = Iset.create () in
-    let adt () = Protect.adt ~hooks:(Iset.hooks s) () in
-    let det_a =
-      Protect.protect ~obs:true ~spec:(Iset.precise_spec ()) ~adt:(adt ())
-        Protect.Forward_gk
-    in
-    let det_b =
-      Protect.protect ~obs:true ~spec:(Iset.simple_spec ()) ~adt:(adt ())
-        Protect.Global_lock
-    in
+    let adt = Protect.adt ~hooks:(Iset.hooks s) () in
+    let det_a = protect_a ~obs:true adt in
+    let det_b = protect_b ~obs:true adt in
     let current = ref det_a in
     let open_txns : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     let guards = det_a.Detector.guards @ det_b.Detector.guards in
@@ -333,16 +327,6 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
       final;
       oracle = serializability_oracle model final;
     }
-  in
-  Result.map
-    (fun () ->
-      {
-        w_name = "swap-set";
-        w_detector = "fwd-gk|global-lock";
-        w_txns = txns + 1;
-        make;
-      })
-    (check_scheme ~what:"swap-set" make)
 
 (* ------------------------------------------------------------------ *)
 (* Delaunay mesh refinement                                            *)
@@ -359,15 +343,29 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
     rollback really serializes the refinements. *)
 let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
     (scheme : Protect.scheme) : (t, string) result =
-  let make () =
-    let input = Mesh.points ~seed ~n:points ~size:100.0 () in
-    let m = Delaunay.create ~max_pts ~size:100.0 input in
-    let det = Delaunay.detector ~obs:true m scheme in
-    let seeds = Delaunay.bad_ids m in
-    let buckets = Array.make txns [] in
-    List.iteri
-      (fun i id -> buckets.(i mod txns) <- id :: buckets.(i mod txns))
-      seeds;
+  workload ~name:"delaunay" ~detector:(Protect.scheme_name scheme) ~txns
+  @@ fun () ->
+  let spec = Delaunay.spec_for scheme in
+  let protect = Protect.prepare ~spec scheme in
+  (* the input is triangulated once; every run refines a copy *)
+  let base =
+    Delaunay.create ~max_pts ~size:100.0
+      (Mesh.points ~seed ~n:points ~size:100.0 ())
+  in
+  let shares = Array.make txns [] in
+  List.iteri
+    (fun i id -> shares.(i mod txns) <- id :: shares.(i mod txns))
+    (Delaunay.bad_ids base);
+  let shares = Array.map List.rev shares in
+  (* the replay model must start from the post-construction liveness set,
+     not the empty one: construction populates [live] outside any
+     transaction *)
+  let init_ids = Triset.elements base.Delaunay.live in
+  fun () ->
+    let m = Delaunay.copy base in
+    let det =
+      protect ~obs:true (Protect.adt ~hooks:(Triset.hooks m.Delaunay.live) ())
+    in
     let body ids ~det ~txn =
       let q = Queue.create () in
       List.iter (fun id -> Queue.add id q) ids;
@@ -377,10 +375,6 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
           (Delaunay.operator m det txn (Queue.pop q))
       done
     in
-    (* the replay model must start from the post-construction liveness
-       set, not the empty one: construction populates [live] outside any
-       transaction *)
-    let init_ids = Triset.elements m.Delaunay.live in
     let model =
       let s = Triset.create () in
       let fill () = List.iter (fun id -> ignore (Triset.add s id)) init_ids in
@@ -406,9 +400,8 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
     let ser = serializability_oracle model final in
     {
       Scheduler.det;
-      spec = Some (Delaunay.spec_for scheme);
-      tasks =
-        Array.map (fun ids -> { Scheduler.body = body (List.rev ids) }) buckets;
+      spec = Some spec;
+      tasks = Array.map (fun ids -> { Scheduler.body = body ids }) shares;
       final;
       oracle =
         (fun history ->
@@ -419,16 +412,6 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
                 (fun v -> "mesh not Delaunay after refinement: " ^ v)
                 (Delaunay.delaunay_violation m));
     }
-  in
-  Result.map
-    (fun () ->
-      {
-        w_name = "delaunay";
-        w_detector = Protect.scheme_name scheme;
-        w_txns = txns;
-        make;
-      })
-    (check_scheme ~what:"delaunay" make)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed: two kvmaps and a set behind one composed detector            *)
@@ -548,20 +531,22 @@ let mixed ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 3) ?(seed = 42)
         ignore (exec i.Invocation.meth.Invocation.name i.Invocation.args))
       (fun name _ -> raise (Formula.Unsupported ("mixed sfun " ^ name)))
   in
-  let make () =
+  workload ~name:"mixed" ~detector:(Protect.scheme_name scheme) ~txns
+  @@ fun () ->
+  let protect_of spec =
+    let protect = Protect.prepare ~spec scheme in
+    fun hooks -> protect ~obs:true (Protect.adt ~hooks ())
+  in
+  let protect_a = protect_of spec_a
+  and protect_b = protect_of spec_b
+  and protect_s = protect_of spec_s in
+  fun () ->
     let ma = Kvmap.create ()
     and mb = Kvmap.create ()
     and ss = Iset.create () in
-    let det_of spec hooks =
-      Protect.protect ~obs:true ~spec ~adt:(Protect.adt ~hooks ()) scheme
-    in
-    let det_a =
-      det_of spec_a (member_hooks (Kvmap.undo ma) (Kvmap.exec ma))
-    in
-    let det_b =
-      det_of spec_b (member_hooks (Kvmap.undo mb) (Kvmap.exec mb))
-    in
-    let det_s = det_of spec_s (member_hooks (Iset.undo ss) (Iset.exec ss)) in
+    let det_a = protect_a (member_hooks (Kvmap.undo ma) (Kvmap.exec ma)) in
+    let det_b = protect_b (member_hooks (Kvmap.undo mb) (Kvmap.exec mb)) in
+    let det_s = protect_s (member_hooks (Iset.undo ss) (Iset.exec ss)) in
     let base = Detector.compose [ det_a; det_b; det_s ] in
     let dispatcher =
       {
@@ -643,16 +628,6 @@ let mixed ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 3) ?(seed = 42)
       final;
       oracle = serializability_oracle model final;
     }
-  in
-  Result.map
-    (fun () ->
-      {
-        w_name = "mixed";
-        w_detector = Protect.scheme_name scheme;
-        w_txns = txns;
-        make;
-      })
-    (check_scheme ~what:"mixed" make)
 
 (* ------------------------------------------------------------------ *)
 (* By name                                                             *)

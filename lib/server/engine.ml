@@ -76,6 +76,9 @@ type t = {
   c_epochs : Obs.counter;  (** worker epochs that ran a request *)
   c_epoch_requests : Obs.counter;  (** requests those epochs ran *)
   c_response_writes : Obs.counter;  (** response [write] bursts *)
+  c_response_write_failures : Obs.counter;
+      (** response writes that failed, e.g. [EPIPE] from a client that
+          closed without reading; the connection is then dead *)
 }
 
 (** A successfully executed request whose transaction is still open,
@@ -331,6 +334,7 @@ let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
       c_epochs = Obs.counter obs "epochs";
       c_epoch_requests = Obs.counter obs "epoch_requests";
       c_response_writes = Obs.counter obs "response_writes";
+      c_response_write_failures = Obs.counter obs "response_write_failures";
     }
   in
   (match level with

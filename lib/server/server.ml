@@ -27,10 +27,13 @@
       one write per epoch.  Every other per-request exception is
       already contained by {!Engine.try_req}.
 
-    Termination: a [Quit] request stops the accept loop, lets every
-    worker drain its queue, joins the worker domains, answers any job a
-    racing reader enqueued after its worker exited, and returns — the CLI
-    then exits 0.  Malformed frames answer an [Err] and keep the
+    Termination: a [Quit] request stops the accept loop, closes the
+    listening socket, lets every worker drain its queue, joins the worker
+    domains, answers any job a racing reader enqueued after its worker
+    exited, answers the [Quit] itself — last on its connection, after the
+    replies to every request pipelined before it — and returns; the CLI
+    then exits 0.  SIGPIPE is ignored, so a client that closes without
+    reading its replies costs a counted failed write, not the process.  Malformed frames answer an [Err] and keep the
     connection; unrecoverable framing (oversized prefix, mid-frame EOF)
     closes just that connection, so a bad client can neither kill a
     worker nor wedge shutdown. *)
@@ -90,13 +93,24 @@ type conn = {
   mutable alive : bool;
 }
 
+(* A response write failed (caller holds [out_mu]): [run] ignores
+   SIGPIPE, so a peer that closed without reading surfaces here as
+   [EPIPE].  The connection is dead; the failure is counted. *)
+let write_failed eng conn =
+  Obs.incr eng.Engine.c_response_write_failures;
+  conn.alive <- false
+
 let send_resp eng conn resp =
   Mutex.protect conn.out_mu (fun () ->
       if conn.alive then begin
         Obs.incr eng.Engine.c_response_writes;
         try Wire.write_frame conn.fd (Wire.encode_resp resp)
-        with _ -> conn.alive <- false
+        with _ -> write_failed eng conn
       end)
+
+let close_conn conn =
+  Mutex.protect conn.out_mu (fun () -> conn.alive <- false);
+  try Unix.close conn.fd with _ -> ()
 
 type job = { req : Wire.req; jconn : conn }
 
@@ -130,6 +144,16 @@ let queue_drain qu ~stop ~unblock n =
       take n [])
 
 let wake_all qu = Mutex.protect qu.mu (fun () -> Condition.broadcast qu.cv)
+
+(* The [Quit]s [run] answers once the workers have drained, so that each
+   follows the replies to the requests its connection sent before it.
+   Their connections stay open until then.  A [Quit] read after [run]
+   answered [waiting] is answered by its reader. *)
+type quits = {
+  q_mu : Mutex.t;
+  mutable waiting : (conn * int) list;  (** newest first *)
+  mutable answered : bool;
+}
 
 (* ------------------------------------------------------------------ *)
 (* The swap gate                                                       *)
@@ -267,7 +291,7 @@ let flush_epoch eng ep =
               try
                 Wire.really_write conn.fd (Bytes.unsafe_of_string s) 0
                   (String.length s)
-              with _ -> conn.alive <- false
+              with _ -> write_failed eng conn
             end)
       end)
     !(ep.outboxes);
@@ -341,7 +365,7 @@ let worker ~eng ~qu ~stop ~gate ~verbose () =
     the 4-byte prefix. *)
 let burst_bytes = 65536
 
-let reader ~eng ~queues ~rr ~stop conn () =
+let reader ~eng ~queues ~rr ~stop ~quits conn () =
   let nworkers = Array.length queues in
   (* jobs routed to each worker since the last hand-off, newest first *)
   let batches = Array.make nworkers [] in
@@ -363,6 +387,8 @@ let reader ~eng ~queues ~rr ~stop conn () =
     in
     batches.(w) <- { req; jconn = conn } :: batches.(w)
   in
+  (* a [Quit] [run] will answer: the connection outlives this reader *)
+  let deferred = ref false in
   (* one frame's payload; false once it was a [Quit] *)
   let handle payload =
     match Wire.decode_req payload with
@@ -372,7 +398,12 @@ let reader ~eng ~queues ~rr ~stop conn () =
         true
     | Wire.Quit id ->
         hand_off ();
-        send_resp eng conn (Wire.Reply (id, Commlat_core.Value.Unit));
+        deferred :=
+          Mutex.protect quits.q_mu (fun () ->
+              if not quits.answered then quits.waiting <- (conn, id) :: quits.waiting;
+              not quits.answered);
+        if not !deferred then
+          send_resp eng conn (Wire.Reply (id, Commlat_core.Value.Unit));
         Atomic.set stop true;
         Array.iter wake_all queues;
         false
@@ -422,11 +453,7 @@ let reader ~eng ~queues ~rr ~stop conn () =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ -> ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect conn.out_mu (fun () -> conn.alive <- false);
-      try Unix.close conn.fd with _ -> ())
-    loop
+  Fun.protect ~finally:(fun () -> if not !deferred then close_conn conn) loop
 
 (* ------------------------------------------------------------------ *)
 (* The adaptive controller                                             *)
@@ -515,11 +542,14 @@ let listen_socket addr =
       s
 
 (** Run the server until a [Quit] request arrives; returns the engine (so
-    callers can inspect final counters).  Blocking. *)
+    callers can inspect final counters).  Blocking.  Ignores SIGPIPE for
+    the whole process, so a client that closes without reading costs a
+    counted failed write ([response_write_failures]), not the process. *)
 let run (cfg : config) : Engine.t =
   if cfg.domains < 1 then invalid_arg "Server.run: domains must be >= 1";
   if cfg.adaptive && cfg.level <> None then
     invalid_arg "Server.run: --adaptive and --level are mutually exclusive";
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let eng =
     (* the controller is blind without counters, so adaptive mode forces
        the obs registry on regardless of the COMMLAT_OBS toggle *)
@@ -534,6 +564,7 @@ let run (cfg : config) : Engine.t =
      completes (all workers stay alive until then) *)
   let stop_workers = Atomic.make false in
   let rr = Atomic.make 0 in
+  let quits = { q_mu = Mutex.create (); waiting = []; answered = false } in
   let queues = Array.init cfg.domains (fun _ -> queue_create ()) in
   let gate = gate_create ~workers:cfg.domains in
   let workers =
@@ -561,10 +592,15 @@ let run (cfg : config) : Engine.t =
         | fd, _ ->
             let conn = { fd; out_mu = Mutex.create (); alive = true } in
             ignore
-              (Thread.create (reader ~eng ~queues ~rr ~stop conn) ())
+              (Thread.create (reader ~eng ~queues ~rr ~stop ~quits conn) ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | _ -> ()
   done;
+  (* refuse new connections before anything is answered below *)
+  (try Unix.close lsock with _ -> ());
+  (match cfg.addr with
+  | Unix_sock p -> ( try Unix.unlink p with _ -> ())
+  | Tcp _ -> ());
   (* phase 1: retire the controller.  Any barrier it posted completes
      normally (workers are still running), after which it observes [stop]
      within one tick and exits. *)
@@ -584,9 +620,16 @@ let run (cfg : config) : Engine.t =
               (Wire.Err (Wire.req_id j.req, "server shutting down"))
           done))
     queues;
-  (try Unix.close lsock with _ -> ());
-  (match cfg.addr with
-  | Unix_sock p -> ( try Unix.unlink p with _ -> ())
-  | Tcp _ -> ());
+  (* every worker has flushed: the Quits come last on their connections *)
+  let waiting =
+    Mutex.protect quits.q_mu (fun () ->
+        quits.answered <- true;
+        quits.waiting)
+  in
+  List.iter
+    (fun (conn, id) ->
+      send_resp eng conn (Wire.Reply (id, Commlat_core.Value.Unit));
+      close_conn conn)
+    (List.rev waiting);
   if cfg.verbose then Fmt.pr "commlat serve: drained, shutting down@.";
   eng

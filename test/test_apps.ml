@@ -151,6 +151,30 @@ let test_delaunay_parallel_refine () =
       Protect.Sharded (Protect.Forward_gk, 8);
     ]
 
+(* [copy] is independent of its source and iterates as it does: refining
+   a copy leaves the source as built, a copy of a fresh mesh equals a
+   fresh [create], and it refines to exactly the mesh the fresh one does *)
+let test_delaunay_copy () =
+  let fresh () =
+    Delaunay.create ~max_pts:64 ~size:100.0
+      (Mesh.points ~seed:17 ~n:12 ~size:100.0 ())
+  in
+  let shape (t : Delaunay.t) =
+    (Triset.elements t.Delaunay.live, Delaunay.live_tris t, t.Delaunay.npts)
+  in
+  let base = fresh () in
+  let before = shape base in
+  let c = Delaunay.copy base in
+  check_bool "a copy of a fresh mesh is a fresh mesh" true (shape c = shape (fresh ()));
+  Delaunay.refine_seq c;
+  check_bool "refining the copy changed it" true (shape c <> before);
+  check_bool "the source's live ids, triangles and points are unchanged" true
+    (shape base = before);
+  let direct = fresh () in
+  Delaunay.refine_seq direct;
+  check_bool "the copy refines to the fresh mesh's result" true
+    (shape c = shape direct)
+
 let test_reference_maxflow () =
   (* hand-checked: classic 6-node example *)
   let edges =
@@ -447,4 +471,6 @@ let suite =
       test_delaunay_refine_seq;
     Alcotest.test_case "delaunay: parallel refinement all schemes" `Quick
       test_delaunay_parallel_refine;
+    Alcotest.test_case "delaunay: a copy is independent and refines alike"
+      `Quick test_delaunay_copy;
   ]

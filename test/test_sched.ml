@@ -14,50 +14,54 @@ let mk_set ?(txns = 3) scheme =
 let snapshot_text (s : Obs.snapshot) = Jsonx.to_string (Obs.snapshot_to_json s)
 
 (* ---- determinism: same schedule -> byte-identical trace, identical obs
-   snapshot, identical final state -- per detector scheme ---- *)
+   snapshot, identical final state -- per workload and detector scheme.
+   Every run builds a fresh instance, but what a workload builds once and
+   its instances share (each detector's spec stage, the specs, Delaunay's
+   input mesh) must leave a run as it entered it: a run that writes
+   shared state makes the runs after it differ from it ---- *)
+
+let ok_workload = function Ok w -> w | Error e -> Alcotest.fail e
+
+let check_replays (w : Workload.t) =
+  let name = w.Workload.w_name ^ "/" ^ w.Workload.w_detector in
+  (* record a run, then replay its choices twice *)
+  let r0 = Scheduler.run ~schedule:[] w.Workload.make in
+  let replay () = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
+  List.iter
+    (fun (which, (r : Scheduler.result)) ->
+      let what = Fmt.str "%s: %s" name which in
+      Alcotest.(check string)
+        (what ^ ": trace is byte-identical")
+        (Trace.render r0.Scheduler.steps) (Trace.render r.Scheduler.steps);
+      Alcotest.(check string)
+        (what ^ ": obs snapshot identical")
+        (snapshot_text r0.Scheduler.snapshot) (snapshot_text r.Scheduler.snapshot);
+      Alcotest.(check bool)
+        (what ^ ": final ADT state identical")
+        true
+        (r0.Scheduler.final_state = r.Scheduler.final_state);
+      Alcotest.(check (list int))
+        (what ^ ": replay follows the recorded schedule")
+        r0.Scheduler.choices r.Scheduler.choices)
+    [ ("first replay", replay ()); ("second replay", replay ()) ]
 
 let test_replay_determinism () =
   List.iter
-    (fun scheme ->
-      let w = mk_set scheme in
-      let name = Protect.scheme_name scheme in
-      (* record a run, then replay its choices twice *)
-      let r0 = Scheduler.run ~schedule:[] w.Workload.make in
-      let r1 = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
-      let r2 = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
-      Alcotest.(check string)
-        (name ^ ": trace is byte-identical across replays")
-        (Trace.render r1.Scheduler.steps)
-        (Trace.render r2.Scheduler.steps);
-      Alcotest.(check string)
-        (name ^ ": obs snapshot identical across replays")
-        (snapshot_text r1.Scheduler.snapshot)
-        (snapshot_text r2.Scheduler.snapshot);
-      Alcotest.(check bool)
-        (name ^ ": final ADT state identical across replays")
-        true
-        (r1.Scheduler.final_state = r2.Scheduler.final_state);
-      Alcotest.(check (list int))
-        (name ^ ": replay follows the recorded schedule")
-        r1.Scheduler.choices r2.Scheduler.choices)
+    (fun scheme -> check_replays (mk_set scheme))
     [ Protect.Forward_gk; Protect.Abstract_lock; Protect.Global_lock;
       Protect.General_gk ];
-  (* the STM baseline needs a traced ADT: union-find *)
-  let w =
-    match Workload.union_find ~txns:2 ~ops_per_txn:2 ~seed:7 Protect.Stm with
-    | Ok w -> w
-    | Error e -> Alcotest.fail e
-  in
-  let r0 = Scheduler.run ~schedule:[] w.Workload.make in
-  let r1 = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
-  let r2 = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
-  Alcotest.(check string)
-    "stm: trace is byte-identical across replays"
-    (Trace.render r1.Scheduler.steps)
-    (Trace.render r2.Scheduler.steps);
-  Alcotest.(check bool)
-    "stm: final ADT state identical across replays" true
-    (r1.Scheduler.final_state = r2.Scheduler.final_state)
+  List.iter
+    (fun w -> check_replays (ok_workload w))
+    [
+      (* the STM baseline needs a traced ADT: union-find *)
+      Workload.union_find ~txns:2 ~ops_per_txn:2 ~seed:7 Protect.Stm;
+      Workload.union_find ~txns:2 ~ops_per_txn:2 ~seed:1 Protect.General_gk;
+      Workload.delaunay ~txns:2 ~seed:17 Protect.Forward_gk;
+      Workload.delaunay ~txns:2 ~seed:17 Protect.Abstract_lock;
+      Workload.kvmap ~txns:3 ~ops_per_txn:2 ~seed:7 Protect.Forward_gk;
+      Workload.mixed ~txns:3 ~ops_per_txn:2 ~seed:42 Protect.Forward_gk;
+      Workload.swap_set ~txns:2 ~ops_per_txn:2 ~seed:42 ();
+    ]
 
 (* ---- exploration terminates and finds nothing on a correct detector ---- *)
 

@@ -1,9 +1,10 @@
 (* Wire-protocol codec properties and the in-process client/server
    conformance suite: these run single-threaded and socket-free (pipes
-   only, for the framing-cap tests), so tier-1 stays deterministic.  One
-   test drives a real server over a temporary Unix socket to pin what a
-   load row reports; the rest of the socket path is exercised by the CI
-   serve steps. *)
+   only, for the framing-cap tests), so tier-1 stays deterministic.  A
+   few tests drive a real server over a temporary Unix socket: bursts,
+   a client gone mid-burst, a pipelined Quit and what a load row
+   reports; the rest of the socket path is exercised by the CI serve
+   steps. *)
 
 open Commlat_core
 module Wire = Commlat_server.Wire
@@ -756,6 +757,77 @@ let test_burst_read () =
     Alcotest.failf "%d requests in %d epochs: no grouping" reqs epochs;
   check_bool "fewer hand-offs than requests" true (c eng.Engine.c_handoffs < reqs)
 
+(* A client that sends a burst and closes without reading: the server's
+   writes to it fail ([EPIPE], SIGPIPE being ignored), are counted, and
+   the server carries on.  Whether a write lands after the close is a
+   race, so the burst is retried until one failure is counted. *)
+let test_disconnect_mid_burst () =
+  let module Obs = Commlat_obs.Obs in
+  let frames = Buffer.create 200_000 in
+  for k = 1 to 5000 do
+    Wire.add_frame frames
+      (Wire.encode_req (invoke ~id:k "kvmap" "put" [| Value.Int k; Value.Int k |]))
+  done;
+  let failures addr =
+    let ( let* ) = Option.bind in
+    Option.value ~default:0
+      (let* stats = Load.fetch_stats addr in
+       let* counters = Jsonx.member "counters" stats in
+       Option.bind (Jsonx.member "response_write_failures" counters) Jsonx.to_int)
+  in
+  let pong, eng =
+    with_server ~domains:2 (fun addr ->
+        let rec attempt n =
+          let fd = Load.connect addr in
+          Wire.really_write fd (Buffer.to_bytes frames) 0 (Buffer.length frames);
+          Unix.close fd;
+          (* give the workers time to answer the whole burst *)
+          let rec poll k =
+            failures addr > 0 || (k > 0 && (Unix.sleepf 0.02; poll (k - 1)))
+          in
+          if not (poll 100) && n > 1 then attempt (n - 1)
+        in
+        attempt 20;
+        Load.rpc addr (Wire.Ping 7))
+  in
+  check_bool "a new connection's Ping is answered" true
+    (match pong with Wire.Reply (7, Value.Unit) -> true | _ -> false);
+  check_bool "a failed write is counted" true
+    (Obs.value eng.Engine.c_response_write_failures >= 1)
+
+(* Requests pipelined before a [Quit] on its connection are all answered
+   before the [Quit] is: the server replies to it only once the workers
+   have drained and flushed. *)
+let test_quit_after_pipelined () =
+  let module Obs = Commlat_obs.Obs in
+  let n = 8 in
+  let frames = Buffer.create 1024 in
+  for k = 1 to n do
+    Wire.add_frame frames
+      (Wire.encode_req (invoke ~id:k "kvmap" "put" [| Value.Int k; Value.Int k |]))
+  done;
+  Wire.add_frame frames (Wire.encode_req (Wire.Quit (n + 1)));
+  let replies, eng =
+    with_server ~domains:2 (fun addr ->
+        let fd = Load.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Wire.really_write fd (Buffer.to_bytes frames) 0 (Buffer.length frames);
+            let rec read acc =
+              match Wire.read_frame fd with
+              | Some p -> read (Wire.decode_resp p :: acc)
+              | None -> List.rev acc
+            in
+            read []))
+  in
+  let ids = List.map (function Wire.Reply (id, _) | Wire.Err (id, _) -> id) replies in
+  Alcotest.(check (list int)) "every put once, then the Quit"
+    (List.init n (fun k -> k + 1) @ [ n + 1 ])
+    (List.sort compare (List.filteri (fun i _ -> i < n) ids)
+    @ List.filteri (fun i _ -> i >= n) ids);
+  check_int "every put committed" n (Obs.value eng.Engine.c_commits)
+
 (* ------------------------------------------------------------- *)
 (* Load rows                                                      *)
 (* ------------------------------------------------------------- *)
@@ -829,6 +901,10 @@ let suite =
         `Quick test_conflict_keeps_one_write;
       Alcotest.test_case "server: one write of many frames is read in bursts"
         `Quick test_burst_read;
+      Alcotest.test_case "server: a client gone mid-burst is counted, not fatal"
+        `Quick test_disconnect_mid_burst;
+      Alcotest.test_case "server: Quit answers the requests pipelined before it"
+        `Quick test_quit_after_pipelined;
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;
       Alcotest.test_case "histo: merge and edge cases" `Quick
         test_histo_merge_and_edges;

@@ -32,7 +32,8 @@ type t = {
   spec : Spec.t;
   keys : (string, Formula.term) Hashtbl.t;
       (** method name -> chosen M1-side key term; absent = keyless *)
-  compiled : (string, Invocation.t -> Value.t) Hashtbl.t;
+  compiled : (string, (Invocation.t -> Value.t) option) Hashtbl.t;
+      (** every declared method: its compiled key term, [None] if keyless *)
 }
 
 (* Normalize an M2-side term to the corresponding M1-side term (same
@@ -193,30 +194,45 @@ let analyze (spec : Spec.t) : t =
   assign ();
   (* Shard keys are on the hot path of every sharded insert and scan:
      compile them to zero-environment closures (Compile.key) instead of
-     staging a Formula.env per invocation.  Key values are identical. *)
+     staging a Formula.env per invocation.  Key values are identical.
+     Keyless methods are entered too, so a declared method's lookup never
+     misses. *)
   let compiled = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun m key -> Hashtbl.replace compiled m (Compile.key spec key))
-    chosen;
+  List.iter
+    (fun m ->
+      Hashtbl.replace compiled m
+        (Option.map (Compile.key spec) (Hashtbl.find_opt chosen m)))
+    names;
   { spec; keys = Hashtbl.copy chosen; compiled }
 
 let key_term t m = Hashtbl.find_opt t.keys m
 let keyed t m = Hashtbl.mem t.keys m
 let all_keyless t = Hashtbl.length t.keys = 0
 
-let key_value t (inv : Invocation.t) =
-  Option.map
-    (fun f -> f inv)
-    (Hashtbl.find_opt t.compiled inv.Invocation.meth.name)
+(* The compiled key of a method; [None] if keyless or undeclared. *)
+let key_fn t name =
+  match Hashtbl.find t.compiled name with
+  | k -> k
+  | exception Not_found -> None
 
-(** The shard index of an invocation, or [None] for the overflow shard.
+let key_value t (inv : Invocation.t) =
+  match key_fn t inv.Invocation.meth.name with
+  | Some f -> Some (f inv)
+  | None -> None
+
+(** The shard index of an invocation, [nshards] for the overflow shard.
     Same key value ⟹ same shard; different shards ⟹ different key values
     ⟹ the invocations commute with every keyed method's invocations in
-    other shards. *)
+    other shards.  It allocates nothing: every sharded invocation, scan
+    and read probe computes it. *)
+let shard t ~nshards (inv : Invocation.t) =
+  match key_fn t inv.Invocation.meth.name with
+  | Some f -> Value.hash (f inv) land max_int mod nshards
+  | None -> nshards
+
 let shard_of t ~nshards inv =
-  Option.map
-    (fun v -> Value.hash v land max_int mod nshards)
-    (key_value t inv)
+  let i = shard t ~nshards inv in
+  if i = nshards then None else Some i
 
 let pp ppf (t : t) =
   let keyed, keyless =

@@ -15,7 +15,7 @@
     their invocations live in a dedicated overflow shard and are checked
     against everything, preserving soundness.
 
-    Soundness of {!shard_of}: {!Value.hash} respects {!Value.equal}, so
+    Soundness of {!shard}: {!Value.hash} respects {!Value.equal}, so
     equal key values always land in the same shard; distinct shards
     therefore imply distinct key values, which imply commutativity against
     every keyed invocation outside the shard. *)
@@ -41,8 +41,12 @@ val all_keyless : t -> bool
     method is keyless. *)
 val key_value : t -> Invocation.t -> Value.t option
 
-(** [shard_of t ~nshards inv] is the shard index in [\[0, nshards)] of a
-    keyed invocation, or [None] for the overflow shard. *)
+(** [shard t ~nshards inv] is the shard index in [\[0, nshards)] of a
+    keyed invocation, or [nshards] (the overflow shard) for a keyless one.
+    It allocates nothing. *)
+val shard : t -> nshards:int -> Invocation.t -> int
+
+(** {!shard} with [None] for the overflow shard. *)
 val shard_of : t -> nshards:int -> Invocation.t -> int option
 
 val pp : t Fmt.t

@@ -76,23 +76,32 @@ let hooks ?(undo = fun _ -> invalid_arg "gatekeeper: undo unsupported")
 
 type entry = {
   inv : Invocation.t;
-  log : (string * Value.t list, Value.t) Hashtbl.t;
-      (** results of [C_m] functions, keyed by (name, evaluated args) *)
+  log : (string * Value.t list, Value.t) Hashtbl.t option;
+      (** results of [C_m] functions, keyed by (name, evaluated args);
+          [None] for a method whose [C_m] is empty ({!new_entry}) *)
 }
 
 module Obs = Commlat_obs.Obs
 
+(* The active entries of one method in one shard.  A bucket, once
+   created, lives until [reset]. *)
+type bucket = {
+  b_meth : int;  (** the method's number ({!meth_idx}) *)
+  b_shard : int;  (** the index of the shard holding the bucket *)
+  mutable b_entries : entry list;  (** newest first *)
+}
 
 (* One slice of the active-invocation table.  An unsharded gatekeeper is a
    single overflow shard; [s_guard] is used only in striped mode (coarse
    mode keeps the gatekeeper-global [mu]). *)
 type shard = {
-  s_active : (string, entry list ref) Hashtbl.t;
+  s_active : (string, bucket) Hashtbl.t;
       (** active invocations, bucketed by method name so that method pairs
           whose condition is [true] (e.g. find/find, nearest/nearest) are
           skipped without touching individual entries *)
   mutable s_n : int;
   s_guard : Guard.t;
+  s_held : Guard.t list;  (** [[s_guard]], built once *)
 }
 
 (* One s1-function of a method's C_m log set. *)
@@ -112,9 +121,10 @@ type plan = {
   p_allow_rollback : bool;
   p_nshards : int;
   p_scope : string;  (** the obs registry's (and detector's) name *)
-  p_cm : (string, logged list) Hashtbl.t;
+  p_cm : logged list array;
   p_fp : Footprint.t option;
-  p_cond_info : (string * string, cond_info) Hashtbl.t;
+  p_meths : (string, int) Hashtbl.t;
+  p_conds : cond_info array;
   p_false_info : cond_info;
 }
 
@@ -122,8 +132,8 @@ and t = {
   spec : Spec.t;
   hooks : hooks;
   allow_rollback : bool;
-  cm : (string, logged list) Hashtbl.t;
-      (** C_m: per method, the s1-functions to log *)
+  cm : logged list array;
+      (** C_m: per method number ([meths]), the s1-functions to log *)
   (* footprint sharding: [fp = None] means unsharded ([nshards = 0], a
      single overflow shard, coarse mode); sharded means striped mode.
      [shards] has length [nshards + 1]; the last element is the overflow
@@ -132,15 +142,19 @@ and t = {
   nshards : int;
   shards : shard array;
   shard_guards : Guard.t list;  (** every shard's guard, in creation order *)
-  by_txn : (int, (int * entry list ref) list) Hashtbl.t;
+  by_txn : (int, bucket list) Hashtbl.t;
       (** per transaction, each bucket holding one of its active entries,
-          once, with the bucket's shard index; read and written under
-          [mu], so the end of a transaction visits only its own buckets *)
+          once; read and written under [mu], so the end of a transaction
+          visits only its own buckets *)
   (* per ordered method pair: the condition, its rollback-function set
      and its refusal label, precomputed by the plan so the table is
      read-only at runtime (striped shards, and instances of one plan on
      other domains, evaluate conditions concurrently) *)
-  cond_info : (string * string, cond_info) Hashtbl.t;
+  meths : (string, int) Hashtbl.t;
+      (** each declared method's number: its row (and column) in [conds]
+          and its slot in [cm] *)
+  conds : cond_info array;
+      (** row-major: [conds.(first * n + second)] for [n] methods *)
   false_info : cond_info;
       (** for methods the spec never mentions; its [pair] is empty *)
   mutable mutation_log : Invocation.t list;
@@ -186,9 +200,10 @@ and cond_info = {
 (* Deduplication goes through a hash set keyed by (method, function):
    the old [List.filter]/[List.mem] version was quadratic in the number of
    logged state functions, which dominated gatekeeper construction for
-   specs with many conditions over the same method. *)
-let build_cm (spec : Spec.t) =
-  let cm = Hashtbl.create 16 in
+   specs with many conditions over the same method.  [meths] numbers the
+   declared methods. *)
+let build_cm (spec : Spec.t) meths =
+  let cm = Array.make (Hashtbl.length meths) [] in
   let seen : (string * (string * Formula.term list), unit) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -207,8 +222,8 @@ let build_cm (spec : Spec.t) =
                      List.exists (Formula.term_mentions_ret Formula.M1) arg_terms;
                  }
                in
-               Hashtbl.replace cm m1
-                 (l :: Option.value ~default:[] (Hashtbl.find_opt cm m1))
+               let i = Hashtbl.find meths m1 in
+               cm.(i) <- l :: cm.(i)
              end))
     (Spec.pairs spec);
   cm
@@ -223,13 +238,27 @@ let cond_info_of_check ~pair (check : Compile.check) =
   in
   { check; rollback_fns; pair }
 
-(* The condition table is fully precomputed over the spec's method pairs;
-   an invocation of a method the spec never declared falls back to the
-   (sound) [false] entry. *)
-let cond_info_of (t : t) ~first ~second =
-  match Hashtbl.find_opt t.cond_info (first, second) with
-  | Some i -> i
-  | None -> t.false_info
+(* The number the plan gave a declared method (its row and column in
+   [conds], its slot in [cm]), or [-1] if the spec does not declare it. *)
+let meth_idx (t : t) name =
+  match Hashtbl.find t.meths name with
+  | i -> i
+  | exception Not_found -> -1
+
+(* The condition table is fully precomputed over the spec's method pairs
+   and indexed by method number, so a scan looks a bucket's condition up without
+   allocating; an invocation of a method the spec never declared falls
+   back to the (sound) [false] entry. *)
+let cond_info_at (t : t) ~first ~second =
+  if first < 0 || second < 0 then t.false_info
+  else t.conds.((first * Hashtbl.length t.meths) + second)
+
+(* Lookups in [e]'s s1-function results, if it has any. *)
+let log_find (e : entry) key =
+  match e.log with None -> None | Some log -> Hashtbl.find_opt log key
+
+let log_mem (e : entry) key =
+  match e.log with None -> false | Some log -> Hashtbl.mem log key
 
 (* The formula-evaluation environment for checking [f_{e.inv, inv2}].
    [rb_cache] holds the pre-evaluated rollback functions (general
@@ -245,7 +274,7 @@ let check_env (t : t) (e : entry) (inv2 : Invocation.t)
            are s2-free; see DESIGN.md §5 for the mutating-method caveat. *)
         t.hooks.sfun name args
     | Formula.S1 -> (
-        match Hashtbl.find_opt e.log (name, args) with
+        match log_find e (name, args) with
         | Some v ->
             Obs.incr t.c_log_hits;
             v
@@ -299,7 +328,7 @@ let rollback_sweep (t : t) (inv2 : Invocation.t)
                 (fun (name, arg_terms) ->
                   let args = List.map (Formula.eval_term env) arg_terms in
                   if
-                    (not (Hashtbl.mem e.log (name, args)))
+                    (not (log_mem e (name, args)))
                     && not (Hashtbl.mem cache (name, args))
                   then begin
                     Obs.incr t.c_sfun_at;
@@ -325,8 +354,7 @@ let rollback_sweep (t : t) (inv2 : Invocation.t)
                      (name, List.map (Formula.eval_term env) arg_terms))
                    fns
                  |> List.sort_uniq compare
-                 |> List.filter (fun (name, args) ->
-                        not (Hashtbl.mem e.log (name, args)))
+                 |> List.filter (fun (name, args) -> not (log_mem e (name, args)))
                in
                if wanted = [] then None else Some (e, wanted))
          needs_check
@@ -366,15 +394,27 @@ let rollback_sweep (t : t) (inv2 : Invocation.t)
      end);
   caches
 
-let populate_log (t : t) (entry : entry) ~post_exec =
-  let fns = Option.value ~default:[] (Hashtbl.find_opt t.cm entry.inv.Invocation.meth.name) in
-  List.iter
-    (fun l ->
-      if l.post_exec = post_exec then
-        let args = List.map (fun k -> k entry.inv) l.arg_keys in
-        if not (Hashtbl.mem entry.log (l.fname, args)) then
-          Hashtbl.replace entry.log (l.fname, args) (t.hooks.sfun l.fname args))
-    fns
+(* The [C_m] of method number [m]; an undeclared method ([-1]) logs
+   nothing. *)
+let cm_of (t : t) m = if m < 0 then [] else t.cm.(m)
+
+(* An active-table entry for [inv], of method number [m].  Only a method
+   with logged s1-functions (a non-empty [C_m]) gets a log; a striped
+   spec has none. *)
+let new_entry (t : t) m (inv : Invocation.t) =
+  { inv; log = (match cm_of t m with [] -> None | _ -> Some (Hashtbl.create 4)) }
+
+let populate_log (t : t) m (entry : entry) ~post_exec =
+  match entry.log with
+  | None -> ()
+  | Some log ->
+      List.iter
+        (fun l ->
+          if l.post_exec = post_exec then
+            let args = List.map (fun k -> k entry.inv) l.arg_keys in
+            if not (Hashtbl.mem log (l.fname, args)) then
+              Hashtbl.replace log (l.fname, args) (t.hooks.sfun l.fname args))
+        (cm_of t m)
 
 (* ------------------------------------------------------------------ *)
 (* Shard plumbing                                                      *)
@@ -388,38 +428,29 @@ let overflow_idx t = t.nshards
 let shard_idx (t : t) (inv : Invocation.t) =
   match t.fp with
   | None -> overflow_idx t
-  | Some fp -> (
-      match Footprint.shard_of fp ~nshards:t.nshards inv with
-      | Some i -> i
-      | None -> overflow_idx t)
-
-(* The shards an incoming invocation must be checked against: its own plus
-   the overflow shard (keyed), or everything (keyless/unsharded). *)
-let scan_shards (t : t) idx =
-  if idx = overflow_idx t then Array.to_list t.shards
-  else [ t.shards.(idx); t.shards.(overflow_idx t) ]
+  | Some fp -> Footprint.shard fp ~nshards:t.nshards inv
 
 (* The shard guards a striped invocation routed to [idx] holds: its own
    shard's, or every one for a keyless invocation (an overflow mutator). *)
 let held_guards (t : t) idx =
-  if idx < overflow_idx t then [ t.shards.(idx).s_guard ] else t.shard_guards
+  if idx < overflow_idx t then t.shards.(idx).s_held else t.shard_guards
 
 let n_active t = Array.fold_left (fun acc sh -> acc + sh.s_n) 0 t.shards
 
-(* Insert into shard [idx]; returns the entry's bucket.  A bucket, once
-   created, lives until [reset]. *)
-let insert_entry (t : t) idx entry =
+(* Insert an entry of method number [m] into shard [idx]; returns the
+   entry's bucket. *)
+let insert_entry (t : t) idx m entry =
   let sh = t.shards.(idx) in
   let name = entry.inv.Invocation.meth.name in
   let bucket =
-    match Hashtbl.find_opt sh.s_active name with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
+    match Hashtbl.find sh.s_active name with
+    | b -> b
+    | exception Not_found ->
+        let b = { b_meth = m; b_shard = idx; b_entries = [] } in
         Hashtbl.add sh.s_active name b;
         b
   in
-  bucket := entry :: !bucket;
+  bucket.b_entries <- entry :: bucket.b_entries;
   sh.s_n <- sh.s_n + 1;
   if t.nshards > 0 then begin
     if idx = overflow_idx t then Obs.incr t.c_overflow_inserts
@@ -428,15 +459,20 @@ let insert_entry (t : t) idx entry =
   end;
   bucket
 
-(* Record that [txn] has an entry in [bucket] of shard [idx] (caller
-   holds [mu]). *)
-let index_bucket (t : t) txn idx bucket =
-  let mine = Option.value ~default:[] (Hashtbl.find_opt t.by_txn txn) in
-  if not (List.exists (fun (_, b) -> b == bucket) mine) then
-    Hashtbl.replace t.by_txn txn ((idx, bucket) :: mine)
+let rec has_bucket b = function
+  | [] -> false
+  | b' :: rest -> b' == b || has_bucket b rest
+
+(* Record that [txn] has an entry in [bucket] (caller holds [mu]). *)
+let index_bucket (t : t) txn bucket =
+  match Hashtbl.find t.by_txn txn with
+  | mine ->
+      if not (has_bucket bucket mine) then
+        Hashtbl.replace t.by_txn txn (bucket :: mine)
+  | exception Not_found -> Hashtbl.add t.by_txn txn [ bucket ]
 
 let remove_entry (sh : shard) bucket entry =
-  bucket := List.filter (fun e -> e != entry) !bucket;
+  bucket.b_entries <- List.filter (fun e -> e != entry) bucket.b_entries;
   sh.s_n <- sh.s_n - 1
 
 (* Entries a keyed incoming invocation skipped: everything active in
@@ -445,9 +481,9 @@ let remove_entry (sh : shard) bucket entry =
 let record_avoided (t : t) idx =
   if idx < overflow_idx t then begin
     let avoided = ref 0 in
-    Array.iteri
-      (fun i sh -> if i < overflow_idx t && i <> idx then avoided := !avoided + sh.s_n)
-      t.shards;
+    for i = 0 to overflow_idx t - 1 do
+      if i <> idx then avoided := !avoided + t.shards.(i).s_n
+    done;
     if !avoided > 0 then Obs.add t.c_checks_avoided !avoided
   end
 
@@ -481,16 +517,24 @@ let plan ?(nshards = 0) ~allow_rollback spec =
           over state-free conditions can)"
          (Spec.adt spec));
   let cspec = Compile.of_spec spec in
-  let cond_info = Hashtbl.create 32 in
+  let false_info = cond_info_of_check ~pair:"" (Compile.Static false) in
+  let meths = Hashtbl.create 8 in
   List.iter
-    (fun (m1 : Invocation.meth) ->
-      List.iter
-        (fun (m2 : Invocation.meth) ->
-          Hashtbl.replace cond_info (m1.name, m2.name)
-            (cond_info_of_check ~pair:(m1.name ^ ";" ^ m2.name)
-               (Compile.condition cspec ~first:m1.name ~second:m2.name)))
-        (Spec.methods spec))
+    (fun (m : Invocation.meth) ->
+      if not (Hashtbl.mem meths m.name) then
+        Hashtbl.add meths m.name (Hashtbl.length meths))
     (Spec.methods spec);
+  let n = Hashtbl.length meths in
+  let conds = Array.make (n * n) false_info in
+  Hashtbl.iter
+    (fun first i ->
+      Hashtbl.iter
+        (fun second j ->
+          conds.((i * n) + j) <-
+            cond_info_of_check ~pair:(first ^ ";" ^ second)
+              (Compile.condition cspec ~first ~second))
+        meths)
+    meths;
   {
     p_spec = spec;
     p_allow_rollback = allow_rollback;
@@ -500,10 +544,11 @@ let plan ?(nshards = 0) ~allow_rollback spec =
         (if allow_rollback then "gen" else "fwd")
         (if sharded then "-sharded" else "")
         (Spec.adt spec);
-    p_cm = build_cm spec;
+    p_cm = build_cm spec meths;
     p_fp = (if sharded then Some (Footprint.analyze spec) else None);
-    p_cond_info = cond_info;
-    p_false_info = cond_info_of_check ~pair:"" (Compile.Static false);
+    p_meths = meths;
+    p_conds = conds;
+    p_false_info = false_info;
   }
 
 (* The instance stage: every piece of mutable state, fresh per call. *)
@@ -511,7 +556,8 @@ let create (p : plan) ?obs:obs_enabled hooks =
   let nshards = p.p_nshards in
   let obs = Obs.create ?enabled:obs_enabled p.p_scope in
   let fresh_shard () =
-    { s_active = Hashtbl.create 8; s_n = 0; s_guard = Guard.create () }
+    let g = Guard.create () in
+    { s_active = Hashtbl.create 8; s_n = 0; s_guard = g; s_held = [ g ] }
   in
   (* shard guards first, [mu] last: protect_all's canonical (creation-id)
      order then agrees with the shard-guard-then-exec-guard nesting of the
@@ -529,7 +575,8 @@ let create (p : plan) ?obs:obs_enabled hooks =
     shards;
     shard_guards;
     by_txn = Hashtbl.create 16;
-    cond_info = p.p_cond_info;
+    meths = p.p_meths;
+    conds = p.p_conds;
     false_info = p.p_false_info;
     mutation_log = [];
     seq = 0;
@@ -585,42 +632,57 @@ let raise_conflict (t : t) (info : cond_info) (e : entry) (inv : Invocation.t) =
   end;
   Detector.conflict ~txn:inv.Invocation.txn ~with_:e.inv.Invocation.txn pair
 
+(* Check [inv] against the entries of other transactions in one bucket,
+   whose condition is [info]; raises on the first refusal. *)
+let rec check_entries (t : t) info (inv : Invocation.t) = function
+  | [] -> ()
+  | (e : entry) :: rest ->
+      if e.inv.Invocation.txn <> inv.Invocation.txn then begin
+        Obs.incr t.c_checks;
+        let ok =
+          match info.check with
+          | Compile.Static b -> b
+          | Compile.Fast f -> f e.inv inv
+          | Compile.Interp f -> Formula.eval (check_env t e inv ~rb_cache:None) f
+        in
+        if not ok then raise_conflict t info e inv
+      end;
+      check_entries t info inv rest
+
+(* Check [inv] against one shard; [second] is its method's index. *)
+let scan_shard (t : t) ~second (inv : Invocation.t) (sh : shard) =
+  if sh.s_n > 0 then
+    Hashtbl.iter
+      (fun _ b ->
+        let info = cond_info_at t ~first:b.b_meth ~second in
+        match info.check with
+        | Compile.Static true -> ()
+        | _ -> check_entries t info inv b.b_entries)
+      sh.s_active
+
 (* Batch log scan: check one {e executed} incoming invocation against
    every active invocation it can conflict with — its own shard plus the
    overflow shard when keyed (the footprint's shard-disjointness
    discharges every other keyed shard), all shards otherwise — in a
-   single pass, bucket by bucket, with no intermediate list.  Trivially
+   single pass, bucket by bucket, allocating nothing but one iterator per
+   non-empty shard; empty shards are skipped whole.  Trivially
    [true] conditions skip whole buckets; state-free conditions go through
    their zero-environment checker.  Only valid when no condition needs
    state reconstruction against this gatekeeper's log (forward mode /
    striped mode — the general path batches differently, via
-   {!rollback_sweep}).  The caller holds the relevant guards: [mu] in
-   coarse mode, the {!held_guards} of [idx] in striped mode. *)
-let scan_active_idx (t : t) idx (inv : Invocation.t) =
-  let second = inv.Invocation.meth.name in
-  let check_bucket info bucket eval =
-    List.iter
-      (fun (e : entry) ->
-        if e.inv.Invocation.txn <> inv.Invocation.txn then begin
-          Obs.incr t.c_checks;
-          if not (eval e) then raise_conflict t info e inv
-        end)
-      !bucket
-  in
-  List.iter
-    (fun (sh : shard) ->
-      Hashtbl.iter
-        (fun first bucket ->
-          let info = cond_info_of t ~first ~second in
-          match info.check with
-          | Compile.Static true -> ()
-          | Compile.Static false -> check_bucket info bucket (fun _ -> false)
-          | Compile.Fast f -> check_bucket info bucket (fun e -> f e.inv inv)
-          | Compile.Interp f ->
-              check_bucket info bucket (fun e ->
-                  Formula.eval (check_env t e inv ~rb_cache:None) f))
-        sh.s_active)
-    (scan_shards t idx)
+   {!rollback_sweep}).  [second] is [inv]'s method number.  The caller
+   holds the relevant guards: [mu] in coarse mode, the {!held_guards} of
+   [idx] in striped mode. *)
+let scan_active_idx (t : t) idx ~second (inv : Invocation.t) =
+  let ov = overflow_idx t in
+  if idx = ov then
+    for i = 0 to ov do
+      scan_shard t ~second inv t.shards.(i)
+    done
+  else begin
+    scan_shard t ~second inv t.shards.(idx);
+    scan_shard t ~second inv t.shards.(ov)
+  end
 
 (* Coarse mode is unsharded: [t.shards] is the one overflow shard. *)
 let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
@@ -628,21 +690,21 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
       Obs.incr t.c_invocations;
       t.seq <- t.seq + 1;
       inv.Invocation.seq <- t.seq;
-      let entry = { inv; log = Hashtbl.create 4 } in
+      (* one method-number lookup serves the log, the bucket and the scan *)
+      let m = meth_idx t inv.Invocation.meth.name in
+      let entry = new_entry t m inv in
       (* Functions of s1 that need only the arguments are evaluated in the
          pre-state (s1 is the state the method is invoked in)... *)
-      populate_log t entry ~post_exec:false;
+      populate_log t m entry ~post_exec:false;
       let r = exec () in
       inv.Invocation.ret <- r;
       if t.allow_rollback && inv.Invocation.meth.rollback_log then
         t.mutation_log <- inv :: t.mutation_log;
       (* ... and ret-dependent ones after it returns (valid for read-only
          methods such as [nearest]; see Spec docs). *)
-      populate_log t entry ~post_exec:true;
+      populate_log t m entry ~post_exec:true;
       let idx = overflow_idx t in
-      let insert () =
-        index_bucket t inv.Invocation.txn idx (insert_entry t idx entry)
-      in
+      let insert () = index_bucket t inv.Invocation.txn (insert_entry t idx m entry) in
       (* The method has already executed; if a condition fails below, the
          transaction is doomed, but its rollback runs later, outside this
          guard.  Until then no concurrent invocation may observe the
@@ -669,12 +731,12 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
       if not t.allow_rollback then
         (* Forward mode never reconstructs state, so the scan is a single
            batch pass — no intermediate list. *)
-        scan_active_idx t idx inv
+        scan_active_idx t idx ~second:m inv
       else begin
         let needs_check = ref [] in
         Hashtbl.iter
-          (fun first bucket ->
-            let info = cond_info_of t ~first ~second:inv.Invocation.meth.name in
+          (fun _ b ->
+            let info = cond_info_at t ~first:b.b_meth ~second:m in
             match info.check with
             | Compile.Static true -> ()
             | _ ->
@@ -682,7 +744,7 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
                   (fun (e : entry) ->
                     if e.inv.Invocation.txn <> inv.Invocation.txn then
                       needs_check := (e, info) :: !needs_check)
-                  !bucket)
+                  b.b_entries)
           t.shards.(idx).s_active;
         let rb_caches = rollback_sweep t inv !needs_check in
         List.iter
@@ -725,9 +787,10 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
 let on_invoke_striped (t : t) (inv : Invocation.t) exec =
   Obs.incr t.c_invocations;
   let idx = shard_idx t inv in
+  let m = meth_idx t inv.Invocation.meth.name in
   Guard.protect_all (held_guards t idx) (fun () ->
-      let entry = { inv; log = Hashtbl.create 1 } in
-      let bucket = insert_entry t idx entry in
+      let entry = new_entry t m inv in
+      let bucket = insert_entry t idx m entry in
       let r =
         try
           Guard.protect t.mu (fun () ->
@@ -735,7 +798,7 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
               inv.Invocation.seq <- t.seq;
               let r = exec () in
               inv.Invocation.ret <- r;
-              index_bucket t inv.Invocation.txn idx bucket;
+              index_bucket t inv.Invocation.txn bucket;
               r)
         with e ->
           (* a raising [exec] is an ADT/operator failure, not a conflict:
@@ -746,7 +809,7 @@ let on_invoke_striped (t : t) (inv : Invocation.t) exec =
       in
       record_avoided t idx;
       (* conditions are state-free: one batch pass, no logs, no sweeps *)
-      scan_active_idx t idx inv;
+      scan_active_idx t idx ~second:m inv;
       r)
 
 let on_invoke (t : t) (inv : Invocation.t) exec =
@@ -758,6 +821,7 @@ let on_invoke (t : t) (inv : Invocation.t) exec =
    scan leaves nothing for a commit to drop. *)
 let batch_check (t : t) (inv : Invocation.t) exec =
   let idx = shard_idx t inv in
+  let second = meth_idx t inv.Invocation.meth.name in
   let run () =
     let r = exec () in
     inv.Invocation.ret <- r;
@@ -766,12 +830,12 @@ let batch_check (t : t) (inv : Invocation.t) exec =
   if t.nshards > 0 then
     Guard.protect_all (held_guards t idx) (fun () ->
         let r = Guard.protect t.mu run in
-        scan_active_idx t idx inv;
+        scan_active_idx t idx ~second inv;
         r)
   else
     Guard.protect t.mu (fun () ->
         let r = run () in
-        scan_active_idx t idx inv;
+        scan_active_idx t idx ~second inv;
         r)
 
 (* ------------------------------------------------------------------ *)
@@ -787,10 +851,10 @@ let prune (t : t) =
     Array.iter
       (fun (sh : shard) ->
         Hashtbl.iter
-          (fun _ bucket ->
+          (fun _ b ->
             List.iter
               (fun e -> if e.inv.Invocation.seq < !min_seq then min_seq := e.inv.Invocation.seq)
-              !bucket)
+              b.b_entries)
           sh.s_active)
       t.shards;
     let keep, drop =
@@ -809,18 +873,22 @@ let retire (t : t) e =
 
 (* Unlink a transaction's buckets from the index (caller holds [mu]). *)
 let take_buckets (t : t) txn =
-  match Hashtbl.find_opt t.by_txn txn with
-  | None -> []
-  | Some mine ->
+  match Hashtbl.find t.by_txn txn with
+  | mine ->
       Hashtbl.remove t.by_txn txn;
       mine
+  | exception Not_found -> []
 
 (* The shard guards covering a transaction's buckets: their shards'
    guards, or every shard guard if one is in the overflow shard, as for
-   every overflow mutator. *)
+   every overflow mutator.  The usual case is one bucket in a keyed
+   shard. *)
 let bucket_guards (t : t) mine =
-  if List.exists (fun (idx, _) -> idx = overflow_idx t) mine then t.shard_guards
-  else List.map (fun (idx, _) -> t.shards.(idx).s_guard) mine
+  match mine with
+  | [ b ] when b.b_shard < overflow_idx t -> t.shards.(b.b_shard).s_held
+  | _ ->
+      if List.exists (fun b -> b.b_shard = overflow_idx t) mine then t.shard_guards
+      else List.map (fun b -> t.shards.(b.b_shard).s_guard) mine
 
 (* The guards [txn]'s invocations held, which its abort takes
    ({!Detector.t.txn_guards}).  Coarse: [mu], answered without taking
@@ -839,19 +907,25 @@ let txn_guards (t : t) txn =
     in
     t.mu :: bucket_guards t mine
 
+(* [entries] without [txn]'s, which are retired and uncounted from [sh];
+   the list after the last of them is kept, not copied. *)
+let rec drop_txn (t : t) (sh : shard) txn = function
+  | [] -> []
+  | (e : entry) :: rest when e.inv.Invocation.txn = txn ->
+      retire t e;
+      sh.s_n <- sh.s_n - 1;
+      drop_txn t sh txn rest
+  | e :: rest as l ->
+      let rest' = drop_txn t sh txn rest in
+      if rest' == rest then l else e :: rest'
+
 (* Remove [txn]'s entries from its taken buckets, one pass per bucket
    (caller holds their shards' guards). *)
-let drop_entries (t : t) txn mine =
-  List.iter
-    (fun (idx, bucket) ->
-      let sh = t.shards.(idx) in
-      let dropped, keep =
-        List.partition (fun e -> e.inv.Invocation.txn = txn) !bucket
-      in
-      List.iter (retire t) dropped;
-      sh.s_n <- sh.s_n - List.length dropped;
-      bucket := keep)
-    mine
+let rec drop_entries (t : t) txn = function
+  | [] -> ()
+  | b :: rest ->
+      b.b_entries <- drop_txn t t.shards.(b.b_shard) txn b.b_entries;
+      drop_entries t txn rest
 
 (* End-of-transaction bookkeeping (paper §3.3: the transaction's active
    invocations and logs go).  The index names the buckets holding the
@@ -899,8 +973,7 @@ let footprint (t : t) = t.fp
     gatekeeper records on every invocation of [m] (exposed so tests can pin
     the construction; order is unspecified). *)
 let cm_functions (t : t) m =
-  Option.value ~default:[] (Hashtbl.find_opt t.cm m)
-  |> List.map (fun l -> (l.fname, l.arg_terms))
+  List.map (fun l -> (l.fname, l.arg_terms)) (cm_of t (meth_idx t m))
 
 let all_guards (t : t) = if t.nshards > 0 then t.shard_guards @ [ t.mu ] else [ t.mu ]
 
@@ -919,7 +992,7 @@ let detector (t : t) : Detector.t =
             Array.iter
               (fun (sh : shard) ->
                 Hashtbl.iter
-                  (fun _ bucket -> List.iter (retire t) !bucket)
+                  (fun _ b -> List.iter (retire t) b.b_entries)
                   sh.s_active;
                 Hashtbl.reset sh.s_active;
                 sh.s_n <- 0)

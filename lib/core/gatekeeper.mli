@@ -148,7 +148,8 @@ val active_count : t -> int
       condition is state-free.  Sharding reports exactly the conflicts of
       the unsharded gatekeeper; [Footprint.all_keyless] specs degenerate
       to a single overflow shard.
-    - [?obs] defaults to the [COMMLAT_OBS] environment toggle.
+    - [?obs] defaults to enabled, unless
+      [Commlat_obs.Obs.set_default_enabled false] was called.
 
     [make] is {!plan} followed by {!instance}. *)
 val make :

@@ -481,9 +481,12 @@ let handle (t : t) (req : Wire.req) : Wire.resp =
 (** Worker-routing hash of a request, derived from the same equality
     footprint that drives detector sharding: requests whose footprint keys
     differ commute (that is the footprint guarantee), so hashing the key
-    sends conflicting requests to the {e same} worker — where they
-    serialize on the queue instead of aborting each other — and spreads
-    commuting ones across cores.  Keyless methods (and non-invoke
+    sends conflicting requests to the {e same} worker and spreads
+    commuting ones across cores.  The server's worker keeps the hashes of
+    its epoch's open transactions and commits them before it runs a
+    request whose hash is among them (DESIGN.md §11), so requests on one
+    key serialize instead of aborting each other; a collision between
+    different keys only commits early.  Keyless methods (and non-invoke
     requests) return [None]; the caller round-robins those. *)
 let route_hash (t : t) (req : Wire.req) : int option =
   match req with

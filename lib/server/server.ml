@@ -19,19 +19,26 @@
       and firing commit-time [forget] hooks) and then flushes each
       connection's responses as one buffered write.  Group commit
       amortizes commit work and response syscalls across the batch.
-    - A {!Detector.Conflict} inside an epoch first commits the epoch's
-      open transactions (the conflicter is usually among them), then
-      retries with capped exponential backoff; after [max_retries] the
-      client gets an [Err] frame.  The committed transactions' responses
-      stay staged for the epoch boundary, so each connection still gets
-      one write per epoch.  Every other per-request exception is
-      already contained by {!Engine.try_req}.
+    - Before it runs a request whose route hash already has an open
+      transaction in the epoch, a worker commits the epoch's open
+      transactions: routing sends every request on a key to one worker,
+      so that is where a same-key request would be refused.
+    - A {!Detector.Conflict} routing cannot foresee (a keyless request,
+      a state-dependent condition, a coarse lattice level, a transaction
+      open on another worker) first commits the epoch's open
+      transactions (the conflicter is usually among them), then retries
+      with capped exponential backoff; after [max_retries] the client
+      gets an [Err] frame.  Either way the committed transactions'
+      responses stay staged for the epoch boundary, so each connection
+      still gets one write per epoch.  Every other per-request exception
+      is already contained by {!Engine.try_req}.
 
     Termination: a [Quit] request stops the accept loop, closes the
     listening socket, lets every worker drain its queue, joins the worker
     domains, answers any job a racing reader enqueued after its worker
     exited, answers the [Quit] itself — last on its connection, after the
-    replies to every request pipelined before it — and returns; the CLI
+    replies to every request pipelined before it and the [Err]s refusing
+    every frame read behind it — and returns; the CLI
     then exits 0.  SIGPIPE is ignored, so a client that closes without
     reading its replies costs a counted failed write, not the process.  Malformed frames answer an [Err] and keep the
     connection; unrecoverable framing (oversized prefix, mid-frame EOF)
@@ -112,7 +119,11 @@ let close_conn conn =
   Mutex.protect conn.out_mu (fun () -> conn.alive <- false);
   try Unix.close conn.fd with _ -> ()
 
-type job = { req : Wire.req; jconn : conn }
+type job = {
+  req : Wire.req;
+  jconn : conn;
+  jroute : int option;  (** [req]'s {!Engine.route_hash} *)
+}
 
 (* One blocking multi-producer queue per worker domain. *)
 type queue = {
@@ -256,10 +267,11 @@ let gate_post (g : gate) ~stop ~queues thunk =
 (* Epoch state: open transactions + per-connection response outboxes. *)
 type epoch = {
   mutable open_txns : Engine.pending list;  (* newest first *)
+  mutable open_routes : int list;  (* the open transactions' route hashes *)
   outboxes : (conn * Buffer.t) list ref;
 }
 
-let epoch_create () = { open_txns = []; outboxes = ref [] }
+let epoch_create () = { open_txns = []; open_routes = []; outboxes = ref [] }
 
 let outbox ep conn =
   match List.assq_opt conn !(ep.outboxes) with
@@ -275,7 +287,12 @@ let stage ep conn resp = Wire.add_frame (outbox ep conn) (Wire.encode_resp resp)
 (* Group commit of the epoch's open transactions, oldest first. *)
 let commit_epoch eng ep =
   List.iter (Engine.commit eng) (List.rev ep.open_txns);
-  ep.open_txns <- []
+  ep.open_txns <- [];
+  ep.open_routes <- []
+
+let rec has_route (h : int) = function
+  | [] -> false
+  | h' :: rest -> h = h' || has_route h rest
 
 (* Group commit + response flush: the epoch boundary. *)
 let flush_epoch eng ep =
@@ -306,11 +323,21 @@ let backoff_sleep attempt =
 let worker ~eng ~qu ~stop ~gate ~verbose () =
   let ep = epoch_create () in
   let run_job job =
+    (* a request on a key the epoch already holds would be refused by
+       that key's open transaction: commit first instead.  A hash
+       collision between different keys only commits early. *)
+    (match job.jroute with
+    | Some h when has_route h ep.open_routes -> commit_epoch eng ep
+    | _ -> ());
     let rec attempt n =
       match Engine.try_req eng job.req with
       | Engine.Done (p, resp) ->
           (match p with
-          | Some p -> ep.open_txns <- p :: ep.open_txns
+          | Some p -> (
+              ep.open_txns <- p :: ep.open_txns;
+              match job.jroute with
+              | Some h -> ep.open_routes <- h :: ep.open_routes
+              | None -> ())
           | None -> ());
           stage ep job.jconn resp
       | Engine.Conflicted reason ->
@@ -380,12 +407,33 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
       batches
   in
   let route req =
+    let jroute = Engine.route_hash eng req in
     let w =
-      match Engine.route_hash eng req with
+      match jroute with
       | Some h -> (h land max_int) mod nworkers
       | None -> (Atomic.fetch_and_add rr 1) mod nworkers
     in
-    batches.(w) <- { req; jconn = conn } :: batches.(w)
+    batches.(w) <- { req; jconn = conn; jroute } :: batches.(w)
+  in
+  (* bytes [lo, hi) of [buf] are read but not yet split *)
+  let buf = ref (Bytes.create burst_bytes) and lo = ref 0 and hi = ref 0 in
+  (* the payload of the [n]-byte frame at [lo], which it moves past *)
+  let take n =
+    let payload = Bytes.sub_string !buf (!lo + 4) n in
+    lo := !lo + 4 + n;
+    payload
+  in
+  (* every whole frame read behind a [Quit] is refused, so that it too is
+     answered, ahead of the [Quit]'s own reply *)
+  let rec refuse_rest () =
+    match Wire.frame_at !buf !lo !hi with
+    | Wire.Frame n ->
+        send_resp eng conn
+          (match Wire.decode_req (take n) with
+          | req -> Wire.Err (Wire.req_id req, "server shutting down")
+          | exception Wire.Malformed msg -> Wire.Err (0, msg));
+        refuse_rest ()
+    | Wire.Short _ | (exception Wire.Malformed _) -> ()
   in
   (* a [Quit] [run] will answer: the connection outlives this reader *)
   let deferred = ref false in
@@ -398,6 +446,7 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
         true
     | Wire.Quit id ->
         hand_off ();
+        refuse_rest ();
         deferred :=
           Mutex.protect quits.q_mu (fun () ->
               if not quits.answered then quits.waiting <- (conn, id) :: quits.waiting;
@@ -417,15 +466,10 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
         route req;
         true
   in
-  (* bytes [lo, hi) of [buf] are read but not yet split *)
-  let buf = ref (Bytes.create burst_bytes) and lo = ref 0 and hi = ref 0 in
   (* split every whole frame read so far; false once one was a [Quit] *)
   let rec split () =
     match Wire.frame_at !buf !lo !hi with
-    | Wire.Frame n ->
-        let payload = Bytes.sub_string !buf (!lo + 4) n in
-        lo := !lo + 4 + n;
-        handle payload && split ()
+    | Wire.Frame n -> handle (take n) && split ()
     | Wire.Short need ->
         (* keep the cut frame at the front of a buffer that holds it
            whole, so the next read always has room *)
@@ -552,7 +596,8 @@ let run (cfg : config) : Engine.t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let eng =
     (* the controller is blind without counters, so adaptive mode forces
-       the obs registry on regardless of the COMMLAT_OBS toggle *)
+       the obs registry on even if [Obs.set_default_enabled false] turned
+       the default off *)
     if cfg.adaptive then Engine.create ~obs:true ()
     else Engine.create ?level:cfg.level ()
   in

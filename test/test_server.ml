@@ -585,24 +585,24 @@ let test_gate_counts_swap_failure () =
   check_int "still one failure" 1 (Engine.swap_failures eng);
   check_int "second generation" 2 gate.Server.g_gen
 
-(* A conflict inside an epoch commits the epoch's open transactions but
-   writes nothing: both responses of an epoch whose second put conflicts
-   with its first leave in one write.  A SOCK_SEQPACKET pair keeps write
-   boundaries, so the first message read is the first write. *)
-let test_conflict_keeps_one_write () =
-  let eng = Engine.create ~obs:true () in
+(* Run [reqs] through one [Server.worker] epoch, routed as the reader
+   routes them, over a SOCK_SEQPACKET pair (which keeps write boundaries,
+   so the first message read is the first write).  Returns the responses
+   of that first write. *)
+let one_epoch eng reqs =
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_SEQPACKET 0 in
   let conn = { Server.fd = srv_fd; out_mu = Mutex.create (); alive = true } in
   let qu = Server.queue_create () in
-  let put id v = invoke ~id "kvmap" "put" [| Value.Int 1; Value.Int v |] in
   Server.queue_push qu
-    (List.map (fun req -> { Server.req; jconn = conn }) [ put 1 1; put 2 2 ]);
+    (List.map
+       (fun req -> { Server.req; jconn = conn; jroute = Engine.route_hash eng req })
+       reqs);
   Server.worker ~eng ~qu ~stop:(Atomic.make true)
     ~gate:(Server.gate_create ~workers:1) ~verbose:false ();
-  check_int "the second put conflicted once" 1
-    (Commlat_obs.Obs.value eng.Engine.c_aborts);
   let buf = Bytes.create 4096 in
   let n = Unix.recv cli_fd buf 0 (Bytes.length buf) [] in
+  Unix.close srv_fd;
+  Unix.close cli_fd;
   let rec frames off acc =
     if off >= n then List.rev acc
     else
@@ -610,14 +610,43 @@ let test_conflict_keeps_one_write () =
       let payload = Bytes.sub_string buf (off + 4) len in
       frames (off + 4 + len) (Wire.decode_resp payload :: acc)
   in
+  frames 0 []
+
+(* A conflict routing cannot foresee commits the epoch's open transactions
+   but writes nothing: a keyless [size] meets the open put that inserted
+   a key, is refused once, and both responses leave in one write. *)
+let test_conflict_keeps_one_write () =
+  let eng = Engine.create ~obs:true () in
+  let replies =
+    one_epoch eng
+      [ invoke ~id:1 "kvmap" "put" [| Value.Int 1; Value.Int 1 |];
+        invoke ~id:2 "kvmap" "size" [||] ]
+  in
+  check_int "the size conflicted once" 1 (Commlat_obs.Obs.value eng.Engine.c_aborts);
   check_bool "the first write carries both replies" true
-    (match frames 0 [] with
-    | [ Wire.Reply (1, Value.Opt None);
-        Wire.Reply (2, Value.Opt (Some (Value.Int 1))) ] ->
-        true
-    | _ -> false);
-  Unix.close srv_fd;
-  Unix.close cli_fd
+    (match replies with
+    | [ Wire.Reply (1, Value.Opt None); Wire.Reply (2, Value.Int 1) ] -> true
+    | _ -> false)
+
+(* Puts and gets on two keys, interleaved in one epoch: the worker
+   commits before each request whose key the epoch already holds, so
+   none is refused, and every reply leaves in the epoch's one write. *)
+let test_early_commit () =
+  let module Obs = Commlat_obs.Obs in
+  let eng = Engine.create ~obs:true () in
+  let put id k v = invoke ~id "kvmap" "put" [| Value.Int k; Value.Int v |] in
+  let get id k = invoke ~id "kvmap" "get" [| Value.Int k |] in
+  let replies =
+    one_epoch eng [ put 1 1 1; put 2 2 2; get 3 1; put 4 2 3; get 5 2; put 6 1 4; get 7 1 ]
+  in
+  let some v = Value.Opt (Some (Value.Int v)) in
+  check_bool "every id answered once, in order" true
+    (replies
+    = [ Wire.Reply (1, Value.Opt None); Wire.Reply (2, Value.Opt None);
+        Wire.Reply (3, some 1); Wire.Reply (4, some 2); Wire.Reply (5, some 3);
+        Wire.Reply (6, some 1); Wire.Reply (7, some 4) ]);
+  check_int "one write" 1 (Obs.value eng.Engine.c_response_writes);
+  check_int "no conflict" 0 (Obs.value eng.Engine.c_aborts)
 
 (* ------------------------------------------------------------- *)
 (* Latency histogram                                              *)
@@ -795,6 +824,22 @@ let test_disconnect_mid_burst () =
   check_bool "a failed write is counted" true
     (Obs.value eng.Engine.c_response_write_failures >= 1)
 
+(* Write [frames] in one write to a fresh two-worker server, and read
+   every response until the server closes the connection. *)
+let write_until_closed frames =
+  with_server ~domains:2 (fun addr ->
+      let fd = Load.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Wire.really_write fd (Buffer.to_bytes frames) 0 (Buffer.length frames);
+          let rec read acc =
+            match Wire.read_frame fd with
+            | Some p -> read (Wire.decode_resp p :: acc)
+            | None -> List.rev acc
+          in
+          read []))
+
 (* Requests pipelined before a [Quit] on its connection are all answered
    before the [Quit] is: the server replies to it only once the workers
    have drained and flushed. *)
@@ -807,26 +852,31 @@ let test_quit_after_pipelined () =
       (Wire.encode_req (invoke ~id:k "kvmap" "put" [| Value.Int k; Value.Int k |]))
   done;
   Wire.add_frame frames (Wire.encode_req (Wire.Quit (n + 1)));
-  let replies, eng =
-    with_server ~domains:2 (fun addr ->
-        let fd = Load.connect addr in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            Wire.really_write fd (Buffer.to_bytes frames) 0 (Buffer.length frames);
-            let rec read acc =
-              match Wire.read_frame fd with
-              | Some p -> read (Wire.decode_resp p :: acc)
-              | None -> List.rev acc
-            in
-            read []))
-  in
+  let replies, eng = write_until_closed frames in
   let ids = List.map (function Wire.Reply (id, _) | Wire.Err (id, _) -> id) replies in
   Alcotest.(check (list int)) "every put once, then the Quit"
     (List.init n (fun k -> k + 1) @ [ n + 1 ])
     (List.sort compare (List.filteri (fun i _ -> i < n) ids)
     @ List.filteri (fun i _ -> i >= n) ids);
   check_int "every put committed" n (Obs.value eng.Engine.c_commits)
+
+(* A frame read behind a [Quit] is answered too, with an [Err], before
+   the [Quit] is: put(1), Quit(99) and put(2) in one write get each id
+   once, and 99 last. *)
+let test_frames_after_quit () =
+  let frames = Buffer.create 256 in
+  List.iter
+    (fun req -> Wire.add_frame frames (Wire.encode_req req))
+    [ invoke ~id:1 "kvmap" "put" [| Value.Int 1; Value.Int 1 |];
+      Wire.Quit 99;
+      invoke ~id:2 "kvmap" "put" [| Value.Int 2; Value.Int 2 |] ];
+  let replies, _ = write_until_closed frames in
+  let id = function Wire.Reply (id, _) | Wire.Err (id, _) -> id in
+  Alcotest.(check (list int)) "each id once" [ 1; 2; 99 ]
+    (List.sort compare (List.map id replies));
+  check_bool "the put behind the Quit is refused" true
+    (List.exists (function Wire.Err (2, _) -> true | _ -> false) replies);
+  check_int "the Quit last" 99 (id (List.nth replies (List.length replies - 1)))
 
 (* ------------------------------------------------------------- *)
 (* Load rows                                                      *)
@@ -899,12 +949,16 @@ let suite =
         `Quick test_gate_counts_swap_failure;
       Alcotest.test_case "server: a mid-epoch conflict keeps one write per epoch"
         `Quick test_conflict_keeps_one_write;
+      Alcotest.test_case "server: an epoch commits before a key it holds" `Quick
+        test_early_commit;
       Alcotest.test_case "server: one write of many frames is read in bursts"
         `Quick test_burst_read;
       Alcotest.test_case "server: a client gone mid-burst is counted, not fatal"
         `Quick test_disconnect_mid_burst;
       Alcotest.test_case "server: Quit answers the requests pipelined before it"
         `Quick test_quit_after_pipelined;
+      Alcotest.test_case "server: frames read behind a Quit are answered" `Quick
+        test_frames_after_quit;
       Alcotest.test_case "histo: quantiles" `Quick test_histo_quantiles;
       Alcotest.test_case "histo: merge and edge cases" `Quick
         test_histo_merge_and_edges;

@@ -26,10 +26,9 @@ open Commlat_core
 
 type t = { tbl : (int, unit) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 64 }
+let create () = { tbl = Hashtbl.create 16 }
 
-(** An independent set with the same elements.  [Hashtbl.copy] keeps the
-    bucket layout, so the copy iterates in the original's order. *)
+(** An independent set with the same elements. *)
 let copy t = { tbl = Hashtbl.copy t.tbl }
 
 let add t id =

@@ -206,8 +206,8 @@ let create ?(max_pts = 4096) ?(size = 100.0) (input : (float * float) array) :
     {
       pts = Array.make (Array.length input + 8) (0.0, 0.0);
       npts = 0;
-      tris = Hashtbl.create 256;
-      edge_tris = Hashtbl.create 256;
+      tris = Hashtbl.create 16;
+      edge_tris = Hashtbl.create 16;
       live = Triset.create ();
       next_id = 0;
       mu = Mutex.create ();
@@ -225,11 +225,11 @@ let create ?(max_pts = 4096) ?(size = 100.0) (input : (float * float) array) :
   t
 
 (** An independent mesh equal to [t]: refining the copy leaves [t] as it
-    was.  The tables are copied with [Hashtbl.copy], which keeps their
-    bucket layout, so the copy iterates, and therefore refines, exactly
-    as [t] would; the copy gets its own [mu].  [t] is only read, so
-    several domains may copy one mesh at once as long as nothing
-    refines it. *)
+    was, and the copy gets its own [mu].  Each table is copied at its own
+    size.  Refinement reads the tables only by key and sorts whatever it
+    folds out of them, so it refines a copy exactly as it would [t],
+    whatever the bucket layout.  [t] is only read, so several domains may
+    copy one mesh at once as long as nothing refines it. *)
 let copy t =
   {
     t with
@@ -492,36 +492,60 @@ let live_tris t =
   |> List.sort compare
 
 (** The Delaunay property over the live triangulation: no vertex of the
-    mesh lies strictly inside any triangle's circumcircle.  (Vertices are
-    collected from the live triangles, so coordinates orphaned by aborted
-    transactions don't count.)  Returns a description of the first
-    violation. *)
+    mesh lies strictly inside any triangle's circumcircle, and no triangle
+    is degenerate.  (Vertices are collected from the live triangles, so
+    coordinates orphaned by aborted transactions don't count.)  Returns a
+    description of the first violation found: triangles are checked in
+    the table's iteration order, each against the vertices in ascending
+    id order, so when several triangles break at once which one is named
+    depends on the table's bucket layout. *)
 let delaunay_violation t : string option =
-  let verts = Hashtbl.create 64 in
+  let is_live = Array.make t.npts false in
   Hashtbl.iter
     (fun _ tr ->
-      List.iter
-        (fun v -> Hashtbl.replace verts v ())
-        [ tr.v1; tr.v2; tr.v3 ])
+      is_live.(tr.v1) <- true;
+      is_live.(tr.v2) <- true;
+      is_live.(tr.v3) <- true)
     t.tris;
+  (* the live vertices in ascending id order, coordinates unboxed *)
+  let ids = Array.make t.npts 0
+  and xs = Array.make t.npts 0.0
+  and ys = Array.make t.npts 0.0 in
+  let n = ref 0 in
+  for v = 0 to t.npts - 1 do
+    if is_live.(v) then begin
+      let x, y = t.pts.(v) in
+      ids.(!n) <- v;
+      xs.(!n) <- x;
+      ys.(!n) <- y;
+      incr n
+    end
+  done;
+  let n = !n in
   let bad = ref None in
   Hashtbl.iter
     (fun id tr ->
-      if !bad = None then
+      if Option.is_none !bad then
         match circumcircle t.pts.(tr.v1) t.pts.(tr.v2) t.pts.(tr.v3) with
         | None -> bad := Some (Fmt.str "triangle %d is degenerate" id)
-        | Some (cc, r2) ->
-            Hashtbl.iter
-              (fun v () ->
-                if
-                  !bad = None && v <> tr.v1 && v <> tr.v2 && v <> tr.v3
-                  && dist2 t.pts.(v) cc < r2 *. (1.0 -. 1e-7)
-                then
-                  bad :=
-                    Some
-                      (Fmt.str "vertex %d inside circumcircle of triangle %d"
-                         v id))
-              verts)
+        | Some ((cx, cy), r2) ->
+            let lim = r2 *. (1.0 -. 1e-7) in
+            let j = ref 0 in
+            while !j < n do
+              let v = ids.(!j) in
+              let dx = xs.(!j) -. cx and dy = ys.(!j) -. cy in
+              if
+                v <> tr.v1 && v <> tr.v2 && v <> tr.v3
+                && (dx *. dx) +. (dy *. dy) < lim
+              then begin
+                bad :=
+                  Some
+                    (Fmt.str "vertex %d inside circumcircle of triangle %d" v
+                       id);
+                j := n
+              end
+              else incr j
+            done)
     t.tris;
   !bad
 

@@ -29,7 +29,6 @@
 
 open Commlat_core
 open Commlat_runtime
-module Obs = Commlat_obs.Obs
 
 type task = { body : det:Detector.t -> txn:Txn.t -> unit }
 
@@ -64,14 +63,17 @@ type status =
   | Crashed of { tid : int; exn_text : string }
       (** a non-[Conflict] exception escaped a fiber *)
 
+(** What one run returns: exactly what the explorer reads — the verdict
+    (status and oracle), the schedule and its steps for expansion and
+    rendering, and which return values are real for the independence
+    relation.  The instance's detector counters and ADT state are not
+    copied out; a caller that wants them keeps the instance [mk] built. *)
 type result = {
   status : status;
   choices : int list;  (** the feasible schedule actually executed *)
   steps : Trace.step list;
   committed : Invocation.t list;
   oracle_failure : string option;  (** only checked when [Completed] *)
-  snapshot : Obs.snapshot;  (** detector obs counters at end of run *)
-  final_state : Value.t;
   executed : (int, unit) Hashtbl.t;
       (** uids of invocations whose [exec] ran (their [ret] is real) *)
 }
@@ -101,7 +103,7 @@ type outcome =
 type fstate =
   | F_pending of Trace.info * (unit, outcome) Effect.Deep.continuation
   | F_done
-  | F_crashed of exn
+  | F_crashed  (** a non-[Conflict] exception escaped; the run reports the first *)
 
 type fiber = {
   tid : int;
@@ -129,6 +131,12 @@ let handler : (unit, outcome) Effect.Deep.handler =
 (* Running one schedule                                                *)
 (* ------------------------------------------------------------------ *)
 
+(** Run one schedule on a fresh instance from [mk]: follow [schedule]'s
+    fiber ids while each names an enabled fiber, then the lowest enabled
+    tid, until every fiber is done, a deadlock or crash ends the run, or
+    [max_steps] steps have run.  The oracle runs only on a completed run.
+    Nothing else is computed at the end of a run: the detector's obs
+    snapshot and the ADT's final state stay in the instance, unread. *)
 let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
   (* Build the instance (detector, guards, ADT) BEFORE installing the
      yield hook: construction-time guard traffic is not part of the
@@ -144,7 +152,13 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
     let fib = cur () in
     let saved = fib.ctx in
     fib.ctx <- c;
-    Fun.protect ~finally:(fun () -> fib.ctx <- saved) k
+    match k () with
+    | v ->
+        fib.ctx <- saved;
+        v
+    | exception e ->
+        fib.ctx <- saved;
+        raise e
   in
   let executed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let committed_acc : Invocation.t list ref = ref [] in
@@ -199,15 +213,21 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
         { tid; attempt = 1; ctx = Trace.Top; invs = []; st = F_done })
       inst.tasks
   in
-  let run_fiber fib thunk =
+  let nfib = Array.length fibers in
+  (* the first fiber to crash, in the order fibers ran: fibers start in
+     tid order and the run stops at the first crash after that *)
+  let crash : (int * exn) option ref = ref None in
+  let run_fiber fib f x =
     current := Some fib;
-    let out = thunk () in
+    let out = f x in
     current := None;
     match out with
     | O_yield (act, k) ->
         fib.st <- F_pending ({ i_action = act; i_ctx = fib.ctx; i_invs = fib.invs }, k)
     | O_done -> fib.st <- F_done
-    | O_raise e -> fib.st <- F_crashed e
+    | O_raise e ->
+        fib.st <- F_crashed;
+        if Option.is_none !crash then crash := Some (fib.tid, e)
   in
   (* Virtual guard ownership: guard id -> (owner tid, depth). *)
   let vown : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -232,7 +252,22 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
         | None -> ())
     | _ -> ()
   in
+  (* every unfinished fiber waits on a guard another fiber virtually
+     holds: the wait-for edges of the lock-order deadlock, in tid order *)
+  let wait_for () =
+    let edges = ref [] in
+    for i = nfib - 1 downto 0 do
+      match fibers.(i).st with
+      | F_pending ({ i_action = Schedpoint.Acquire g; _ }, _) -> (
+          match Hashtbl.find_opt vown g with
+          | Some (o, _) -> edges := (i, g, o) :: !edges
+          | None -> ())
+      | _ -> ()
+    done;
+    !edges
+  in
   let schedule = Array.of_list schedule in
+  let enabled = Array.make nfib false in
   let steps_rev : Trace.step list ref = ref [] in
   let choices_rev : int list ref = ref [] in
   let nsteps = ref 0 in
@@ -244,99 +279,65 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
          state, so start order is not a scheduling decision. *)
       Array.iteri
         (fun i fib ->
-          run_fiber fib (fun () ->
-              Effect.Deep.match_with (make_body fib inst.tasks.(i)) () handler))
+          run_fiber fib
+            (fun task -> Effect.Deep.match_with (make_body fib task) () handler)
+            inst.tasks.(i))
         fibers;
-      let crashed () =
-        Array.fold_left
-          (fun acc f ->
-            match (acc, f.st) with
-            | None, F_crashed e -> Some (f.tid, e)
-            | _ -> acc)
-          None fibers
-      in
       let rec loop pos =
-        match crashed () with
+        match !crash with
         | Some (tid, e) ->
             status := Crashed { tid; exn_text = Printexc.to_string e }
-        | None -> (
-            let live =
-              Array.to_list fibers
-              |> List.filter (fun f ->
-                     match f.st with F_pending _ -> true | _ -> false)
-            in
-            if live = [] then ()
-            else
-              let enabled =
-                List.filter
-                  (fun f ->
-                    match f.st with
-                    | F_pending (info, _) ->
-                        action_enabled f info.Trace.i_action
-                    | _ -> false)
-                  live
+        | None ->
+            (* one pass: which fibers are live, which of them may run, and
+               the lowest enabled tid *)
+            let live = ref false and lowest = ref (-1) in
+            for i = 0 to nfib - 1 do
+              match fibers.(i).st with
+              | F_pending (info, _) ->
+                  live := true;
+                  let en = action_enabled fibers.(i) info.Trace.i_action in
+                  enabled.(i) <- en;
+                  if en && !lowest < 0 then lowest := i
+              | F_done | F_crashed -> enabled.(i) <- false
+            done;
+            if not !live then ()
+            else if !lowest < 0 then status := Deadlock (wait_for ())
+            else if !nsteps >= max_steps then status := Truncated
+            else begin
+              let c =
+                if pos < Array.length schedule then
+                  let t = schedule.(pos) in
+                  if t >= 0 && t < nfib && enabled.(t) then t else !lowest
+                else !lowest
               in
-              match enabled with
-              | [] ->
-                  (* every unfinished fiber waits on a guard another fiber
-                     virtually holds: lock-order deadlock *)
-                  status :=
-                    Deadlock
-                      (List.filter_map
-                         (fun f ->
-                           match f.st with
-                           | F_pending ({ i_action = Schedpoint.Acquire g; _ }, _)
-                             -> (
-                               match Hashtbl.find_opt vown g with
-                               | Some (o, _) -> Some (f.tid, g, o)
-                               | None -> None)
-                           | _ -> None)
-                         live)
-              | _ when !nsteps >= max_steps -> status := Truncated
-              | _ ->
-                  let chosen =
-                    let wanted =
-                      if pos < Array.length schedule then Some schedule.(pos)
-                      else None
-                    in
-                    match wanted with
-                    | Some t
-                      when List.exists (fun f -> f.tid = t) enabled ->
-                        List.find (fun f -> f.tid = t) enabled
-                    | _ ->
-                        List.fold_left
-                          (fun best f ->
-                            if f.tid < best.tid then f else best)
-                          (List.hd enabled) enabled
-                  in
-                  let info, k =
-                    match chosen.st with
-                    | F_pending (info, k) -> (info, k)
-                    | _ -> assert false
-                  in
-                  let alts =
-                    List.filter_map
-                      (fun f ->
-                        if f.tid = chosen.tid then None
-                        else
-                          match f.st with
-                          | F_pending (i, _) -> Some (f.tid, f.attempt, i)
-                          | _ -> None)
-                      enabled
-                  in
-                  steps_rev :=
-                    {
-                      Trace.s_tid = chosen.tid;
-                      s_attempt = chosen.attempt;
-                      s_info = info;
-                      s_alts = alts;
-                    }
-                    :: !steps_rev;
-                  choices_rev := chosen.tid :: !choices_rev;
-                  apply_virtual chosen info.Trace.i_action;
-                  incr nsteps;
-                  run_fiber chosen (fun () -> Effect.Deep.continue k ());
-                  loop (pos + 1))
+              let chosen = fibers.(c) in
+              let info, k =
+                match chosen.st with
+                | F_pending (info, k) -> (info, k)
+                | _ -> assert false
+              in
+              let alts = ref [] in
+              for i = nfib - 1 downto 0 do
+                if i <> c && enabled.(i) then
+                  match fibers.(i).st with
+                  | F_pending (ai, _) ->
+                      alts := (i, fibers.(i).attempt, ai) :: !alts
+                  | _ -> ()
+              done;
+              steps_rev :=
+                {
+                  Trace.s_tid = c;
+                  s_attempt = chosen.attempt;
+                  s_info = info;
+                  s_alts = !alts;
+                }
+                :: !steps_rev;
+              choices_rev := c :: !choices_rev;
+              apply_virtual chosen info.Trace.i_action;
+              incr nsteps;
+              run_fiber chosen (fun k -> Effect.Deep.continue k ()) k;
+              loop (pos + 1)
+            end
       in
       loop 0);
   let committed = !committed_acc in
@@ -349,7 +350,5 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
     steps = List.rev !steps_rev;
     committed;
     oracle_failure;
-    snapshot = inst.det.Detector.snapshot ();
-    final_state = inst.final ();
     executed;
   }

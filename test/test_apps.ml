@@ -151,7 +151,7 @@ let test_delaunay_parallel_refine () =
       Protect.Sharded (Protect.Forward_gk, 8);
     ]
 
-(* [copy] is independent of its source and iterates as it does: refining
+(* [copy] is independent of its source and refines as it does: refining
    a copy leaves the source as built, a copy of a fresh mesh equals a
    fresh [create], and it refines to exactly the mesh the fresh one does *)
 let test_delaunay_copy () =
@@ -174,6 +174,62 @@ let test_delaunay_copy () =
   Delaunay.refine_seq direct;
   check_bool "the copy refines to the fresh mesh's result" true
     (shape c = shape direct)
+
+(* [delaunay_violation] finds what it checks for, on copies of a refined
+   mesh: a live vertex moved to the circumcenter of a live triangle it is
+   not part of lies inside that circumcircle (the move breaks several
+   triangles at once, so which one is named first is not pinned), and a
+   live triangle over three collinear points is degenerate *)
+let test_delaunay_violation_found () =
+  let base =
+    Delaunay.create ~max_pts:64 ~size:100.0
+      (Mesh.points ~seed:17 ~n:12 ~size:100.0 ())
+  in
+  Delaunay.refine_seq base;
+  Alcotest.(check (option string)) "the refined mesh is Delaunay" None
+    (Delaunay.delaunay_violation base);
+  let tris = Delaunay.live_tris base in
+  let id, tr = List.hd tris in
+  let v =
+    List.fold_left
+      (fun m (_, (t : Delaunay.tri)) ->
+        List.fold_left
+          (fun m v ->
+            if v = tr.Delaunay.v1 || v = tr.Delaunay.v2 || v = tr.Delaunay.v3
+            then m
+            else max m v)
+          m
+          [ t.Delaunay.v1; t.Delaunay.v2; t.Delaunay.v3 ])
+      (-1) tris
+  in
+  let moved = Delaunay.copy base in
+  (match
+     Delaunay.circumcircle moved.Delaunay.pts.(tr.Delaunay.v1)
+       moved.Delaunay.pts.(tr.Delaunay.v2) moved.Delaunay.pts.(tr.Delaunay.v3)
+   with
+  | Some (cc, _) -> moved.Delaunay.pts.(v) <- cc
+  | None -> Alcotest.fail (Fmt.str "triangle %d is degenerate" id));
+  (match Delaunay.delaunay_violation moved with
+  | Some msg ->
+      check_bool
+        (Fmt.str "vertex %d moved into triangle %d's circumcircle: %s" v id msg)
+        true
+        (Test_analysis.contains msg "inside circumcircle")
+  | None -> Alcotest.fail "a moved vertex went unnoticed");
+  Alcotest.(check (option string)) "the source mesh is unchanged" None
+    (Delaunay.delaunay_violation base);
+  (* corners 0 and 1 span the bottom side; a point on that line outside
+     the box is outside every live circumcircle, so the only violation is
+     the degenerate triangle *)
+  let flat = Delaunay.copy base in
+  let p = Delaunay.add_point flat (-50.0, 0.0) in
+  let fid = flat.Delaunay.next_id in
+  flat.Delaunay.next_id <- fid + 1;
+  Delaunay.add_tri_struct flat fid (Delaunay.mk_tri 0 1 p);
+  Alcotest.(check (option string))
+    "a collinear triangle is degenerate"
+    (Some (Fmt.str "triangle %d is degenerate" fid))
+    (Delaunay.delaunay_violation flat)
 
 let test_reference_maxflow () =
   (* hand-checked: classic 6-node example *)
@@ -473,4 +529,6 @@ let suite =
       test_delaunay_parallel_refine;
     Alcotest.test_case "delaunay: a copy is independent and refines alike"
       `Quick test_delaunay_copy;
+    Alcotest.test_case "delaunay: the oracle finds violations" `Quick
+      test_delaunay_violation_found;
   ]

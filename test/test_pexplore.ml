@@ -1,7 +1,8 @@
 (* The DPOR explorer across domains (lib/sched/explore.ml): pinned
    one-domain counters and counterexample, domain-count invariance of the
    counters and violations, canonical-trace keys of the pruned and the
-   unreduced tree, the unpruned search at any domain count, the seeded
+   unreduced tree, a pinned digest of every explored trace, the unpruned
+   search at any domain count, the seeded
    ABBA bug under parallel search, budget honesty (run and step budgets)
    and the keys of the commlat-explore/1 report. *)
 
@@ -68,7 +69,13 @@ let test_one_domain_abba () =
         (Test_sched.read_schedule (Test_sched.schedule_file "abba.schedule"))
         f.Explore.f_schedule;
       Alcotest.(check int) "shrunk from" 19 f.Explore.f_shrunk_from;
-      Alcotest.(check int) "runs before the failure" 5 r.Explore.c.Explore.runs
+      Alcotest.(check int) "runs before the failure" 5 r.Explore.c.Explore.runs;
+      Alcotest.(check string)
+        "renders the pinned trace"
+        (In_channel.with_open_bin
+           (Test_sched.schedule_file "abba.trace")
+           In_channel.input_all)
+        f.Explore.f_trace
 
 (* ---- the search tree is fixed, so an exhausted search runs the same
    schedules at every domain count (the BENCH gate, in-process) ---- *)
@@ -132,25 +139,31 @@ let test_domain_count_invariance () =
    with no reduction at all reaches more interleavings but the same set
    of traces as the pruned one ---- *)
 
-(* The search tree written out, one domain, depth-first.  Returns (runs,
-   distinct canonical keys, runs whose key was seen). *)
-let distinct_traces ~por mk =
+(* The search tree written out, one domain, depth-first: [visit spec
+   prefix run children] at every node, a node before its children. *)
+let walk ~por mk visit =
   let spec = (mk ()).Scheduler.spec in
-  let keys = Hashtbl.create 1024 in
-  let runs = ref 0 and hits = ref 0 in
   let rec go prefix =
     let r =
       Scheduler.run ~max_steps:Explore.default_config.Explore.max_steps
         ~schedule:prefix mk
     in
-    incr runs;
     if r.Scheduler.status <> Scheduler.Completed then
       Alcotest.fail (Fmt.str "%a" Scheduler.pp_status r.Scheduler.status);
-    let k = Explore.canonical_key spec r in
-    if Hashtbl.mem keys k then incr hits else Hashtbl.replace keys k ();
-    List.iter go (Explore.expand ~por ~spec r prefix).Explore.children
+    let children = (Explore.expand ~por ~spec r prefix).Explore.children in
+    visit spec prefix r children;
+    List.iter go children
   in
-  go [];
+  go []
+
+(* Returns (runs, distinct canonical keys, runs whose key was seen). *)
+let distinct_traces ~por mk =
+  let keys = Hashtbl.create 1024 in
+  let runs = ref 0 and hits = ref 0 in
+  walk ~por mk (fun spec _ r _ ->
+      incr runs;
+      let k = Explore.canonical_key spec r in
+      if Hashtbl.mem keys k then incr hits else Hashtbl.replace keys k ());
   (!runs, Hashtbl.length keys, !hits)
 
 let test_states_por_invariant () =
@@ -169,6 +182,43 @@ let test_states_por_invariant () =
   Alcotest.(check bool)
     (Fmt.str "unreduced search re-runs equivalent traces (%d)" hits)
     true (hits > 0)
+
+(* ---- every explored trace is pinned, not just the counters: one digest
+   per tree over each node's prefix, rendered run, the (tid, attempt) of
+   every step's alternatives and the children [expand] returns ---- *)
+
+let trace_digest mk =
+  let buf = Buffer.create (1 lsl 20) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  walk ~por:true mk (fun _ prefix r children ->
+      Printf.bprintf buf "[%s]\n%s" (ints prefix)
+        (Trace.render r.Scheduler.steps);
+      List.iter
+        (fun st ->
+          List.iter
+            (fun (t, att, _) -> Printf.bprintf buf " %d.%d" t att)
+            st.Trace.s_alts;
+          Buffer.add_char buf '\n')
+        r.Scheduler.steps;
+      List.iter (fun c -> Printf.bprintf buf "[%s]" (ints c)) children;
+      Buffer.add_char buf '\n');
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_trace_digests () =
+  List.iter
+    (fun (name, scheme, seed, digest) ->
+      let w =
+        match Workload.by_name ~txns:2 ~seed name scheme with
+        | Ok w -> w
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check string)
+        (Fmt.str "%s s%d: every explored trace" name seed)
+        digest (trace_digest w.Workload.make))
+    [
+      ("union-find", Protect.General_gk, 1, "17f97f09769ac9fe043d43c1430a7b4d");
+      ("delaunay", Protect.Forward_gk, 17, "60349950d97a6645c0d7c4971200ef05");
+    ]
 
 (* ---- --no-por is the ground truth at any domain count ---- *)
 
@@ -287,6 +337,7 @@ let suite =
       test_domain_count_invariance;
     Alcotest.test_case "pexplore-states-por-invariant" `Quick
       test_states_por_invariant;
+    Alcotest.test_case "pexplore-trace-digests" `Quick test_trace_digests;
     Alcotest.test_case "pexplore-no-por-domains" `Quick test_no_por_domains;
     Alcotest.test_case "pexplore-abba-parallel" `Quick test_abba_parallel;
     Alcotest.test_case "pexplore-budget-exact" `Quick test_budget_exact;

@@ -18,28 +18,43 @@ let snapshot_text (s : Obs.snapshot) = Jsonx.to_string (Obs.snapshot_to_json s)
    Every run builds a fresh instance, but what a workload builds once and
    its instances share (each detector's spec stage, the specs, Delaunay's
    input mesh) must leave a run as it entered it: a run that writes
-   shared state makes the runs after it differ from it ---- *)
+   shared state makes the runs after it differ from it.  A run returns
+   neither the snapshot nor the final state, so the factory is wrapped to
+   keep the instance each run built, and both are read from it ---- *)
 
 let ok_workload = function Ok w -> w | Error e -> Alcotest.fail e
 
 let check_replays (w : Workload.t) =
   let name = w.Workload.w_name ^ "/" ^ w.Workload.w_detector in
+  (* run [f] on a factory that keeps the instance it builds; return the
+     run with the instance's obs snapshot and final state after it *)
+  let kept f =
+    let last = ref None in
+    let mk () =
+      let inst = w.Workload.make () in
+      last := Some inst;
+      inst
+    in
+    let r = f mk in
+    let inst = Option.get !last in
+    (r, snapshot_text (inst.Scheduler.det.Commlat_core.Detector.snapshot ()),
+     inst.Scheduler.final ())
+  in
   (* record a run, then replay its choices twice *)
-  let r0 = Scheduler.run ~schedule:[] w.Workload.make in
-  let replay () = Explore.replay ~schedule:r0.Scheduler.choices w.Workload.make in
+  let r0, snap0, final0 = kept (fun mk -> Scheduler.run ~schedule:[] mk) in
+  let replay () =
+    kept (fun mk -> Explore.replay ~schedule:r0.Scheduler.choices mk)
+  in
   List.iter
-    (fun (which, (r : Scheduler.result)) ->
+    (fun (which, ((r : Scheduler.result), snap, final)) ->
       let what = Fmt.str "%s: %s" name which in
       Alcotest.(check string)
         (what ^ ": trace is byte-identical")
         (Trace.render r0.Scheduler.steps) (Trace.render r.Scheduler.steps);
-      Alcotest.(check string)
-        (what ^ ": obs snapshot identical")
-        (snapshot_text r0.Scheduler.snapshot) (snapshot_text r.Scheduler.snapshot);
+      Alcotest.(check string) (what ^ ": obs snapshot identical") snap0 snap;
       Alcotest.(check bool)
         (what ^ ": final ADT state identical")
-        true
-        (r0.Scheduler.final_state = r.Scheduler.final_state);
+        true (final0 = final);
       Alcotest.(check (list int))
         (what ^ ": replay follows the recorded schedule")
         r0.Scheduler.choices r.Scheduler.choices)
@@ -365,6 +380,52 @@ let test_abba_fixed_clean () =
         (Fmt.str "canonical lock order produced a %s counterexample: %s@.%s"
            f.Explore.f_kind f.Explore.f_detail f.Explore.f_trace)
 
+(* ---- a non-Conflict exception ends the run as Crashed, naming the first
+   fiber to raise: at start-up the lowest such tid, later the fiber the
+   schedule ran ---- *)
+
+let test_crash_reported () =
+  let with_bodies bodies () =
+    let inst = Seeded.workload ~buggy:false () in
+    let invoke = inst.Scheduler.tasks.(0).Scheduler.body in
+    let task = function
+      | `Ok -> { Scheduler.body = invoke }
+      | `Fail_now name -> { Scheduler.body = (fun ~det:_ ~txn:_ -> failwith name) }
+      | `Fail_after name ->
+          {
+            Scheduler.body =
+              (fun ~det ~txn ->
+                invoke ~det ~txn;
+                failwith name);
+          }
+    in
+    { inst with Scheduler.tasks = Array.map task bodies }
+  in
+  let check what ~schedule bodies tid =
+    let r = Scheduler.run ~schedule (with_bodies bodies) in
+    (match r.Scheduler.status with
+    | Scheduler.Crashed c ->
+        Alcotest.(check int) (what ^ ": crashed fiber") tid c.tid;
+        Alcotest.(check string) (what ^ ": exception")
+          (Printexc.to_string (Failure (Fmt.str "t%d" tid)))
+          c.exn_text
+    | st -> Alcotest.fail (Fmt.str "%s: %a" what Scheduler.pp_status st));
+    r
+  in
+  let r =
+    check "at start-up" ~schedule:[]
+      [| `Ok; `Fail_now "t1"; `Fail_now "t2" |] 1
+  in
+  Alcotest.(check int) "no step runs after a start-up crash" 0
+    (List.length r.Scheduler.steps);
+  let r =
+    check "mid-run" ~schedule:(List.init 10 (fun _ -> 1))
+      [| `Fail_after "t0"; `Fail_after "t1" |] 1
+  in
+  Alcotest.(check bool) "the run stops at the crash" true
+    (r.Scheduler.choices <> []
+    && List.for_all (fun t -> t = 1) r.Scheduler.choices)
+
 (* ---- pinned regression schedule ---- *)
 
 (* tests run either from the dune sandbox (test/) or the workspace root;
@@ -434,4 +495,5 @@ let suite =
     Alcotest.test_case "abba-found" `Quick test_abba_found;
     Alcotest.test_case "abba-fixed-clean" `Quick test_abba_fixed_clean;
     Alcotest.test_case "abba-pinned" `Quick test_abba_pinned;
+    Alcotest.test_case "crash-reported" `Quick test_crash_reported;
   ]

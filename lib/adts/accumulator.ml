@@ -48,6 +48,6 @@ let model () : History.model =
   let t = create () in
   {
     History.reset = (fun () -> reset t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot = (fun () -> Value.Int t.total);
   }

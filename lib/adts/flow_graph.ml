@@ -314,10 +314,10 @@ let model ?(n = 4) ?(edges = [ (0, 1, 4); (1, 2, 3); (2, 3, 5); (0, 2, 2) ]) () 
     apply =
       (fun name args ->
         match (name, args) with
-        | "seed", [ u; amt ] ->
+        | "seed", [| u; amt |] ->
             let u = Value.to_int u in
             !t.excess.(u) <- !t.excess.(u) + Value.to_int amt;
             Value.Unit
-        | _ -> exec !t name (Array.of_list args));
+        | _ -> exec !t name args);
     snapshot = (fun () -> abstract_snapshot !t);
   }

@@ -224,6 +224,6 @@ let model ?impl () : History.model =
   let t = create ?impl () in
   {
     History.reset = (fun () -> clear t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot = (fun () -> Value.List (elements t));
   }

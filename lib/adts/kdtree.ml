@@ -347,7 +347,7 @@ let model ~dims () : History.model =
   let t = create ~dims () in
   {
     History.reset = (fun () -> clear t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot =
       (fun () -> Value.List (List.map (fun p -> Point.to_value p) (elements t)));
   }

@@ -137,7 +137,7 @@ let model () : History.model =
   let t = create () in
   {
     History.reset = (fun () -> clear t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot =
       (fun () ->
         Value.List (List.map (fun (k, v) -> Value.Pair (k, v)) (bindings t)));

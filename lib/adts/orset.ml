@@ -161,6 +161,6 @@ let model () : History.model =
   let t = create () in
   {
     History.reset = (fun () -> clear t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot = (fun () -> Value.List (pairs t));
   }

@@ -49,7 +49,7 @@ let contains t id = Hashtbl.mem t.tbl id
 let cardinal t = Hashtbl.length t.tbl
 
 let elements t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.tbl [] |> List.sort compare
+  Hashtbl.fold (fun id () acc -> id :: acc) t.tbl [] |> List.sort Int.compare
 
 let clear t = Hashtbl.reset t.tbl
 
@@ -151,7 +151,7 @@ let model () : History.model =
   let t = create () in
   {
     History.reset = (fun () -> clear t);
-    apply = (fun name args -> exec t name (Array.of_list args));
+    apply = exec t;
     snapshot =
       (fun () -> Value.List (List.map (fun id -> Value.Int id) (elements t)));
   }

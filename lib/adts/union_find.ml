@@ -35,7 +35,7 @@ let create ?(capacity = 16) () =
     tracer = Mem_trace.null;
     current_log = [];
     logging = false;
-    logs = Hashtbl.create 64;
+    logs = Hashtbl.create 16;
   }
 
 let set_tracer t tr = t.tracer <- tr
@@ -84,22 +84,22 @@ let create_elements t k = List.init k (fun _ -> create_element t)
    used by the abstract-state helpers, which must not mutate. *)
 let rec rep_ro t i = if t.parent.(i) = i then i else rep_ro t t.parent.(i)
 
+let rec root t j =
+  t.tracer.Mem_trace.read (parent_cell j);
+  if t.parent.(j) = j then j else root t t.parent.(j)
+
+let rec compress t r j =
+  if t.parent.(j) <> r then (
+    let next = t.parent.(j) in
+    write_parent t j r;
+    compress t r next)
+
 (** [find] with full path compression: every node on the walk is re-pointed
     at the root — concrete writes with no abstract effect. *)
 let find t i =
   if i < 0 || i >= t.n then invalid_arg "Union_find.find: unknown element";
-  let rec root j =
-    t.tracer.Mem_trace.read (parent_cell j);
-    if t.parent.(j) = j then j else root t.parent.(j)
-  in
-  let r = root i in
-  let rec compress j =
-    if t.parent.(j) <> r then (
-      let next = t.parent.(j) in
-      write_parent t j r;
-      compress next)
-  in
-  compress i;
+  let r = root t i in
+  compress t r i;
   r
 
 (** [union a b]: merge the sets of [a] and [b] by rank.  Returns [true] if
@@ -328,25 +328,32 @@ let invoke (det : Detector.t) (t : t) ~txn name (args : int list) : Value.t =
 (** Canonical abstract state: for each element, the smallest element of its
     set (independent of forest shape, rank bookkeeping and compression). *)
 let partition_snapshot t =
-  let min_of = Hashtbl.create 16 in
+  (* [min_of.(r)]: the smallest element whose representative is [r] *)
+  let min_of = Array.make t.n 0 in
   for i = t.n - 1 downto 0 do
-    Hashtbl.replace min_of (rep_ro t i) i
+    min_of.(rep_ro t i) <- i
   done;
-  Value.List (List.init t.n (fun i -> Value.Int (Hashtbl.find min_of (rep_ro t i))))
+  let rec build i acc =
+    if i < 0 then acc else build (i - 1) (Value.Int min_of.(rep_ro t i) :: acc)
+  in
+  Value.List (build (t.n - 1) [])
 
 (** Replay model.  NOTE: [find]'s return value is the {e representative},
     which depends on union order; the serializability oracle compares
     return values, which is exactly what the paper's conditions preserve
-    (hidden return values, §2.2 discussion). *)
+    (hidden return values, §2.2 discussion).  [reset] rebuilds the
+    [elements] singletons in place, over the same arrays. *)
 let model ~elements () : History.model =
-  let t = ref (create ()) in
-  let init () =
-    t := create ();
-    ignore (create_elements !t elements)
+  let t = create () in
+  let reset () =
+    t.n <- 0;
+    for _ = 1 to elements do
+      ignore (create_element t)
+    done
   in
-  init ();
+  reset ();
   {
-    History.reset = init;
-    apply = (fun name args -> exec_raw !t name (Array.of_list args));
-    snapshot = (fun () -> partition_snapshot !t);
+    History.reset;
+    apply = exec_raw t;
+    snapshot = (fun () -> partition_snapshot t);
   }

@@ -51,7 +51,11 @@ type t = {
 let no_sfun name _ = raise (Formula.Unsupported name)
 
 let of_model (m : History.model) =
-  { apply = m.History.apply; snapshot = m.History.snapshot; sfun = no_sfun }
+  {
+    apply = (fun name args -> m.History.apply name (Array.of_list args));
+    snapshot = m.History.snapshot;
+    sfun = no_sfun;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Built-in domains                                                    *)

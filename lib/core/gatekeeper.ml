@@ -746,7 +746,16 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
                       needs_check := (e, info) :: !needs_check)
                   b.b_entries)
           t.shards.(idx).s_active;
-        let rb_caches = rollback_sweep t inv !needs_check in
+        (* the sweep's table, only when some entry has a condition with
+           rollback functions *)
+        let rb_caches =
+          if
+            List.exists
+              (fun (_, (info : cond_info)) -> info.rollback_fns <> [])
+              !needs_check
+          then Some (rollback_sweep t inv !needs_check)
+          else None
+        in
         List.iter
           (fun ((e : entry), info) ->
             Obs.incr t.c_checks;
@@ -755,7 +764,11 @@ let on_invoke_coarse (t : t) (inv : Invocation.t) exec =
               | Compile.Static b -> b
               | Compile.Fast f -> f e.inv inv
               | Compile.Interp f ->
-                  let rb_cache = Hashtbl.find_opt rb_caches e.inv.Invocation.uid in
+                  let rb_cache =
+                    match rb_caches with
+                    | None -> None
+                    | Some c -> Hashtbl.find_opt c e.inv.Invocation.uid
+                  in
                   Formula.eval (check_env t e inv ~rb_cache) f
             in
             if not ok then raise_conflict t info e inv)

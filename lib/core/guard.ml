@@ -28,16 +28,21 @@ type t = {
   mu : Mutex.t;
   owner : int Atomic.t;  (** owning domain id, or [-1] *)
   mutable depth : int;  (** re-entries by the owner; written under [mu] *)
+  acq : Schedpoint.action;  (** [Acquire id], built once *)
+  rel : Schedpoint.action;  (** [Release id] *)
 }
 
 let ids = Atomic.make 0
 
 let create () =
+  let id = Atomic.fetch_and_add ids 1 in
   {
-    id = Atomic.fetch_and_add ids 1;
+    id;
     mu = Mutex.create ();
     owner = Atomic.make (-1);
     depth = 0;
+    acq = Schedpoint.Acquire id;
+    rel = Schedpoint.Release id;
   }
 
 let id t = t.id
@@ -47,9 +52,11 @@ let self () = (Domain.self () :> int)
     the guard.  Announces itself to {!Schedpoint} first so the virtual
     scheduler can block the acquiring fiber (the real mutex never blocks
     under single-domain exploration — same-domain reentrancy makes it a
-    depth counter — so virtual mutual exclusion lives in the scheduler). *)
+    depth counter — so virtual mutual exclusion lives in the scheduler).
+    The announcement is the payload built in {!create}, so a lock with no
+    hook installed allocates nothing. *)
 let lock t =
-  Schedpoint.emit (Schedpoint.Acquire t.id);
+  Schedpoint.emit t.acq;
   let me = self () in
   if Atomic.get t.owner = me then t.depth <- t.depth + 1
   else begin
@@ -59,7 +66,7 @@ let lock t =
   end
 
 let unlock t =
-  Schedpoint.emit (Schedpoint.Release t.id);
+  Schedpoint.emit t.rel;
   assert (Atomic.get t.owner = self ());
   t.depth <- t.depth - 1;
   if t.depth = 0 then begin

@@ -6,32 +6,34 @@
     checks the guarantee commutativity-based conflict detection must
     provide: the concurrent execution is {e serializable} — some serial
     order of the committed transactions reproduces every recorded return
-    value and ends in the same abstract state.  It enumerates all
-    permutations of the transactions (test histories involve a handful),
-    replaying each against a {!model}. *)
+    value and ends in the same abstract state.  It groups the history by
+    transaction once and tries the serial orders lazily, in
+    {!permutations}' order over the ascending transaction ids, resetting
+    and replaying a {!model} for each until the first witness. *)
 
-(** A replayable model of an ADT. *)
+(** A replayable model of an ADT.  The oracle resets it once per order it
+    tries, so [reset] should restore the state in place rather than build
+    a new one. *)
 type model = {
-  reset : unit -> unit;  (** restore the initial abstract state *)
-  apply : string -> Value.t list -> Value.t;  (** invoke a method *)
+  reset : unit -> unit;  (** restore the initial abstract state, in place *)
+  apply : string -> Value.t array -> Value.t;
+      (** invoke a method on the invocation's argument array *)
   snapshot : unit -> Value.t;  (** current abstract state, comparable *)
 }
 
+(** Every ordering of a list, in lexicographic order of positions. *)
 val permutations : 'a list -> 'a list list
 
-(** Distinct transaction ids appearing in a history. *)
+(** Distinct transaction ids appearing in a history, ascending. *)
 val txns_of : Invocation.t list -> int list
-
-(** Replay the history with transactions serialized in [order] (each
-    transaction's invocations keep their program order).  [Some final]
-    if every replayed invocation returns its recorded value. *)
-val replay : model -> Invocation.t list -> int list -> Value.t option
 
 (** Is the recorded concurrent history serializable?  [final] is the
     abstract state the concurrent execution actually ended in. *)
 val serializable : model -> final:Value.t -> Invocation.t list -> bool
 
-(** The witness serialization order, for diagnostics. *)
+(** The witness serialization order, for diagnostics: the first order, in
+    {!permutations}' order over {!txns_of}, that reproduces every return
+    value and ends in [final]. *)
 val serialization_witness :
   model -> final:Value.t -> Invocation.t list -> int list option
 

@@ -80,13 +80,17 @@ let enabled t = t.enabled
 (** Register (or look up) a counter.  Registration takes the registry lock;
     bumping never does. *)
 let counter (t : t) name : counter =
-  Mutex.protect t.mu (fun () ->
-      match List.find_opt (fun c -> c.cname = name) t.counters with
-      | Some c -> c
-      | None ->
-          let c = { cname = name; cell = Atomic.make 0; cactive = t.enabled } in
-          t.counters <- c :: t.counters;
-          c)
+  let rec find = function
+    | c :: rest -> if String.equal c.cname name then c else find rest
+    | [] ->
+        let c = { cname = name; cell = Atomic.make 0; cactive = t.enabled } in
+        t.counters <- c :: t.counters;
+        c
+  in
+  Mutex.lock t.mu;
+  let c = find t.counters in
+  Mutex.unlock t.mu;
+  c
 
 let incr c = if c.cactive then Atomic.incr c.cell
 let add c n = if c.cactive then ignore (Atomic.fetch_and_add c.cell n)

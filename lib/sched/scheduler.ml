@@ -13,7 +13,7 @@
     Real [Guard] mutexes cannot block here: all fibers share one domain,
     so the guard's same-domain reentrancy turns them into depth counters.
     Mutual exclusion is instead enforced {e virtually} — the scheduler
-    tracks a per-guard (owner fiber, depth) map and refuses to run a fiber
+    tracks each held guard's (owner fiber, depth) and refuses to run a fiber
     whose pending [Acquire] targets a guard another fiber virtually holds.
     When every unfinished fiber is blocked this way the run reports a
     {!status.Deadlock} with the wait-for cycle: exactly how a lock-order
@@ -93,12 +93,14 @@ let pp_status ppf = function
 (* Fibers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type _ Effect.t += Yield : Schedpoint.action -> unit Effect.t
+(* A fiber suspends by performing [Yield]; the action it announces waits
+   in its run's [pending] cell, so the effect carries nothing. *)
+type _ Effect.t += Yield : unit Effect.t
 
-type outcome =
-  | O_yield of Schedpoint.action * (unit, outcome) Effect.Deep.continuation
-  | O_done
-  | O_raise of exn
+(* What running a fiber until it stops returned: the handler records a
+   suspended fiber's pending action and continuation in the fiber itself
+   and returns the constant [O_yield]. *)
+type outcome = O_yield | O_done | O_raise of exn
 
 type fstate =
   | F_pending of Trace.info * (unit, outcome) Effect.Deep.continuation
@@ -113,19 +115,63 @@ type fiber = {
   mutable st : fstate;
 }
 
-let handler : (unit, outcome) Effect.Deep.handler =
-  {
-    retc = (fun () -> O_done);
-    exnc = (fun e -> O_raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield act ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                O_yield (act, k))
-        | _ -> None);
-  }
+(* The current fiber when none is running. *)
+let no_fiber = { tid = -1; attempt = 0; ctx = Trace.Top; invs = []; st = F_done }
+
+(* Virtual guard ownership: for each guard some fiber virtually holds, its
+   id, owner tid and depth, in parallel arrays.  Few guards are held at
+   once, so a scan beats hashing. *)
+type vown = {
+  mutable gid : int array;
+  mutable owner : int array;
+  mutable depth : int array;
+  mutable held : int;
+}
+
+let vown_create () =
+  { gid = Array.make 8 0; owner = Array.make 8 0; depth = Array.make 8 0; held = 0 }
+
+let vown_slot v g =
+  let rec go j = if j = v.held then -1 else if v.gid.(j) = g then j else go (j + 1) in
+  go 0
+
+(* The tid virtually holding guard [g], or [-1]. *)
+let vown_holder v g =
+  let j = vown_slot v g in
+  if j < 0 then -1 else v.owner.(j)
+
+let vown_acquire v g tid =
+  let j = vown_slot v g in
+  if j >= 0 then begin
+    assert (v.owner.(j) = tid);
+    v.depth.(j) <- v.depth.(j) + 1
+  end
+  else begin
+    let n = v.held in
+    if n = Array.length v.gid then begin
+      let grow a = Array.append a (Array.make n 0) in
+      v.gid <- grow v.gid;
+      v.owner <- grow v.owner;
+      v.depth <- grow v.depth
+    end;
+    v.gid.(n) <- g;
+    v.owner.(n) <- tid;
+    v.depth.(n) <- 1;
+    v.held <- n + 1
+  end
+
+let vown_release v g =
+  let j = vown_slot v g in
+  if j >= 0 then
+    if v.depth.(j) > 1 then v.depth.(j) <- v.depth.(j) - 1
+    else begin
+      (* free the slot: the last held guard moves into it *)
+      let last = v.held - 1 in
+      v.gid.(j) <- v.gid.(last);
+      v.owner.(j) <- v.owner.(last);
+      v.depth.(j) <- v.depth.(last);
+      v.held <- last
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Running one schedule                                                *)
@@ -136,17 +182,25 @@ let handler : (unit, outcome) Effect.Deep.handler =
     tid, until every fiber is done, a deadlock or crash ends the run, or
     [max_steps] steps have run.  The oracle runs only on a completed run.
     Nothing else is computed at the end of a run: the detector's obs
-    snapshot and the ADT's final state stay in the instance, unread. *)
+    snapshot and the ADT's final state stay in the instance, unread.
+
+    A step allocates little beyond what its trace keeps (the
+    {!Trace.step}, the executed action's {!Trace.info} and the enabled
+    alternatives): the yield hook parks the announced action in a per-run
+    cell and performs a payload-free effect whose handler files it in the
+    fiber and returns a constant, the running fiber is held without an
+    option, virtual guard ownership lives in small per-run int arrays,
+    and each guard announces payloads it built once at creation. *)
 let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
   (* Build the instance (detector, guards, ADT) BEFORE installing the
      yield hook: construction-time guard traffic is not part of the
      schedule. *)
   let inst = mk () in
-  let current : fiber option ref = ref None in
+  let current = ref no_fiber in
   let cur () =
-    match !current with
-    | Some f -> f
-    | None -> invalid_arg "Scheduler: detector used outside a fiber"
+    let f = !current in
+    if f == no_fiber then invalid_arg "Scheduler: detector used outside a fiber"
+    else f
   in
   let with_ctx c k =
     let fib = cur () in
@@ -160,7 +214,7 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
         fib.ctx <- saved;
         raise e
   in
-  let executed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let executed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let committed_acc : Invocation.t list ref = ref [] in
   (* Instrumented view of the detector: announces the detector-protocol
      yield points and maintains per-fiber context so lock actions can be
@@ -217,39 +271,48 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
   (* the first fiber to crash, in the order fibers ran: fibers start in
      tid order and the run stops at the first crash after that *)
   let crash : (int * exn) option ref = ref None in
+  (* The hook leaves the announced action here and performs [Yield]; the
+     handler files it, with the fiber's context and continuation, as the
+     running fiber's pending step. *)
+  let pending = ref (Schedpoint.Acquire (-1)) in
+  let suspend k =
+    let fib = !current in
+    fib.st <- F_pending ({ i_action = !pending; i_ctx = fib.ctx; i_invs = fib.invs }, k);
+    O_yield
+  in
+  let on_yield = Some suspend in
+  let handler : (unit, outcome) Effect.Deep.handler =
+    {
+      retc = (fun () -> O_done);
+      exnc = (fun e -> O_raise e);
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield -> (on_yield : ((a, outcome) Effect.Deep.continuation -> outcome) option)
+          | _ -> None);
+    }
+  in
   let run_fiber fib f x =
-    current := Some fib;
+    current := fib;
     let out = f x in
-    current := None;
+    current := no_fiber;
     match out with
-    | O_yield (act, k) ->
-        fib.st <- F_pending ({ i_action = act; i_ctx = fib.ctx; i_invs = fib.invs }, k)
+    | O_yield -> ()
     | O_done -> fib.st <- F_done
     | O_raise e ->
         fib.st <- F_crashed;
         if Option.is_none !crash then crash := Some (fib.tid, e)
   in
-  (* Virtual guard ownership: guard id -> (owner tid, depth). *)
-  let vown : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let vown = vown_create () in
   let action_enabled fib = function
-    | Schedpoint.Acquire g -> (
-        match Hashtbl.find_opt vown g with
-        | None -> true
-        | Some (o, _) -> o = fib.tid)
+    | Schedpoint.Acquire g ->
+        let o = vown_holder vown g in
+        o < 0 || o = fib.tid
     | _ -> true
   in
   let apply_virtual fib = function
-    | Schedpoint.Acquire g -> (
-        match Hashtbl.find_opt vown g with
-        | None -> Hashtbl.replace vown g (fib.tid, 1)
-        | Some (o, d) ->
-            assert (o = fib.tid);
-            Hashtbl.replace vown g (o, d + 1))
-    | Schedpoint.Release g -> (
-        match Hashtbl.find_opt vown g with
-        | Some (_, 1) -> Hashtbl.remove vown g
-        | Some (o, d) -> Hashtbl.replace vown g (o, d - 1)
-        | None -> ())
+    | Schedpoint.Acquire g -> vown_acquire vown g fib.tid
+    | Schedpoint.Release g -> vown_release vown g
     | _ -> ()
   in
   (* every unfinished fiber waits on a guard another fiber virtually
@@ -258,10 +321,9 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
     let edges = ref [] in
     for i = nfib - 1 downto 0 do
       match fibers.(i).st with
-      | F_pending ({ i_action = Schedpoint.Acquire g; _ }, _) -> (
-          match Hashtbl.find_opt vown g with
-          | Some (o, _) -> edges := (i, g, o) :: !edges
-          | None -> ())
+      | F_pending ({ i_action = Schedpoint.Acquire g; _ }, _) ->
+          let o = vown_holder vown g in
+          if o >= 0 then edges := (i, g, o) :: !edges
       | _ -> ()
     done;
     !edges
@@ -269,10 +331,11 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
   let schedule = Array.of_list schedule in
   let enabled = Array.make nfib false in
   let steps_rev : Trace.step list ref = ref [] in
-  let choices_rev : int list ref = ref [] in
   let nsteps = ref 0 in
   let status = ref Completed in
-  Schedpoint.install (fun a -> Effect.perform (Yield a));
+  Schedpoint.install (fun a ->
+      pending := a;
+      Effect.perform Yield);
   Fun.protect ~finally:Schedpoint.uninstall (fun () ->
       (* Start every fiber to its first yield point, in tid order.  The
          code before the first synchronization action touches no shared
@@ -332,7 +395,6 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
                   s_alts = !alts;
                 }
                 :: !steps_rev;
-              choices_rev := c :: !choices_rev;
               apply_virtual chosen info.Trace.i_action;
               incr nsteps;
               run_fiber chosen (fun k -> Effect.Deep.continue k ()) k;
@@ -346,7 +408,7 @@ let run ?(max_steps = 10_000) ~schedule (mk : unit -> instance) : result =
   in
   {
     status = !status;
-    choices = List.rev !choices_rev;
+    choices = List.rev_map (fun (st : Trace.step) -> st.s_tid) !steps_rev;
     steps = List.rev !steps_rev;
     committed;
     oracle_failure;

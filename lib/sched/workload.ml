@@ -384,7 +384,7 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
           (fun () ->
             Triset.clear s;
             fill ());
-        apply = (fun name args -> Triset.exec s name (Array.of_list args));
+        apply = Triset.exec s;
         snapshot =
           (fun () ->
             Value.List

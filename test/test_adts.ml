@@ -275,7 +275,7 @@ let test_accumulator () =
   Accumulator.increment a (-3);
   check_int "total" 2 (Accumulator.read a);
   let m = Accumulator.model () in
-  ignore (m.History.apply "increment" [ Value.Int 4 ]);
+  ignore (m.History.apply "increment" [| Value.Int 4 |]);
   Alcotest.(check bool)
     "model snapshot" true
     (Value.equal (m.History.snapshot ()) (Value.Int 4))

@@ -84,9 +84,11 @@ let test_commute_in_state () =
 let eval_set_cond spec m1 a1 m2 a2 ~prefix =
   let model = Iset.model () in
   model.History.reset ();
-  List.iter (fun (m, args) -> ignore (model.History.apply m args)) prefix;
-  let r1 = model.History.apply m1 [ a1 ] in
-  let r2 = model.History.apply m2 [ a2 ] in
+  List.iter
+    (fun (m, args) -> ignore (model.History.apply m (Array.of_list args)))
+    prefix;
+  let r1 = model.History.apply m1 [| a1 |] in
+  let r2 = model.History.apply m2 [| a2 |] in
   let env =
     Formula.env
       ~vfun:(Spec.vfun spec)
@@ -175,9 +177,11 @@ let test_kdtree_sound =
       let spec = Kdtree.spec () in
       let model = Kdtree.model ~dims:2 () in
       model.History.reset ();
-      List.iter (fun (m, args) -> ignore (model.History.apply m args)) prefix;
-      let r1 = model.History.apply m1 [ a1 ] in
-      let r2 = model.History.apply m2 [ a2 ] in
+      List.iter
+        (fun (m, args) -> ignore (model.History.apply m (Array.of_list args)))
+        prefix;
+      let r1 = model.History.apply m1 [| a1 |] in
+      let r2 = model.History.apply m2 [| a2 |] in
       let env =
         Formula.env
           ~vfun:(Spec.vfun spec)
@@ -254,6 +258,185 @@ let test_uf_sound =
       || History.commute_in_state model ~prefix:prefix_ops (m1, vargs a1)
            (m2, vargs a2))
 
+(* ------------------------------------------------------------- *)
+(* The grouped, lazy oracle agrees with every-permutation replay  *)
+(* ------------------------------------------------------------- *)
+
+(* The list-based oracle the grouped one replaced, kept as the
+   reference: build every permutation of the transaction ids up front,
+   and replay each by filtering the whole history once per transaction. *)
+let rec ref_permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x ->
+          let rest = List.filter (fun y -> y <> x) l in
+          List.map (fun p -> x :: p) (ref_permutations rest))
+        l
+
+let ref_replay (model : History.model) history order =
+  model.History.reset ();
+  let serial =
+    List.concat_map
+      (fun txn -> List.filter (fun (i : Invocation.t) -> i.txn = txn) history)
+      order
+  in
+  let ok =
+    List.for_all
+      (fun (i : Invocation.t) ->
+        Value.equal (model.History.apply i.meth.name i.args) i.ret)
+      serial
+  in
+  if ok then Some (model.History.snapshot ()) else None
+
+let ref_witness model ~final history =
+  let txns =
+    List.sort_uniq Int.compare
+      (List.map (fun (i : Invocation.t) -> i.txn) history)
+  in
+  List.find_opt
+    (fun order ->
+      match ref_replay model history order with
+      | Some s -> Value.equal s final
+      | None -> false)
+    (ref_permutations txns)
+
+(* A history of 2-4 transactions of 1-3 set invocations on keys 0-2, or
+   of union-find union/find invocations over 4 elements, interleaved at
+   random (each transaction keeps its program order), with distinct
+   transaction ids in random order.  Half the cases record the returns
+   and final state of a random serial order; the other half record
+   random returns and the state some random operations reach, so most of
+   those are not serializable. *)
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let set_op =
+    map2
+      (fun m k -> (m, [| Value.Int k |]))
+      (oneofl [ Iset.m_add; Iset.m_remove; Iset.m_contains ])
+      (int_bound 2)
+  in
+  let uf_op =
+    oneof
+      [
+        map2
+          (fun a b -> (Union_find.m_union, [| Value.Int a; Value.Int b |]))
+          (int_bound 3) (int_bound 3);
+        map (fun a -> (Union_find.m_find, [| Value.Int a |])) (int_bound 3);
+      ]
+  in
+  let random_ret (m : Invocation.meth) =
+    if m.Invocation.name = "find" then map (fun i -> Value.Int i) (int_bound 3)
+    else map (fun b -> Value.Bool b) bool
+  in
+  oneofl
+    [
+      ("set", (fun () -> Iset.model ()), set_op);
+      ("union-find", (fun () -> Union_find.model ~elements:4 ()), uf_op);
+    ]
+  >>= fun (adt, model, op) ->
+  int_range 2 4 >>= fun n ->
+  list_repeat n (list_size (int_range 1 3) op) >>= fun txns ->
+  shuffle_l (List.init n (fun t -> (3 * t) + 1)) >>= fun ids ->
+  bool >>= fun consistent ->
+  shuffle_l (List.init n Fun.id) >>= fun serial ->
+  list_size (int_bound 4) op >>= fun final_ops ->
+  let txns = Array.of_list txns and ids = Array.of_list ids in
+  let inv t (meth : Invocation.meth) args ret =
+    let i = Invocation.make ~txn:ids.(t) meth args in
+    i.Invocation.ret <- ret;
+    i
+  in
+  (if consistent then begin
+     let m = model () in
+     let invs = Array.make n [] in
+     List.iter
+       (fun t ->
+         invs.(t) <-
+           List.map
+             (fun ((meth : Invocation.meth), args) ->
+               inv t meth args (m.History.apply meth.Invocation.name args))
+             txns.(t))
+       serial;
+     return (invs, m.History.snapshot ())
+   end
+   else
+     flatten_l
+       (List.init n (fun t ->
+            flatten_l
+              (List.map
+                 (fun (meth, args) -> map (inv t meth args) (random_ret meth))
+                 txns.(t))))
+     >>= fun invs ->
+     let m = model () in
+     List.iter
+       (fun ((meth : Invocation.meth), args) ->
+         ignore (m.History.apply meth.Invocation.name args))
+       final_ops;
+     return (Array.of_list invs, m.History.snapshot ()))
+  >>= fun (invs, final) ->
+  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 invs in
+  list_repeat total (int_bound (n - 1)) >>= fun picks ->
+  (* each pick takes the next invocation of the first transaction, from
+     the picked one on, that has any left *)
+  let rec take t =
+    match invs.(t) with
+    | i :: rest ->
+        invs.(t) <- rest;
+        i
+    | [] -> take ((t + 1) mod n)
+  in
+  return (adt, model, List.map take picks, final)
+
+let test_oracle_matches_reference =
+  QCheck.Test.make ~name:"grouped oracle agrees with every-permutation replay"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (adt, _, history, final) ->
+         Fmt.str "%s: %a -> %a" adt
+           Fmt.(list ~sep:semi Invocation.pp)
+           history Value.pp final)
+       gen_oracle_case)
+    (fun (_, model, history, final) ->
+      let expected = ref_witness (model ()) ~final history in
+      History.serialization_witness (model ()) ~final history = expected
+      && History.serializable (model ()) ~final history
+         = Option.is_some expected)
+
+(* A union-find model reset in place after any applies, [create]
+   included, snapshots and replays exactly like a fresh model. *)
+let test_uf_model_reset =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2
+            (fun a b -> ("union", [| Value.Int a; Value.Int b |]))
+            (int_bound 3) (int_bound 3);
+          map (fun a -> ("find", [| Value.Int a |])) (int_bound 3);
+          return ("create", [||]);
+        ])
+  in
+  QCheck.Test.make ~name:"union-find model resets in place like a fresh one"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (before, after) ->
+         Fmt.str "%d ops, reset, %d ops" (List.length before)
+           (List.length after))
+       QCheck.Gen.(pair (list_size (int_bound 8) op) (list_size (int_bound 8) op)))
+    (fun (before, after) ->
+      let m = Union_find.model ~elements:4 () in
+      List.iter (fun (name, args) -> ignore (m.History.apply name args)) before;
+      m.History.reset ();
+      let fresh = Union_find.model ~elements:4 () in
+      Value.equal (m.History.snapshot ()) (fresh.History.snapshot ())
+      && List.for_all
+           (fun (name, args) ->
+             Value.equal (m.History.apply name args)
+               (fresh.History.apply name args))
+           after
+      && Value.equal (m.History.snapshot ()) (fresh.History.snapshot ()))
+
 let suite =
   [
     Alcotest.test_case "permutations" `Quick test_permutations;
@@ -266,4 +449,6 @@ let suite =
     Alcotest.test_case "Fig.3 is strictly incomplete" `Quick test_fig3_incomplete;
     QCheck_alcotest.to_alcotest test_kdtree_sound;
     QCheck_alcotest.to_alcotest test_uf_sound;
+    QCheck_alcotest.to_alcotest test_oracle_matches_reference;
+    QCheck_alcotest.to_alcotest test_uf_model_reset;
   ]

@@ -66,9 +66,10 @@ let test_spec_sound =
          let spec = Kvmap.precise_spec () in
          let model = Kvmap.model () in
          model.History.reset ();
-         List.iter (fun (m, args) -> ignore (model.History.apply m args)) prefix;
-         let r1 = model.History.apply m1 a1 in
-         let r2 = model.History.apply m2 a2 in
+         let apply m args = model.History.apply m (Array.of_list args) in
+         List.iter (fun (m, args) -> ignore (apply m args)) prefix;
+         let r1 = apply m1 a1 in
+         let r2 = apply m2 a2 in
          let env =
            Formula.env
              ~vfun:(Spec.vfun spec)

@@ -426,6 +426,124 @@ let test_crash_reported () =
     (r.Scheduler.choices <> []
     && List.for_all (fun t -> t = 1) r.Scheduler.choices)
 
+(* ---- the oracle verdict: a forward gatekeeper over a spec in which
+   every set method pair commutes admits the write skew t0 = [add 1;
+   contains 2], t1 = [add 2; contains 1].  The instance's spec is the
+   precise one, so partial-order reduction still branches where the two
+   transactions depend on each other, and the serializability oracle
+   reports the run in which both contains return false ---- *)
+
+let write_skew () =
+  let open Commlat_core in
+  let open Commlat_adts in
+  let everything_commutes = Spec.create ~adt:"set_everything_commutes" Iset.methods in
+  List.iter
+    (fun (m1 : Invocation.meth) ->
+      List.iter
+        (fun (m2 : Invocation.meth) ->
+          Spec.add_directed everything_commutes ~first:m1.Invocation.name
+            ~second:m2.Invocation.name Formula.True)
+        Iset.methods)
+    Iset.methods;
+  let protect = Protect.prepare ~spec:everything_commutes Protect.Forward_gk in
+  let plan =
+    [|
+      [ (Iset.m_add, 1); (Iset.m_contains, 2) ];
+      [ (Iset.m_add, 2); (Iset.m_contains, 1) ];
+    |]
+  in
+  fun () ->
+    let s = Iset.create () in
+    let det = protect ~obs:true (Protect.adt ~hooks:(Iset.hooks s) ()) in
+    let body ops ~det ~txn =
+      List.iter
+        (fun ((m : Invocation.meth), k) ->
+          ignore
+            (Boost.invoke det txn ~undo:(Iset.undo s) m [| Value.Int k |]
+               (fun inv -> Iset.exec s m.Invocation.name inv.Invocation.args)))
+        ops
+    in
+    let final () = Value.List (Iset.elements s) in
+    {
+      Scheduler.det;
+      spec = Some (Iset.precise_spec ());
+      tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
+      final;
+      oracle = Workload.serializability_oracle (Iset.model ()) final;
+    }
+
+let test_oracle_found () =
+  let mk = write_skew () in
+  match (Explore.explore mk).Explore.verdict with
+  | None -> Alcotest.fail "write skew not found"
+  | Some f ->
+      Alcotest.(check string) "kind is oracle" "oracle" f.Explore.f_kind;
+      Alcotest.(check (list int))
+        "shrunk schedule" [ 0; 0; 0; 1; 1 ] f.Explore.f_schedule;
+      Alcotest.(check int) "shrunk from" 18 f.Explore.f_shrunk_from;
+      (* the shrunk schedule replays to the same oracle failure *)
+      let rr = Explore.replay ~schedule:f.Explore.f_schedule mk in
+      (match rr.Scheduler.status with
+      | Scheduler.Completed -> ()
+      | st ->
+          Alcotest.fail
+            (Fmt.str "shrunk schedule replayed to %a" Scheduler.pp_status st));
+      Alcotest.(check (option string))
+        "replayed oracle failure" (Some f.Explore.f_detail)
+        rr.Scheduler.oracle_failure
+
+(* ---- virtual mutual exclusion with more guards held at once than the
+   ownership table starts with: t0 holds twelve guards, t1 wants the
+   first of them, and each checks inside its critical section (which
+   takes one more guard, a yield point) that the other is not in its
+   own ---- *)
+
+let test_many_guards_held () =
+  let mk () =
+    let gs = Array.init 12 (fun _ -> Commlat_core.Guard.create ()) in
+    let extra = Commlat_core.Guard.create () in
+    let inside = ref 0 in
+    let critical () =
+      incr inside;
+      Commlat_core.Guard.protect extra (fun () ->
+          if !inside > 1 then failwith "both fibers inside");
+      decr inside
+    in
+    let task body = { Scheduler.body = (fun ~det:_ ~txn:_ -> body ()) } in
+    {
+      Scheduler.det = Commlat_core.Detector.none;
+      spec = None;
+      tasks =
+        [|
+          task (fun () -> Commlat_core.Guard.protect_all (Array.to_list gs) critical);
+          task (fun () -> Commlat_core.Guard.protect gs.(0) critical);
+        |];
+      final = (fun () -> Commlat_core.Value.Unit);
+      oracle = (fun _ -> None);
+    }
+  in
+  (* t0 takes its twelve guards, then the schedule asks for t1 at every
+     step: t1 may run only once t0 has released the guard it wants *)
+  let r =
+    Scheduler.run
+      ~schedule:(List.init 12 (fun _ -> 0) @ List.init 40 (fun _ -> 1))
+      mk
+  in
+  (match r.Scheduler.status with
+  | Scheduler.Completed -> ()
+  | st -> Alcotest.fail (Fmt.str "%a" Scheduler.pp_status st));
+  let first_t1 =
+    let rec go i = function
+      | [] -> Alcotest.fail "t1 never ran"
+      | t :: rest -> if t = 1 then i else go (i + 1) rest
+    in
+    go 0 r.Scheduler.choices
+  in
+  (* t0 acquires its twelve guards (steps 0-11), takes and drops [extra]
+     (12, 13) and releases the twelve in reverse (14-25): protect_all
+     nests in creation order, so the guard t1 wants is freed last *)
+  Alcotest.(check int) "t1 first runs once its guard is free" 26 first_t1
+
 (* ---- pinned regression schedule ---- *)
 
 (* tests run either from the dune sandbox (test/) or the workspace root;
@@ -496,4 +614,6 @@ let suite =
     Alcotest.test_case "abba-fixed-clean" `Quick test_abba_fixed_clean;
     Alcotest.test_case "abba-pinned" `Quick test_abba_pinned;
     Alcotest.test_case "crash-reported" `Quick test_crash_reported;
+    Alcotest.test_case "oracle-found" `Quick test_oracle_found;
+    Alcotest.test_case "many-guards-held" `Quick test_many_guards_held;
   ]

@@ -24,34 +24,42 @@
 
 open Commlat_core
 
-type t = { tbl : (int, unit) Hashtbl.t }
+(* Keyed by int with an identity hash: no [caml_hash] and no polymorphic
+   compare per operation.  Ids are minted densely, so they spread evenly
+   over the buckets. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
 
-let create () = { tbl = Hashtbl.create 16 }
+  let equal = Int.equal
+  let hash (id : int) = id
+end)
+
+type t = { tbl : unit Ids.t }
+
+let create () = { tbl = Ids.create 16 }
 
 (** An independent set with the same elements. *)
-let copy t = { tbl = Hashtbl.copy t.tbl }
+let copy t = { tbl = Ids.copy t.tbl }
 
 let add t id =
-  if Hashtbl.mem t.tbl id then false
+  if Ids.mem t.tbl id then false
   else begin
-    Hashtbl.replace t.tbl id ();
+    Ids.replace t.tbl id ();
     true
   end
 
 let take t id =
-  if Hashtbl.mem t.tbl id then begin
-    Hashtbl.remove t.tbl id;
+  if Ids.mem t.tbl id then begin
+    Ids.remove t.tbl id;
     true
   end
   else false
 
-let contains t id = Hashtbl.mem t.tbl id
-let cardinal t = Hashtbl.length t.tbl
+let contains t id = Ids.mem t.tbl id
+let cardinal t = Ids.length t.tbl
 
-let elements t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.tbl [] |> List.sort Int.compare
-
-let clear t = Hashtbl.reset t.tbl
+let elements t = Ids.fold (fun id () acc -> id :: acc) t.tbl [] |> List.sort Int.compare
+let clear t = Ids.reset t.tbl
 
 (* ------------------------------------------------------------------ *)
 (* Methods and specifications                                          *)

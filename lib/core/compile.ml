@@ -335,26 +335,37 @@ let check_pure t (c : check) (i1 : Invocation.t) (i2 : Invocation.t) : bool =
 (* Semantics match the env-based key evaluators these replace (see
    Footprint/Abstract_lock): any side's Arg reads the one invocation's
    argument array directly, Ret reads its return slot, Sfuns are
-   unsupported (keys are state-free by construction). *)
-let rec key_term vt (t : Formula.term) : Invocation.t -> Value.t =
+   unsupported (keys are state-free by construction).  A compiled key
+   takes the argument array and the return value, not the invocation, so
+   a key that never reads the return value can be evaluated on arguments
+   alone, before any invocation record exists. *)
+let rec key_term vt (t : Formula.term) : Value.t array -> Value.t -> Value.t =
   match t with
-  | Formula.Arg (_, idx) -> fun inv -> inv.Invocation.args.(idx)
-  | Formula.Ret _ -> fun inv -> inv.Invocation.ret
-  | Formula.Const v -> fun _ -> v
-  | Formula.Sfun (name, _, _) -> fun _ -> raise (Formula.Unsupported name)
+  | Formula.Arg (_, idx) -> fun args _ -> args.(idx)
+  | Formula.Ret _ -> fun _ ret -> ret
+  | Formula.Const v -> fun _ _ -> v
+  | Formula.Sfun (name, _, _) -> fun _ _ -> raise (Formula.Unsupported name)
   | Formula.Vfun (name, args) -> (
       let cargs = List.map (key_term vt) args in
       match vfun_slot vt name with
-      | -1 -> fun _ -> raise (Formula.Unsupported ("vfun " ^ name))
+      | -1 -> fun _ _ -> raise (Formula.Unsupported ("vfun " ^ name))
       | slot -> (
           let f = vt.vimpls.(slot) in
           match cargs with
-          | [] -> fun _ -> f []
-          | [ c1 ] -> fun inv -> f [ c1 inv ]
-          | [ c1; c2 ] -> fun inv -> f [ c1 inv; c2 inv ]
-          | _ -> fun inv -> f (List.map (fun c -> c inv) cargs)))
+          | [] -> fun _ _ -> f []
+          | [ c1 ] -> fun a r -> f [ c1 a r ]
+          | [ c1; c2 ] -> fun a r -> f [ c1 a r; c2 a r ]
+          | _ -> fun a r -> f (List.map (fun c -> c a r) cargs)))
   | Formula.Arith (op, a, b) ->
       let ca = key_term vt a and cb = key_term vt b in
-      fun inv -> Formula.arith_op op (ca inv) (cb inv)
+      fun a r -> Formula.arith_op op (ca a r) (cb a r)
 
-let key spec t = key_term (vtable spec) t
+let key spec t =
+  let f = key_term (vtable spec) t in
+  fun inv -> f inv.Invocation.args inv.Invocation.ret
+
+let arg_key spec t =
+  if Formula.term_mentions_ret Formula.M1 t || Formula.term_mentions_ret Formula.M2 t
+  then invalid_arg "Compile.arg_key: the key term reads the return value";
+  let f = key_term (vtable spec) t in
+  fun args -> f args Value.Unit

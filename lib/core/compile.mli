@@ -76,3 +76,8 @@ val check_pure : t -> check -> Invocation.t -> Invocation.t -> bool
     gatekeeper log arguments) to a direct evaluator over one invocation,
     with no per-invocation {!Formula.env}. *)
 val key : Spec.t -> Formula.term -> Invocation.t -> Value.t
+
+(** {!key} for a term that does not read the return value, over the
+    argument array alone (shard keys, worker routing).  Raises
+    [Invalid_argument] at compile time if the term mentions [Ret]. *)
+val arg_key : Spec.t -> Formula.term -> Value.t array -> Value.t

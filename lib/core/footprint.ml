@@ -32,8 +32,9 @@ type t = {
   spec : Spec.t;
   keys : (string, Formula.term) Hashtbl.t;
       (** method name -> chosen M1-side key term; absent = keyless *)
-  compiled : (string, (Invocation.t -> Value.t) option) Hashtbl.t;
-      (** every declared method: its compiled key term, [None] if keyless *)
+  compiled : (string, (Value.t array -> Value.t) option) Hashtbl.t;
+      (** every declared method: its key term compiled over the argument
+          array, [None] if keyless *)
 }
 
 (* Normalize an M2-side term to the corresponding M1-side term (same
@@ -192,16 +193,17 @@ let analyze (spec : Spec.t) : t =
     end
   in
   assign ();
-  (* Shard keys are on the hot path of every sharded insert and scan:
-     compile them to zero-environment closures (Compile.key) instead of
-     staging a Formula.env per invocation.  Key values are identical.
-     Keyless methods are entered too, so a declared method's lookup never
-     misses. *)
+  (* Shard keys are on the hot path of every sharded insert and scan and
+     of every served request's routing: compile them to zero-environment
+     closures over the argument array (Compile.arg_key; no key reads the
+     return value, see [usable]) instead of staging a Formula.env per
+     invocation.  Key values are identical.  Keyless methods are entered
+     too, so a declared method's lookup never misses. *)
   let compiled = Hashtbl.create 8 in
   List.iter
     (fun m ->
       Hashtbl.replace compiled m
-        (Option.map (Compile.key spec) (Hashtbl.find_opt chosen m)))
+        (Option.map (Compile.arg_key spec) (Hashtbl.find_opt chosen m)))
     names;
   { spec; keys = Hashtbl.copy chosen; compiled }
 
@@ -209,16 +211,10 @@ let key_term t m = Hashtbl.find_opt t.keys m
 let keyed t m = Hashtbl.mem t.keys m
 let all_keyless t = Hashtbl.length t.keys = 0
 
-(* The compiled key of a method; [None] if keyless or undeclared. *)
 let key_fn t name =
   match Hashtbl.find t.compiled name with
   | k -> k
   | exception Not_found -> None
-
-let key_value t (inv : Invocation.t) =
-  match key_fn t inv.Invocation.meth.name with
-  | Some f -> Some (f inv)
-  | None -> None
 
 (** The shard index of an invocation, [nshards] for the overflow shard.
     Same key value ⟹ same shard; different shards ⟹ different key values
@@ -227,7 +223,7 @@ let key_value t (inv : Invocation.t) =
     and read probe computes it. *)
 let shard t ~nshards (inv : Invocation.t) =
   match key_fn t inv.Invocation.meth.name with
-  | Some f -> Value.hash (f inv) land max_int mod nshards
+  | Some f -> Value.hash (f inv.Invocation.args) land max_int mod nshards
   | None -> nshards
 
 let shard_of t ~nshards inv =

@@ -37,9 +37,12 @@ val keyed : t -> string -> bool
 (** No method has a key (sharding degenerates to a single overflow shard). *)
 val all_keyless : t -> bool
 
-(** Evaluate the key term of an invocation's method, or [None] if the
-    method is keyless. *)
-val key_value : t -> Invocation.t -> Value.t option
+(** The key of a method compiled over its argument array, [None] if the
+    method is keyless or undeclared.  {!shard} evaluates this same
+    closure, so a caller holding only a method name and its arguments (a
+    server routing a request) computes the key an invocation of them
+    would get. *)
+val key_fn : t -> string -> (Value.t array -> Value.t) option
 
 (** [shard t ~nshards inv] is the shard index in [\[0, nshards)] of a
     keyed invocation, or [nshards] (the overflow shard) for a keyless one.

@@ -74,10 +74,35 @@ let unlock t =
     Mutex.unlock t.mu
   end
 
-(** [protect t f] runs [f] holding [t]; releases on any exit. *)
+(* Release [t] on the way out of a handler for [e], keeping [e]'s
+   backtrace. *)
+let unlock_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  unlock t;
+  Printexc.raise_with_backtrace e bt
+
+(** [protect t f] runs [f] holding [t]; releases on any exit.  A handler,
+    not [Fun.protect]: that would allocate a [finally] closure per
+    critical section, and a keyed request runs several. *)
 let protect t f =
   lock t;
-  Fun.protect ~finally:(fun () -> unlock t) f
+  match f () with
+  | r ->
+      unlock t;
+      r
+  | exception e -> unlock_reraise t e
+
+(* [f] under every guard of [ts], in list order, released innermost
+   first. *)
+let rec hold_all f = function
+  | [] -> f ()
+  | t :: rest -> (
+      lock t;
+      match hold_all f rest with
+      | r ->
+          unlock t;
+          r
+      | exception e -> unlock_reraise t e)
 
 (** [protect_all ts f] runs [f] holding every guard in [ts], acquired in
     canonical id order (duplicates are taken once).  This is [Boost.abort]'s
@@ -85,9 +110,6 @@ let protect t f =
     the transaction held, the undo log and [on_abort] form one atomic step
     for every invocation that could observe the transaction's state. *)
 let protect_all ts f =
-  let ts = List.sort_uniq (fun a b -> Int.compare a.id b.id) ts in
-  let rec go = function
-    | [] -> f ()
-    | t :: rest -> protect t (fun () -> go rest)
-  in
-  go ts
+  match ts with
+  | [] | [ _ ] -> hold_all f ts (* [List.sort_uniq] allocates even here *)
+  | _ -> hold_all f (List.sort_uniq (fun a b -> Int.compare a.id b.id) ts)

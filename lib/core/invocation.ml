@@ -46,10 +46,14 @@ type t = {
           invocation executes *)
 }
 
-let uid_counter = Atomic.make 0
+(* [make] issues uids from 1; [probe_uid] is never issued. *)
+let uid_counter = Atomic.make 1
+let probe_uid = 0
 
 let make ~txn meth args =
   { uid = Atomic.fetch_and_add uid_counter 1; meth; args; ret = Value.Unit; txn; seq = 0 }
+
+let probe ~txn meth args = { uid = probe_uid; meth; args; ret = Value.Unit; txn; seq = 0 }
 
 let pp ppf i =
   Fmt.pf ppf "%s(%a)/%a@@t%d" i.meth.name

@@ -51,6 +51,14 @@ type t = {
     [uid]. *)
 val make : txn:int -> meth -> Value.t array -> t
 
+(** The uid {!make} never issues. *)
+val probe_uid : int
+
+(** An invocation record that is never inserted, committed or undone (a
+    read-only admission probe): uid {!probe_uid}, so building one writes
+    no shared counter. *)
+val probe : txn:int -> meth -> Value.t array -> t
+
 val pp : t Fmt.t
 
 (** [env ~sfun ~vfun i1 i2] builds a formula-evaluation environment binding

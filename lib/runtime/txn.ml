@@ -26,7 +26,9 @@ type t = {
           through, each once *)
 }
 
+(* [fresh] issues ids from 1; [probe_id] is never issued. *)
 let counter = Atomic.make 1
+let probe_id = 0
 
 let fresh () =
   { id = Atomic.fetch_and_add counter 1; undo = []; status = Running; guard_fns = [] }

@@ -21,6 +21,10 @@ type t
 (** A fresh [Running] transaction with a process-unique id. *)
 val fresh : unit -> t
 
+(** The id {!fresh} never issues: a read-only admission probe runs under
+    it, so it matches no transaction's entries and bumps no counter. *)
+val probe_id : int
+
 val id : t -> int
 val status : t -> status
 

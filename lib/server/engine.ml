@@ -93,10 +93,12 @@ type outcome =
           refused method pair) it carries: commit the epoch's open
           transactions (they may be the other side) and retry *)
 
+(* The table holds each answer ready-made, so a lookup allocates no
+   option. *)
 let meth_finder meths =
   let tbl = Hashtbl.create 8 in
-  List.iter (fun (m : Invocation.meth) -> Hashtbl.replace tbl m.name m) meths;
-  fun name -> Hashtbl.find_opt tbl name
+  List.iter (fun (m : Invocation.meth) -> Hashtbl.replace tbl m.name (Some m)) meths;
+  fun name -> match Hashtbl.find tbl name with o -> o | exception Not_found -> None
 
 let default_uf_elements = 4096
 
@@ -166,6 +168,8 @@ let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~hooks levels : exposed =
     Protect.protect_gatekeeper ?obs ~hooks ~spec:levels.(0).l_spec scheme
   in
   levels.(0).l_built <- Some (det, gk);
+  Wire.intern ename;
+  List.iter (fun (m : Invocation.meth) -> Wire.intern m.name) meths;
   {
     ename;
     det;
@@ -383,7 +387,10 @@ let err t id fmt =
    was routed to the worker holding its key's open writes, so running it
    again as a transaction would meet the same writer. *)
 let try_ro_fast (t : t) (ex : exposed) ~id (meth : Invocation.meth) args =
-  let inv = Invocation.make ~txn:(Txn.id (Txn.fresh ())) meth args in
+  (* the reserved ids: no shared counter is written, and the probe's
+     transaction owns no entry, so the scan checks it against every
+     active one *)
+  let inv = Invocation.probe ~txn:Txn.probe_id meth args in
   match Gatekeeper.batch_check ex.gk inv (fun () -> ex.exec_inv inv) with
   | r ->
       Obs.incr t.c_ro_fast;
@@ -394,10 +401,11 @@ let try_ro_fast (t : t) (ex : exposed) ~id (meth : Invocation.meth) args =
       Conflicted reason
 
 let try_invoke (t : t) ~id adt meth args : outcome =
-  match List.assoc_opt adt t.exposed with
-  | None -> err t id "unknown adt %S (have: %s)" adt
-               (String.concat ", " (exposed_names t))
-  | Some ex -> (
+  match List.assoc adt t.exposed with
+  | exception Not_found ->
+      err t id "unknown adt %S (have: %s)" adt
+        (String.concat ", " (exposed_names t))
+  | ex -> (
       match ex.lookup meth with
       | None -> err t id "%s: unknown method %S" adt meth
       | Some m when m.Invocation.arity <> Array.length args ->
@@ -492,24 +500,15 @@ let route_hash (t : t) (req : Wire.req) : int option =
   match req with
   | Wire.Stats _ | Wire.Quit _ | Wire.Ping _ -> None
   | Wire.Invoke { adt; meth; args; _ } -> (
-      match List.assoc_opt adt t.exposed with
-      | None -> None
-      | Some ex -> (
+      match List.assoc adt t.exposed with
+      | exception Not_found -> None
+      | ex -> (
           match ex.lookup meth with
           | Some m when m.Invocation.arity = Array.length args -> (
-              (* throwaway record: routing must not burn invocation uids *)
-              let dummy =
-                {
-                  Invocation.uid = 0;
-                  meth = m;
-                  args;
-                  ret = Value.Unit;
-                  txn = 0;
-                  seq = 0;
-                }
-              in
-              match Footprint.key_value ex.fp dummy with
-              | Some v -> Some (Value.hash v)
+              (* the key the detector's shard computes, from the
+                 arguments alone: no invocation record is built *)
+              match Footprint.key_fn ex.fp meth with
+              | Some key -> Some (Value.hash (key args))
               | None ->
                   (* keyless method but keyed-looking argument (union-find's
                      state-dependent spec defeats the footprint analysis):

@@ -5,7 +5,8 @@
 
     - One {e reader systhread per connection} reads bursts: one [read]
       takes whatever the socket holds, {!Wire.frame_at} splits every
-      whole frame out of it, and each invoke request joins a per-worker
+      whole frame out of it, {!Wire.decode_req_at} decodes each where it
+      lies in the read buffer, and each invoke request joins a per-worker
       batch chosen by its footprint hash ({!Engine.route_hash}); keyless
       requests round-robin.  Before it reads again, the reader hands each
       non-empty batch to its worker queue with one lock and one signal.
@@ -274,15 +275,16 @@ type epoch = {
 let epoch_create () = { open_txns = []; open_routes = []; outboxes = ref [] }
 
 let outbox ep conn =
-  match List.assq_opt conn !(ep.outboxes) with
-  | Some b -> b
-  | None ->
+  match List.assq conn !(ep.outboxes) with
+  | b -> b
+  | exception Not_found ->
       let b = Buffer.create 256 in
       ep.outboxes := (conn, b) :: !(ep.outboxes);
       b
 
-(* frames accumulate per connection for one write at the epoch boundary *)
-let stage ep conn resp = Wire.add_frame (outbox ep conn) (Wire.encode_resp resp)
+(* frames accumulate per connection for one write at the epoch boundary,
+   each encoded straight into its outbox *)
+let stage ep conn resp = Wire.add_resp_frame (outbox ep conn) resp
 
 (* Group commit of the epoch's open transactions, oldest first. *)
 let commit_epoch eng ep =
@@ -417,11 +419,11 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
   in
   (* bytes [lo, hi) of [buf] are read but not yet split *)
   let buf = ref (Bytes.create burst_bytes) and lo = ref 0 and hi = ref 0 in
-  (* the payload of the [n]-byte frame at [lo], which it moves past *)
+  (* decode the [n]-byte frame at [lo] where it lies, and move past it *)
   let take n =
-    let payload = Bytes.sub_string !buf (!lo + 4) n in
-    lo := !lo + 4 + n;
-    payload
+    let off = !lo + 4 in
+    lo := off + n;
+    Wire.decode_req_at !buf off n
   in
   (* every whole frame read behind a [Quit] is refused, so that it too is
      answered, ahead of the [Quit]'s own reply *)
@@ -429,7 +431,7 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
     match Wire.frame_at !buf !lo !hi with
     | Wire.Frame n ->
         send_resp eng conn
-          (match Wire.decode_req (take n) with
+          (match take n with
           | req -> Wire.Err (Wire.req_id req, "server shutting down")
           | exception Wire.Malformed msg -> Wire.Err (0, msg));
         refuse_rest ()
@@ -437,9 +439,9 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
   in
   (* a [Quit] [run] will answer: the connection outlives this reader *)
   let deferred = ref false in
-  (* one frame's payload; false once it was a [Quit] *)
-  let handle payload =
-    match Wire.decode_req payload with
+  (* the [n]-byte frame at [lo]; false once it was a [Quit] *)
+  let handle n =
+    match take n with
     | exception Wire.Malformed msg ->
         (* the frame boundary survived, so answer and keep splitting *)
         send_resp eng conn (Wire.Err (0, msg));
@@ -469,7 +471,7 @@ let reader ~eng ~queues ~rr ~stop ~quits conn () =
   (* split every whole frame read so far; false once one was a [Quit] *)
   let rec split () =
     match Wire.frame_at !buf !lo !hi with
-    | Wire.Frame n -> handle (take n) && split ()
+    | Wire.Frame n -> handle n && split ()
     | Wire.Short need ->
         (* keep the cut frame at the front of a buffer that holds it
            whole, so the next read always has room *)

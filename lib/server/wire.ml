@@ -27,10 +27,13 @@
               | 0x08 n:u32 value*n                                  List
     v}
 
-    The codec is pure (strings in, strings out) so the round-trip property
+    The codec works on bytes, not sockets (its one piece of state is the
+    table of interned names), so the round-trip property
     tests and the in-process conformance test run in tier-1 without
     touching a socket; {!add_frame} builds a frame, {!frame_at} splits the
-    frames out of whatever bytes one [read] returned, and
+    frames out of whatever bytes one [read] returned, {!decode_req_at}
+    decodes a frame where it lies in the read buffer, {!add_resp_frame}
+    frames a reply straight into an output buffer, and
     {!read_frame}/{!write_frame} add one-frame-at-a-time [Unix] framing on
     top.  Every decoder is total: malformed input raises {!Malformed},
     never [Invalid_argument] or an out-of-bounds crash. *)
@@ -146,9 +149,8 @@ let encode_req (r : req) : string =
       put_i64 b id);
   Buffer.contents b
 
-let encode_resp (r : resp) : string =
-  let b = Buffer.create 64 in
-  (match r with
+let put_resp b (r : resp) =
+  match r with
   | Reply (id, v) ->
       put_u8 b 0x01;
       put_i64 b id;
@@ -156,24 +158,51 @@ let encode_resp (r : resp) : string =
   | Err (id, msg) ->
       put_u8 b 0x02;
       put_i64 b id;
-      put_str32 b msg);
+      put_str32 b msg
+
+let encode_resp (r : resp) : string =
+  let b = Buffer.create 64 in
+  put_resp b r;
   Buffer.contents b
+
+(* The bytes [put_value] writes for a value, so a frame's length prefix
+   can precede its payload in one buffer. *)
+let rec value_size (v : Value.t) =
+  match v with
+  | Value.Unit -> 1
+  | Value.Bool _ -> 2
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+  | Value.Point p -> 3 + (8 * Array.length p)
+  | Value.Pair (x, y) -> 1 + value_size x + value_size y
+  | Value.Opt None -> 2
+  | Value.Opt (Some x) -> 2 + value_size x
+  | Value.List l -> List.fold_left (fun n v -> n + value_size v) 5 l
+
+let resp_size = function
+  | Reply (_, v) -> 9 + value_size v
+  | Err (_, msg) -> 13 + String.length msg
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A bounds-checked cursor over the payload string. *)
-type cursor = { s : string; mutable pos : int }
+(* A bounds-checked cursor over the payload: bytes [[pos, lim)] of [b],
+   where [b] is a reader's buffer or a whole payload string.  A frame's
+   cursor stops at the frame's own end, so a short payload can never read
+   into the next frame. *)
+type cursor = { b : Bytes.t; mutable pos : int; lim : int }
 
-let need c n what =
-  if c.pos + n > String.length c.s then
-    malformed "decode: truncated payload (%s at byte %d, %d left)" what c.pos
-      (String.length c.s - c.pos)
+(* Raised by [need] with what was being read and the buffer position;
+   the entry points below turn it into {!Malformed} with the position
+   counted from the payload's start. *)
+exception Truncated of string * int
+
+let need c n what = if n > c.lim - c.pos then raise (Truncated (what, c.pos))
 
 let get_u8 c what =
   need c 1 what;
-  let n = Char.code c.s.[c.pos] in
+  let n = Char.code (Bytes.unsafe_get c.b c.pos) in
   c.pos <- c.pos + 1;
   n
 
@@ -191,19 +220,67 @@ let get_u32 c what =
 
 let get_i64 c what =
   need c 8 what;
-  let n = String.get_int64_be c.s c.pos in
+  let n = Bytes.get_int64_be c.b c.pos in
   c.pos <- c.pos + 8;
   Int64.to_int n
 
 let get_bytes c n what =
   need c n what;
-  let s = String.sub c.s c.pos n in
+  let s = Bytes.sub_string c.b c.pos n in
   c.pos <- c.pos + n;
   s
 
-let get_str8 c what =
+(* Interned names.  ADT and method names repeat on every request, so a
+   decoded name is looked up in a fixed table of [intern_slots] slots and
+   the stored string is returned: a name seen before allocates nothing.
+   Slots are atomics filled once by compare-and-set and never cleared, so
+   decoders on any domain share the table safely.  A name whose
+   [intern_window] probe slots are all taken by other names is returned
+   as a fresh string instead, so a flood of distinct names costs at most
+   the table's slots; the engine interns the names it serves when it is
+   created ({!intern}), so no flood can keep them out. *)
+let intern_slots = 256
+let intern_window = 8
+let vacant = ""
+let intern_table = Array.init intern_slots (fun _ -> Atomic.make vacant)
+
+let rec hash_bytes b pos lim h =
+  if pos = lim then h land max_int
+  else hash_bytes b (pos + 1) lim ((h * 31) + Char.code (Bytes.unsafe_get b pos))
+
+let rec same_bytes s b pos i n =
+  i = n
+  || Char.equal (String.unsafe_get s i) (Bytes.unsafe_get b (pos + i))
+     && same_bytes s b pos (i + 1) n
+
+let rec intern_probe b pos n h k =
+  if k = intern_window then Bytes.sub_string b pos n
+  else
+    let slot = intern_table.((h + k) land (intern_slots - 1)) in
+    let s = Atomic.get slot in
+    if s == vacant then
+      let fresh = Bytes.sub_string b pos n in
+      if Atomic.compare_and_set slot vacant fresh then fresh
+      else intern_probe b pos n h k (* another decoder filled it: look again *)
+    else if String.length s = n && same_bytes s b pos 0 n then s
+    else intern_probe b pos n h (k + 1)
+
+(** [intern s] stores [s] in the intern table if its window has room, so
+    decoding [s] returns the stored copy without allocating. *)
+let intern s =
+  let b = Bytes.unsafe_of_string s and n = String.length s in
+  if n > 0 then ignore (intern_probe b 0 n (hash_bytes b 0 n 0) 0)
+
+(** Names held by the intern table; never more than its slots. *)
+let interned () =
+  Array.fold_left (fun n a -> if Atomic.get a == vacant then n else n + 1) 0 intern_table
+
+let get_name c what =
   let n = get_u8 c what in
-  get_bytes c n what
+  need c n what;
+  let pos = c.pos in
+  c.pos <- pos + n;
+  if n = 0 then "" else intern_probe c.b pos n (hash_bytes c.b pos (pos + n) 0) 0
 
 let get_str32 c what =
   let n = get_u32 c what in
@@ -219,7 +296,7 @@ let read_n n f =
 
 let get_f64 c what =
   need c 8 what;
-  let n = String.get_int64_be c.s c.pos in
+  let n = Bytes.get_int64_be c.b c.pos in
   c.pos <- c.pos + 8;
   Int64.float_of_bits n
 
@@ -238,7 +315,11 @@ let rec get_value c =
       let d = get_u16 c "point dim" in
       (* 8 bytes per coordinate must fit in what's left *)
       need c (8 * d) "point";
-      Value.Point (Array.of_list (read_n d (fun () -> get_f64 c "point coord")))
+      let p = Array.make d 0.0 in
+      for i = 0 to d - 1 do
+        p.(i) <- get_f64 c "point coord"
+      done;
+      Value.Point p
   | 0x06 ->
       let x = get_value c in
       let y = get_value c in
@@ -257,21 +338,20 @@ let rec get_value c =
   | t -> malformed "decode: unknown value tag %#x" t
 
 let finish c what =
-  if c.pos <> String.length c.s then
-    malformed "decode: %d trailing bytes after %s"
-      (String.length c.s - c.pos)
-      what
+  if c.pos <> c.lim then malformed "decode: %d trailing bytes after %s" (c.lim - c.pos) what
 
-let decode_req (s : string) : req =
-  let c = { s; pos = 0 } in
+let req_of c =
   let r =
     match get_u8 c "request tag" with
     | 0x01 ->
         let id = get_i64 c "id" in
-        let adt = get_str8 c "adt name" in
-        let meth = get_str8 c "method name" in
+        let adt = get_name c "adt name" in
+        let meth = get_name c "method name" in
         let argc = get_u8 c "argc" in
-        let args = Array.of_list (read_n argc (fun () -> get_value c)) in
+        let args = Array.make argc Value.Unit in
+        for i = 0 to argc - 1 do
+          args.(i) <- get_value c
+        done;
         Invoke { id; adt; meth; args }
     | 0x02 -> Stats (get_i64 c "id")
     | 0x03 -> Quit (get_i64 c "id")
@@ -281,8 +361,7 @@ let decode_req (s : string) : req =
   finish c "request";
   r
 
-let decode_resp (s : string) : resp =
-  let c = { s; pos = 0 } in
+let resp_of c =
   let r =
     match get_u8 c "response tag" with
     | 0x01 ->
@@ -295,6 +374,27 @@ let decode_resp (s : string) : resp =
   in
   finish c "response";
   r
+
+(* Run a decoder over the [len]-byte payload at [off] of [b]. *)
+let decode_with f b off len =
+  let c = { b; pos = off; lim = off + len } in
+  match f c with
+  | r -> r
+  | exception Truncated (what, pos) ->
+      malformed "decode: truncated payload (%s at byte %d, %d left)" what (pos - off)
+        (off + len - pos)
+
+(** [decode_req_at b off len] decodes the request whose [len]-byte
+    payload starts at [off] of [b] — a frame where it lies in a reader's
+    buffer, with no copy of the payload.  It reads nothing outside the
+    payload, and the request it returns shares no bytes with [b]. *)
+let decode_req_at b off len = decode_with req_of b off len
+
+let decode_req (s : string) : req =
+  decode_with req_of (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let decode_resp (s : string) : resp =
+  decode_with resp_of (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Socket framing                                                      *)
@@ -358,6 +458,17 @@ let add_frame b (payload : string) =
   if n > max_frame then malformed "add_frame: payload %dB exceeds cap" n;
   Buffer.add_int32_be b (Int32.of_int n);
   Buffer.add_string b payload
+
+(** Append [r]'s frame to [b]: the bytes of
+    [add_frame b (encode_resp r)], with the length prefix computed from
+    [r] and the payload encoded in place, so no payload string is built.
+    Raises [Malformed], before writing anything, on a payload over
+    {!max_frame}. *)
+let add_resp_frame b (r : resp) =
+  let n = resp_size r in
+  if n > max_frame then malformed "add_frame: payload %dB exceeds cap" n;
+  Buffer.add_int32_be b (Int32.of_int n);
+  put_resp b r
 
 (** Write one frame as a single [write] burst. *)
 let write_frame fd (payload : string) =

@@ -212,6 +212,46 @@ let prop_frame_splitter =
            | Cut _ -> `Short
            | Oversize _ -> `Malformed)
 
+(* A reply framed straight into an outbox is byte for byte the frame of
+   its encoded payload, behind whatever the outbox already holds. *)
+let prop_direct_framing =
+  QCheck2.Test.make ~count:500
+    ~name:"wire: add_resp_frame writes add_frame of encode_resp" resp_gen
+    (fun r ->
+      let via_payload = Buffer.create 16 and direct = Buffer.create 16 in
+      Buffer.add_string via_payload "held";
+      Buffer.add_string direct "held";
+      Wire.add_frame via_payload (Wire.encode_resp r);
+      Wire.add_resp_frame direct r;
+      Buffer.contents via_payload = Buffer.contents direct)
+
+let decoded f =
+  match f () with r -> Ok (req_repr r) | exception Wire.Malformed m -> Error m
+
+(* Decoding a frame where it lies in a read buffer, between other bytes
+   and ahead of another whole frame, agrees with [decode_req] on its
+   payload, message included; a payload one byte short is [Malformed]
+   even though the next frame's bytes follow it. *)
+let prop_decode_in_buffer =
+  QCheck2.Test.make ~count:500
+    ~name:"wire: decode_req_at in a read buffer agrees with decode_req"
+    QCheck2.Gen.(pair req_gen (string_size (0 -- 8)))
+    (fun (r, junk) ->
+      let p = Wire.encode_req r in
+      let at payload =
+        let b = Buffer.create 64 in
+        Buffer.add_string b junk;
+        Wire.add_frame b payload;
+        Wire.add_frame b p;
+        let buf = Buffer.to_bytes b in
+        decoded (fun () ->
+            Wire.decode_req_at buf (String.length junk + 4) (String.length payload))
+      in
+      let short = String.sub p 0 (String.length p - 1) in
+      at p = decoded (fun () -> Wire.decode_req p)
+      && at short = decoded (fun () -> Wire.decode_req short)
+      && Result.is_error (at short))
+
 let test_codec_malformed_tags () =
   let m s = match Wire.decode_req s with
     | _ -> false
@@ -348,6 +388,119 @@ let test_conformance () =
       check_bool "stats is a parsable snapshot" true
         (match Commlat_obs.Jsonx.parse s with Ok _ -> true | Error _ -> false)
   | _ -> Alcotest.fail "stats must reply a JSON string")
+
+(* Routing as it was computed before keys were compiled over argument
+   arrays: [Formula.eval_term] of the precise footprint's key on an
+   invocation carrying the arguments, the first argument for a keyless
+   method, [None] for an unknown ADT or method or a wrong arity. *)
+let reference_route (eng : Engine.t) (req : Wire.req) =
+  match req with
+  | Wire.Invoke { adt; meth; args; _ } -> (
+      match List.assoc_opt adt eng.Engine.exposed with
+      | None -> None
+      | Some ex -> (
+          let spec = ex.Engine.levels.(0).Engine.l_spec in
+          match
+            List.find_opt
+              (fun (m : Invocation.meth) -> m.name = meth)
+              (Spec.methods spec)
+          with
+          | Some m when m.arity = Array.length args -> (
+              match Footprint.key_term (Footprint.analyze spec) meth with
+              | Some key ->
+                  let inv = Invocation.make ~txn:1 m args in
+                  let env =
+                    Invocation.env
+                      ~sfun:(fun n _ _ _ -> raise (Formula.Unsupported n))
+                      ~vfun:(Spec.vfun spec) inv inv
+                  in
+                  Some (Value.hash (Formula.eval_term env key))
+              | None ->
+                  if Array.length args > 0 then Some (Value.hash args.(0)) else None)
+          | _ -> None))
+  | Wire.Stats _ | Wire.Quit _ | Wire.Ping _ -> None
+
+(* Every method of every exposed ADT (plus an unknown method and an
+   unknown ADT), with random arguments, usually at the method's arity. *)
+let route_req_gen (eng : Engine.t) =
+  let open QCheck2.Gen in
+  let targets =
+    ("kvmap", "nosuch", 1) :: ("nosuch", "get", 1)
+    :: List.concat_map
+         (fun (adt, (ex : Engine.exposed)) ->
+           List.map
+             (fun (m : Invocation.meth) -> (adt, m.name, m.arity))
+             (Spec.methods ex.Engine.levels.(0).Engine.l_spec))
+         eng.Engine.exposed
+  in
+  let* adt, meth, arity = oneofl targets in
+  let* extra = frequency [ (9, return 0); (1, return 1) ] in
+  let* args = list_repeat (arity + extra) value_gen in
+  return (Wire.Invoke { id = 0; adt; meth; args = Array.of_list args })
+
+let prop_route_unchanged =
+  let eng = Engine.create () in
+  QCheck2.Test.make ~count:1000
+    ~name:"engine: route_hash is the key term's hash, None where it was"
+    ~print:req_repr (route_req_gen eng) (fun req ->
+      let outcome f = match f () with h -> Ok h | exception e -> Error (Printexc.to_string e) in
+      outcome (fun () -> Engine.route_hash eng req)
+      = outcome (fun () -> reference_route eng req))
+
+(* The route hashes of a fixed serve-read-like stream (90% get, 8% put,
+   2% keyless size over skewed keys), pinned to the values computed
+   before keys were compiled over argument arrays, and so the worker of
+   every request at two workers. *)
+let test_route_stream_pinned () =
+  let eng = Engine.create () in
+  let s = ref 961 in
+  let next () =
+    s := ((!s * 1103515245) + 12345) land 0x3fff_ffff;
+    !s lsr 7
+  in
+  let hashes = Buffer.create 65536 and workers = Buffer.create 10_000 in
+  for i = 0 to 9_999 do
+    let r = next () mod 100 in
+    let k = next () mod 1000 * (next () mod 100) in
+    let req =
+      if r < 90 then invoke ~id:i "kvmap" "get" [| Value.Int k |]
+      else if r < 98 then invoke ~id:i "kvmap" "put" [| Value.Int k; Value.Int i |]
+      else invoke ~id:i "kvmap" "size" [||]
+    in
+    (match Engine.route_hash eng req with
+    | Some h ->
+        Buffer.add_string hashes (string_of_int h);
+        Buffer.add_char workers (Char.chr (48 + ((h land max_int) mod 2)))
+    | None ->
+        Buffer.add_char hashes '-';
+        Buffer.add_char workers '-');
+    Buffer.add_char hashes ' '
+  done;
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  check_str "route hashes" "7324c7cc7669b9c57c57debaee3f80a4" (digest hashes);
+  check_str "workers" "af76b59850568463e549a39b13715c9f" (digest workers)
+
+(* A flood of distinct ADT names: each request is refused naming its own
+   ADT, the intern table stays within its slots, and the kvmap still
+   serves. *)
+let test_name_flood () =
+  let eng = Engine.create () in
+  for i = 0 to 9_999 do
+    let adt = Printf.sprintf "adt%05d" i in
+    let p = Wire.encode_req (invoke ~id:i adt "get" [| Value.Int i |]) in
+    let buf = Bytes.of_string ("\000\000\000\000" ^ p) in
+    match Engine.handle eng (Wire.decode_req_at buf 4 (String.length p)) with
+    | Wire.Err (id, m) ->
+        if id <> i || not (String.starts_with ~prefix:(Fmt.str "unknown adt %S" adt) m)
+        then Alcotest.failf "request %d: Err (%d, %S)" i id m
+    | Wire.Reply _ -> Alcotest.failf "request %d to %s was served" i adt
+  done;
+  check_bool "intern table within its slots" true (Wire.interned () <= Wire.intern_slots);
+  ignore (Engine.handle eng (invoke "kvmap" "put" [| Value.Int 1; Value.Int 5 |]));
+  check_str "a kvmap get still served" "reply 0 Some 5"
+    (resp_repr
+       (Engine.handle eng
+          (Wire.decode_req (Wire.encode_req (invoke "kvmap" "get" [| Value.Int 1 |])))))
 
 (* The server-edge regression: malformed invocations abort only their own
    transaction, answer an error frame, and leave the engine fully
@@ -649,6 +802,56 @@ let test_early_commit () =
   check_int "no conflict" 0 (Obs.value eng.Engine.c_aborts)
 
 (* ------------------------------------------------------------- *)
+(* Allocation budget of the request path                          *)
+(* ------------------------------------------------------------- *)
+
+let minor_words_per_call n f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* Minor words per call, in this domain, of each step a served kvmap
+   request takes: decoding it, routing it, the read-only fast path of a
+   get, a put's transaction and commit, and framing a reply into an
+   outbox.  The bounds are the words each step allocates; a step that
+   starts copying, boxing or building closures again fails here. *)
+let test_alloc_budget () =
+  let n = 10_000 in
+  let eng = Engine.create () in
+  let get = invoke ~id:7 "kvmap" "get" [| Value.Int 42 |] in
+  let put = invoke ~id:8 "kvmap" "put" [| Value.Int 42; Value.Int 1 |] in
+  let p = Wire.encode_req get in
+  let frames = Buffer.create 64 in
+  Wire.add_frame frames p;
+  Wire.add_frame frames p;
+  let buf = Buffer.to_bytes frames in
+  ignore (Engine.handle eng put);
+  let outbox = Buffer.create 256 in
+  let reply = Wire.Reply (7, Value.Opt (Some (Value.Int 1))) in
+  let within what bound words =
+    if words > bound +. 0.01 then
+      Alcotest.failf "%s: %.2f minor words per call, budget %.0f" what words bound
+  in
+  within "decode a kvmap get in place" 13.
+    (minor_words_per_call n (fun () -> Wire.decode_req_at buf 4 (String.length p)));
+  within "decode_req a kvmap get" 13. (minor_words_per_call n (fun () -> Wire.decode_req p));
+  within "route_hash" 2. (minor_words_per_call n (fun () -> Engine.route_hash eng get));
+  within "fast-path try_req of a get" 35.
+    (minor_words_per_call n (fun () -> Engine.try_req eng get));
+  within "try_req and commit of a put" 93.
+    (minor_words_per_call n (fun () ->
+         match Engine.try_req eng put with
+         | Engine.Done (Some pending, _) -> Engine.commit eng pending
+         | _ -> Alcotest.fail "the put was not admitted"));
+  within "frame a reply into an outbox" 0.
+    (minor_words_per_call n (fun () ->
+         Buffer.clear outbox;
+         Wire.add_resp_frame outbox reply))
+
+(* ------------------------------------------------------------- *)
 (* Latency histogram                                              *)
 (* ------------------------------------------------------------- *)
 
@@ -927,12 +1130,21 @@ let suite =
       prop_truncated_rejected;
       prop_trailing_rejected;
       prop_frame_splitter;
+      prop_direct_framing;
+      prop_decode_in_buffer;
+      prop_route_unchanged;
     ]
   @ [
       Alcotest.test_case "wire: malformed tags and lengths" `Quick
         test_codec_malformed_tags;
       Alcotest.test_case "wire: pipe framing and caps" `Quick test_framing_pipe;
       Alcotest.test_case "engine: conformance" `Quick test_conformance;
+      Alcotest.test_case "engine: a serve-read stream keeps its routes" `Quick
+        test_route_stream_pinned;
+      Alcotest.test_case "engine: a flood of ADT names is refused, bounded" `Quick
+        test_name_flood;
+      Alcotest.test_case "engine: the request path's allocation budget" `Quick
+        test_alloc_budget;
       Alcotest.test_case "engine: bad requests are contained" `Quick
         test_error_containment;
       Alcotest.test_case "engine: flow-graph wire round-trip" `Quick

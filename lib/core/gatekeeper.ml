@@ -178,7 +178,8 @@ and t = {
   c_rollbacks : Obs.counter;  (** undo/redo sweeps (= [stats_rollbacks]) *)
   c_sfun_at : Obs.counter;  (** past-state queries on persistent ADTs *)
   d_sweep_depth : Obs.dist;  (** mutations undone per sweep *)
-  (* sharding observability (registered only when [nshards > 0]) *)
+  (* sharding observability: the three totals are always registered (they
+     read 0 unsharded), the per-shard counters only when [nshards > 0] *)
   c_shard_inserts : Obs.counter;  (** insertions into keyed shards *)
   c_overflow_inserts : Obs.counter;  (** insertions into the overflow shard *)
   c_checks_avoided : Obs.counter;
@@ -314,84 +315,69 @@ let rollback_sweep (t : t) (inv2 : Invocation.t)
     (needs_check : (entry * cond_info) list) :
     (int, (string * Value.t list, Value.t) Hashtbl.t) Hashtbl.t =
   let caches = Hashtbl.create 8 in
+  (* each entry's distinct rollback-function calls that its C_m log cannot
+     answer *)
+  let items =
+    List.filter_map
+      (fun ((e : entry), (info : cond_info)) ->
+        match info.rollback_fns with
+        | [] -> None
+        | fns ->
+            let env = pure_env t e inv2 in
+            let wanted =
+              List.map
+                (fun (name, arg_terms) ->
+                  (name, List.map (Formula.eval_term env) arg_terms))
+                fns
+              |> List.sort_uniq compare
+              |> List.filter (fun key -> not (log_mem e key))
+            in
+            if wanted = [] then None else Some (e, wanted))
+      needs_check
+  in
+  let fill (e : entry) wanted value =
+    let cache = Hashtbl.create 4 in
+    List.iter
+      (fun (name, args) -> Hashtbl.replace cache (name, args) (value name args))
+      wanted;
+    Hashtbl.replace caches e.inv.Invocation.uid cache
+  in
   (match t.hooks.sfun_at with
-  | Some sfun_at when t.allow_rollback ->
+  | Some sfun_at ->
       (* partially-persistent ADT: past states are queried directly *)
       List.iter
-        (fun ((e : entry), (info : cond_info)) ->
-          match info.rollback_fns with
-          | [] -> ()
-          | fns ->
-              let env = pure_env t e inv2 in
-              let cache = Hashtbl.create 4 in
-              List.iter
-                (fun (name, arg_terms) ->
-                  let args = List.map (Formula.eval_term env) arg_terms in
-                  if
-                    (not (log_mem e (name, args)))
-                    && not (Hashtbl.mem cache (name, args))
-                  then begin
-                    Obs.incr t.c_sfun_at;
-                    Hashtbl.replace cache (name, args)
-                      (sfun_at e.inv.Invocation.seq name args)
-                  end)
-                fns;
-              if Hashtbl.length cache > 0 then
-                Hashtbl.replace caches e.inv.Invocation.uid cache)
-        needs_check
-  | _ ->
-  if t.allow_rollback then
-     let items =
-       List.filter_map
-         (fun ((e : entry), (info : cond_info)) ->
-           match info.rollback_fns with
-           | [] -> None
-           | fns ->
-               let env = pure_env t e inv2 in
-               let wanted =
-                 List.map
-                   (fun (name, arg_terms) ->
-                     (name, List.map (Formula.eval_term env) arg_terms))
-                   fns
-                 |> List.sort_uniq compare
-                 |> List.filter (fun (name, args) -> not (log_mem e (name, args)))
-               in
-               if wanted = [] then None else Some (e, wanted))
-         needs_check
-       |> List.sort (fun ((e1 : entry), _) ((e2 : entry), _) ->
+        (fun ((e : entry), wanted) ->
+          Obs.add t.c_sfun_at (List.length wanted);
+          fill e wanted (sfun_at e.inv.Invocation.seq))
+        items
+  | None when items <> [] ->
+      incr t.stats_rollbacks;
+      Obs.incr t.c_rollbacks;
+      let undone = ref [] (* oldest-undone first, i.e. redo order *) in
+      let log = ref t.mutation_log (* newest first *) in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.observe t.d_sweep_depth (List.length !undone);
+          List.iter t.hooks.redo !undone)
+        (fun () ->
+          (* newest first: we undo progressively further into the past *)
+          List.sort
+            (fun ((e1 : entry), _) ((e2 : entry), _) ->
               Int.compare e2.inv.Invocation.seq e1.inv.Invocation.seq)
-       (* newest first: we undo progressively further into the past *)
-     in
-     if items <> [] then begin
-       incr t.stats_rollbacks;
-       Obs.incr t.c_rollbacks;
-       let undone = ref [] (* oldest-undone first, i.e. redo order *) in
-       let log = ref t.mutation_log (* newest first *) in
-       Fun.protect
-         ~finally:(fun () ->
-           Obs.observe t.d_sweep_depth (List.length !undone);
-           List.iter t.hooks.redo !undone)
-         (fun () ->
-           List.iter
-             (fun ((e : entry), wanted) ->
-               let rec undo_to () =
-                 match !log with
-                 | m :: rest when m.Invocation.seq >= e.inv.Invocation.seq ->
-                     t.hooks.undo m;
-                     undone := m :: !undone;
-                     log := rest;
-                     undo_to ()
-                 | _ -> ()
-               in
-               undo_to ();
-               let cache = Hashtbl.create 4 in
-               List.iter
-                 (fun (name, args) ->
-                   Hashtbl.replace cache (name, args) (t.hooks.sfun name args))
-                 wanted;
-               Hashtbl.replace caches e.inv.Invocation.uid cache)
-             items)
-     end);
+            items
+          |> List.iter (fun ((e : entry), wanted) ->
+                 let rec undo_to () =
+                   match !log with
+                   | m :: rest when m.Invocation.seq >= e.inv.Invocation.seq ->
+                       t.hooks.undo m;
+                       undone := m :: !undone;
+                       log := rest;
+                       undo_to ()
+                   | _ -> ()
+                 in
+                 undo_to ();
+                 fill e wanted t.hooks.sfun))
+  | None -> ());
   caches
 
 (* The [C_m] of method number [m]; an undeclared method ([-1]) logs

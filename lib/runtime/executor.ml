@@ -22,7 +22,7 @@
 
 open Commlat_core
 module Obs = Commlat_obs.Obs
-module Wsdeque = Commlat_wsdeque.Wsdeque
+module Pool = Commlat_wsdeque.Pool
 
 type stats = {
   committed : int;  (** iterations that committed *)
@@ -255,18 +255,10 @@ let domain_hooks = function
       guard, so a concurrent general-gatekeeper undo/redo sweep can never
       interleave with — and re-apply — writes the rollback is reverting;
       [on_abort] then re-enters those guards;
-    - {e the work supply}: one {!Wsdeque} per domain (owner pops the front,
-      retries go back to the front, new work to the back; idle domains
-      steal from other deques' backs).
-
-    Termination is exact, not spun-for: [pending] counts queued-or-running
-    items and is updated {e once} per completed item
-    ([fetch_and_add (k-1)] {e before} the [k] children are published, so it
-    never transiently under-counts).  A worker finding every deque empty
-    sleeps on a condition variable, guarded by a wake version number read
-    before it scanned — a publish between scan and sleep changes the
-    version and the sleep is skipped, so wakeups cannot be missed.  The
-    worker that drives [pending] to zero broadcasts, and everyone exits.
+    - {e the work supply}: a {!Pool} (one deque per domain: the owner pops
+      the front, retries go back to the front, new work to the back; idle
+      domains steal from other deques' backs and park when there is none;
+      termination is exact).
 
     Commit order: {!Boost.commit} runs the detector's [on_commit]
     (releasing locks/log entries) before discarding the undo log, and only
@@ -276,8 +268,8 @@ let domain_hooks = function
 
     A non-[Conflict] exception from the operator (or a commit hook) is a
     bug in the operator, not speculation: the raising transaction is rolled
-    back, every worker is told to stop, and the exception is re-raised
-    (with its backtrace) after all domains have joined.
+    back, and the pool stops every worker and re-raises the exception (with
+    its backtrace) after all domains have joined.
 
     Returned stats: [rounds = None] (no rounds exist to count — see
     {!stats}), [makespan = wall_s], [total_work] = summed per-domain busy
@@ -290,47 +282,18 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
   let det = detector in
   let operator = operator det in
   let n = max 1 domains in
-  let deques = Array.init n (fun _ -> Wsdeque.create ()) in
-  List.iteri (fun i w -> Wsdeque.push_back deques.(i mod n) w) init;
-  let pending = Atomic.make (List.length init) in
   let committed = Atomic.make 0 and aborted = Atomic.make 0 in
-  let steals = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let failure = Atomic.make None in
-  (* sleep/wake protocol: [wake] is a version number bumped on every
-     publish; sleepers re-check it (under [idle_mu]) against the value they
-     read before scanning the deques *)
-  let wake = Atomic.make 0 in
-  let idle_mu = Mutex.create () in
-  let idle_cv = Condition.create () in
-  let notify () =
-    Atomic.incr wake;
-    Mutex.protect idle_mu (fun () -> Condition.broadcast idle_cv)
-  in
-  let record_failure e bt =
-    (* first failure wins; any later ones are secondary casualties *)
-    ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-    Atomic.set stop true;
-    notify ()
-  in
   let domain_commits = Array.make n 0 in
   let busy = Array.make n 0.0 in
+  (* a bug, not speculation: roll back, then the pool stops the fleet and
+     re-raises *)
+  let fail txn e =
+    let bt = Printexc.get_raw_backtrace () in
+    Boost.abort det txn;
+    Printexc.raise_with_backtrace e bt
+  in
   let t0 = Stats.now_s () in
-  let worker me () =
-    let mine = deques.(me) in
-    let steal_one () =
-      let rec go k =
-        if k >= n then None
-        else
-          match Wsdeque.steal deques.((me + k) mod n) with
-          | Some _ as r ->
-              Atomic.incr steals;
-              (match dh with Some h -> Obs.incr h.dh_steal | None -> ());
-              r
-          | None -> go (k + 1)
-      in
-      go 1
-    in
+  let process pool me =
     (* Consecutive failed attempts by this worker: the retry backoff below
        scales with it, and any successful commit resets it.  The RNG
        jitters each sleep so workers that lost to the same transaction
@@ -339,7 +302,7 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
        seed is recorded in the returned stats). *)
     let setbacks = ref 0 in
     let rng = Random.State.make [| backoff_seed; me |] in
-    let process item =
+    fun item ->
       let t_item = Stats.now_s () in
       let txn = Txn.fresh () in
       (match operator txn item with
@@ -350,24 +313,10 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
               Atomic.incr committed;
               domain_commits.(me) <- domain_commits.(me) + 1;
               (match dh with Some h -> Obs.incr h.dh_commit | None -> ());
-              let k = List.length produced in
-              if k > 0 then begin
-                (* the children replace their parent in [pending] with one
-                   atomic update, BEFORE they are published: the counter
-                   never transiently under-counts queued work, so no worker
-                   can conclude termination early *)
-                ignore (Atomic.fetch_and_add pending (k - 1));
-                Wsdeque.push_back_all mine produced;
-                notify ()
-              end
-              else if Atomic.fetch_and_add pending (-1) = 1 then
-                (* that was the last pending item: wake sleepers to exit *)
-                notify ()
+              Pool.push_back pool produced
           | exception e ->
               (* raising commit hook: stats untouched, undo log intact *)
-              let bt = Printexc.get_raw_backtrace () in
-              Boost.abort det txn;
-              record_failure e bt)
+              fail txn e)
       | exception Detector.Conflict { reason; _ } ->
           Boost.abort det txn;
           Atomic.incr aborted;
@@ -377,16 +326,15 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
               Obs.incr h.dh_retry;
               Obs.event h.dh_obs ~tag:"abort" reason
           | None -> ());
-          (* retry-at-front on our own deque; [pending] unchanged.  The
-             item stays with an awake worker, so no notify is needed.
-             Back off before retrying: the transaction we lost to lives on
-             another domain, and with more domains than cores it may be
-             descheduled — burning our whole timeslice re-conflicting with
-             it (and paying a gatekeeper sweep per attempt) starves it of
-             the CPU it needs to finish.  Spin for the first few setbacks,
-             then sleep with capped exponential growth, which yields the
-             processor to the very transaction we are waiting on. *)
-          Wsdeque.push_front mine item;
+          (* Retry-at-front on our own deque, after a backoff: the
+             transaction we lost to lives on another domain, and with more
+             domains than cores it may be descheduled — burning our whole
+             timeslice re-conflicting with it (and paying a gatekeeper
+             sweep per attempt) starves it of the CPU it needs to finish.
+             Spin for the first few setbacks, then sleep with capped
+             exponential growth, which yields the processor to the very
+             transaction we are waiting on. *)
+          Pool.push_front pool [ item ];
           incr setbacks;
           if !setbacks <= 4 then Domain.cpu_relax ()
           else begin
@@ -395,48 +343,14 @@ let run_domains ?(domains = 2) ?(backoff_seed = 0x5eedbacc) ?obs
             in
             Unix.sleepf (base *. (0.5 +. Random.State.float rng 1.0))
           end
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Boost.abort det txn;
-          record_failure e bt);
+      | exception e -> fail txn e);
       busy.(me) <- busy.(me) +. (Stats.now_s () -. t_item)
-    in
-    let running = ref true in
-    while !running && not (Atomic.get stop) do
-      (* read the wake version BEFORE scanning: a publish landing after the
-         scan bumps it, and the sleep check below catches the change *)
-      let v = Atomic.get wake in
-      match Wsdeque.pop mine with
-      | Some item -> process item
-      | None -> (
-          match steal_one () with
-          | Some item -> process item
-          | None ->
-              if Atomic.get pending = 0 then running := false
-              else
-                Mutex.protect idle_mu (fun () ->
-                    if
-                      Atomic.get wake = v
-                      && Atomic.get pending > 0
-                      && not (Atomic.get stop)
-                    then Condition.wait idle_cv idle_mu))
-    done
   in
-  let guarded_worker me () =
-    (* nothing may escape a worker: an uncaught exception must stop the
-       fleet rather than strand it *)
-    try worker me () with e -> record_failure e (Printexc.get_raw_backtrace ())
-  in
-  let ds =
-    List.init (n - 1) (fun i -> Domain.spawn (fun () -> guarded_worker (i + 1) ()))
-  in
-  guarded_worker 0 ();
-  List.iter Domain.join ds;
+  let sweeps = Pool.run ~domains:n init process in
   (match dh with
-  | Some h -> Array.iter (Obs.observe h.dh_domain_commits) domain_commits
-  | None -> ());
-  (match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Some h ->
+      Array.iter (fun (steals, _) -> Obs.add h.dh_steal steals) sweeps;
+      Array.iter (Obs.observe h.dh_domain_commits) domain_commits
   | None -> ());
   let wall_s = Stats.now_s () -. t0 in
   {

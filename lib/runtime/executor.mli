@@ -13,10 +13,10 @@
       methodology the paper uses to measure available parallelism (see
       {!Parameter}).
     - {!run_domains} — real concurrency on OCaml 5 domains; interleaving
-      is at method-invocation granularity.  Work is spread over per-domain
-      {!Commlat_wsdeque.Wsdeque}s with stealing, aborts are made atomic by
-      {!Boost.abort}, and termination is exact (a
-      pending count plus a versioned sleep/wake protocol).
+      is at method-invocation granularity.  Work is spread by a
+      {!Commlat_wsdeque.Pool} (per-domain deques with stealing, idle
+      domains parked, exact termination), and aborts are made atomic by
+      {!Boost.abort}.
 
     The operator {b must} register an undo action with its transaction for
     every mutation it performs, so aborts can roll back. *)

@@ -52,39 +52,30 @@ let scheme_of_string s : (scheme, string) result =
               gen-gk, stm, optionally with a -sharded[:N] suffix)"
              other)
   in
-  match String.index_opt s '-' with
-  | _ when not (String.length s > 0) -> Error "empty scheme name"
-  | _ -> (
-      (* split off a trailing "-sharded" or "-sharded:N" *)
-      let try_suffix =
-        let re = "-sharded" in
-        let ls = String.length s and lr = String.length re in
-        let rec find i =
-          if i + lr > ls then None
-          else if String.sub s i lr = re then Some i
-          else find (i + 1)
+  (* the first "-sharded" splits [s] into a base scheme and a shard count *)
+  let suffix = "-sharded" in
+  let ls = String.length s and lr = String.length suffix in
+  let rec matches i j =
+    j = lr || (s.[i + j] = suffix.[j] && matches i (j + 1))
+  in
+  let rec find i =
+    if i + lr > ls then None else if matches i 0 then Some i else find (i + 1)
+  in
+  if s = "" then Error "empty scheme name"
+  else
+    match find 0 with
+    | None -> base s
+    | Some i ->
+        let sharded n =
+          Result.map (fun b -> Sharded (b, n)) (base (String.sub s 0 i))
         in
-        match find 0 with
-        | None -> None
-        | Some i -> (
-            let rest = String.sub s (i + lr) (ls - i - lr) in
-            let b = String.sub s 0 i in
-            if rest = "" then Some (b, Some default_nshards)
-            else if String.length rest > 1 && rest.[0] = ':' then
-              match
-                int_of_string_opt (String.sub rest 1 (String.length rest - 1))
-              with
-              | Some n when n > 0 -> Some (b, Some n)
-              | _ -> Some (b, None)
-            else None)
-      in
-      match try_suffix with
-      | Some (_, None) -> Error (Fmt.str "bad shard count in %S" s)
-      | Some (b, Some n) -> (
-          match base b with
-          | Ok bs -> Ok (Sharded (bs, n))
-          | Error e -> Error e)
-      | None -> base s)
+        let rest = i + lr in
+        if rest = ls then sharded default_nshards
+        else if s.[rest] <> ':' || rest + 1 = ls then base s
+        else (
+          match int_of_string_opt (String.sub s (rest + 1) (ls - rest - 1)) with
+          | Some n when n > 0 -> sharded n
+          | _ -> Error (Fmt.str "bad shard count in %S" s))
 
 (** What a data structure offers its detector. *)
 type adt = {

@@ -38,25 +38,21 @@
     domain can process any frontier node.  A search that no failure or
     budget stops runs and expands every node exactly once, so its counters
     do not depend on [config.domains], which changes only wall-clock time.
-    Each of [config.domains] workers owns a {!Wsdeque} of nodes: it pops
-    from the front (depth-first), pushes a node's children back to the
-    front, and when empty steals from another deque.  A worker whose steal
-    sweep finds nothing parks on a condition variable until children are
-    pushed, the search ends or it stops, so idle domains leave the cores
-    to the ones replaying schedules.  {!Schedpoint} hooks
-    are domain-local, so each worker replays schedules through its own
-    virtual scheduler.  All cross-domain state is explicit: an atomic
-    run-ticket counter makes [max_schedules] exact, an atomic pending-node
-    count gives exact termination (a node is pending from push until its
-    children are pushed), and a mutex-claimed first-failure slot lets the
-    winner stop the fleet and shrink alone.  With one domain the worker
-    visits nodes in plain depth-first order, so the first failure and its
-    shrink are deterministic. *)
+    The nodes go to a {!Pool} of [config.domains] workers: each pops
+    from the front of its own deque (depth-first), pushes a node's
+    children back to the front, steals when empty and parks when there is
+    nothing to steal.  {!Schedpoint} hooks are domain-local, so each
+    worker replays schedules through its own virtual scheduler.  Besides
+    the pool, the cross-domain state is an atomic run-ticket counter,
+    which makes [max_schedules] exact, and an atomic first-failure claim,
+    whose winner halts the pool and shrinks alone.  With one domain the
+    worker visits nodes in plain depth-first order, so the first failure
+    and its shrink are deterministic. *)
 
 open Commlat_core
 module Obs = Commlat_obs.Obs
 module Jsonx = Commlat_obs.Jsonx
-module Wsdeque = Commlat_wsdeque.Wsdeque
+module Pool = Commlat_wsdeque.Pool
 
 type config = {
   por : bool;  (** commutativity pruning (false = explore everything) *)
@@ -367,39 +363,19 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
   and o_pruned = counter "schedules_pruned" in
   let bump cnt n = Option.iter (fun x -> Obs.add x n) cnt in
   let spec = (mk ()).Scheduler.spec in
-  let deques = Array.init ndom (fun _ -> Wsdeque.create ()) in
   let per_domain = Array.init ndom (fun _ -> fresh_counters ()) in
-  (* nodes pushed but whose processing has not finished; exact because a
-     worker increments for every child BEFORE decrementing for the parent *)
-  let pending = Atomic.make 1 in
-  Wsdeque.push_front deques.(0) [];
   let tickets = Atomic.make 0 in
   let budget_hit = Atomic.make false in
-  let stop = Atomic.make false in
-  (* workers out of local work park on [park_cv]; [idle] counts them so
-     that a pusher takes [park_mu] only when someone may be waiting *)
-  let park_mu = Mutex.create () and park_cv = Condition.create () in
-  let idle = Atomic.make 0 in
-  let wake () =
-    if Atomic.get idle > 0 then
-      Mutex.protect park_mu (fun () -> Condition.broadcast park_cv)
-  in
-  let halt () =
-    Atomic.set stop true;
-    wake ()
-  in
-  let found_mu = Mutex.create () in
-  let claimed = ref false (* protected by found_mu *) in
+  let claimed = Atomic.make false in
   let failure : failure option ref =
     ref None (* written by the claim winner only; read after joins *)
   in
-  let process me prefix =
+  let process pool me prefix =
     let d = per_domain.(me) in
-    if Atomic.get stop then ()
-    else if Atomic.fetch_and_add tickets 1 >= max_schedules then begin
+    if Atomic.fetch_and_add tickets 1 >= max_schedules then begin
       (* budget honesty: this node was frontier work we did NOT run *)
       Atomic.set budget_hit true;
-      halt ()
+      Pool.halt pool
     end
     else begin
       let r = Scheduler.run ~max_steps ~schedule:prefix mk in
@@ -410,14 +386,8 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
         d.truncated <- d.truncated + 1;
       match failure_of_run r with
       | Some (kind, _) ->
-          let win =
-            Mutex.protect found_mu (fun () ->
-                let first = not !claimed in
-                claimed := true;
-                first)
-          in
-          if win then begin
-            halt ();
+          if Atomic.compare_and_set claimed false true then begin
+            Pool.halt pool;
             let sched, rr = shrink ~max_steps ~c:d mk kind r.Scheduler.choices in
             let detail =
               match failure_of_run rr with
@@ -442,79 +412,16 @@ let explore ?(config = default_config) ?obs (mk : unit -> Scheduler.instance) :
           match x.children with
           | [] -> ()
           | children ->
-              let k = List.length children in
-              ignore (Atomic.fetch_and_add pending k);
               (* push in generation order: the LAST decision's branch ends
                  up at the front, so it is explored first *)
-              List.iter (Wsdeque.push_front deques.(me)) children;
-              wake ();
-              d.pushed <- d.pushed + k)
+              Pool.push_front pool children;
+              d.pushed <- d.pushed + List.length children)
     end
   in
-  let worker me =
-    let d = per_domain.(me) in
-    let mine = deques.(me) in
-    let rec sweep k =
-      if k >= ndom then None
-      else
-        match Wsdeque.steal deques.((me + k) mod ndom) with
-        | Some n ->
-            d.steals <- d.steals + 1;
-            Some n
-        | None -> sweep (k + 1)
-    in
-    (* Out of local work: count this worker idle, then steal or wait,
-       under [park_mu].  A pusher or finisher that read [idle] before the
-       count changed made its node or its [pending]/[stop] write visible
-       to the sweep; one that reads it after wakes the wait. *)
-    let park () =
-      Mutex.lock park_mu;
-      Atomic.incr idle;
-      let rec wait () =
-        if Atomic.get stop || Atomic.get pending = 0 then None
-        else
-          match sweep 1 with
-          | Some n -> Some n
-          | None ->
-              d.steal_misses <- d.steal_misses + 1;
-              Condition.wait park_cv park_mu;
-              wait ()
-      in
-      let r = wait () in
-      Atomic.decr idle;
-      Mutex.unlock park_mu;
-      r
-    in
-    let obtain () =
-      if Atomic.get stop then None
-      else match Wsdeque.pop mine with Some n -> Some n | None -> park ()
-    in
-    let rec loop () =
-      match obtain () with
-      | None -> ()
-      | Some node ->
-          process me node;
-          if Atomic.fetch_and_add pending (-1) = 1 then wake ();
-          loop ()
-    in
-    loop ()
-  in
-  let safe_worker me () =
-    try worker me
-    with e ->
-      (* unblock the other workers before propagating *)
-      halt ();
-      raise e
-  in
-  let spawned =
-    Array.init (ndom - 1) (fun i -> Domain.spawn (safe_worker (i + 1)))
-  in
-  let errs = ref [] in
-  (try safe_worker 0 () with e -> errs := [ e ]);
-  Array.iter
-    (fun dmn -> try Domain.join dmn with e -> errs := !errs @ [ e ])
-    spawned;
-  (match !errs with e :: _ -> raise e | [] -> ());
+  Pool.run ~domains:ndom [ [] ] process
+  |> Array.iteri (fun i (steals, misses) ->
+         per_domain.(i).steals <- steals;
+         per_domain.(i).steal_misses <- misses);
   let c = fresh_counters () in
   Array.iter
     (fun d ->

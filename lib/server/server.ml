@@ -108,13 +108,22 @@ let write_failed eng conn =
   Obs.incr eng.Engine.c_response_write_failures;
   conn.alive <- false
 
-let send_resp eng conn resp =
+(* The one response writer: [b]'s frames go out in one write burst. *)
+let write_frames eng conn b =
   Mutex.protect conn.out_mu (fun () ->
       if conn.alive then begin
         Obs.incr eng.Engine.c_response_writes;
-        try Wire.write_frame conn.fd (Wire.encode_resp resp)
+        try
+          let s = Buffer.contents b in
+          Wire.really_write conn.fd (Bytes.unsafe_of_string s) 0
+            (String.length s)
         with _ -> write_failed eng conn
       end)
+
+let send_resp eng conn resp =
+  let b = Buffer.create 64 in
+  Wire.add_resp_frame b resp;
+  write_frames eng conn b
 
 let close_conn conn =
   Mutex.protect conn.out_mu (fun () -> conn.alive <- false);
@@ -300,19 +309,7 @@ let rec has_route (h : int) = function
 let flush_epoch eng ep =
   commit_epoch eng ep;
   List.iter
-    (fun (conn, b) ->
-      if Buffer.length b > 0 then begin
-        let s = Buffer.contents b in
-        Buffer.clear b;
-        Mutex.protect conn.out_mu (fun () ->
-            if conn.alive then begin
-              Obs.incr eng.Engine.c_response_writes;
-              try
-                Wire.really_write conn.fd (Bytes.unsafe_of_string s) 0
-                  (String.length s)
-              with _ -> write_failed eng conn
-            end)
-      end)
+    (fun (conn, b) -> if Buffer.length b > 0 then write_frames eng conn b)
     !(ep.outboxes);
   ep.outboxes := []
 

@@ -1,4 +1,4 @@
-(** Per-domain work deques for the domain executor.
+(** Per-worker work deques, the building block of {!Pool}.
 
     Each worker owns one deque: it pops from the front (so conflict victims
     pushed back to the front retry first — the same contention-management
@@ -11,8 +11,8 @@
     of a lock acquisition.  A lock-free Chase–Lev deque would cut the
     constant factor; at operator granularities measured in microseconds the
     mutex is far from the critical path, and the mutex version is obviously
-    correct under any interleaving — the property the executor's
-    termination protocol leans on. *)
+    correct under any interleaving — the property the pool's termination
+    protocol leans on. *)
 
 type 'a t = {
   mu : Mutex.t;

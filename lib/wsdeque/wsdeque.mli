@@ -1,4 +1,4 @@
-(** Per-domain work deques for the domain executor.
+(** Per-worker work deques, the building block of {!Pool}.
 
     Each worker owns one deque: it pops from the front (so conflict
     victims pushed back to the front retry first) and pushes freshly

@@ -255,6 +255,42 @@ let test_protect_names () =
            ~hooks:(Gatekeeper.hooks (fun _ _ -> Value.Unit))
            (Union_find.spec ())))
 
+(* [scheme_of_string] inverts [scheme_name], reads a bare [-sharded] as the
+   default 16 shards, and tells an empty name, a bad shard count and an
+   unknown scheme apart.  It parses [gen-gk-sharded]: refusing that scheme
+   is {!Protect.prepare}'s job. *)
+let test_scheme_of_string () =
+  let bases =
+    Protect.[ Global_lock; Abstract_lock; Forward_gk; General_gk; Stm ]
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun scheme ->
+          let name = Protect.scheme_name scheme in
+          check_bool name true (Protect.scheme_of_string name = Ok scheme))
+        (s :: List.map (fun n -> Protect.Sharded (s, n)) [ 1; 16; 64 ]))
+    bases;
+  check_bool "gen-gk-sharded" true
+    (Protect.scheme_of_string "gen-gk-sharded"
+    = Ok (Protect.Sharded (Protect.General_gk, 16)));
+  check_bool "bare suffix" true
+    (Protect.scheme_of_string "fwd-gk-sharded"
+    = Ok (Protect.Sharded (Protect.Forward_gk, 16)));
+  let error s =
+    match Protect.scheme_of_string s with Ok _ -> "ok" | Error e -> e
+  in
+  Alcotest.(check string) "empty" "empty scheme name" (error "");
+  List.iter
+    (fun s ->
+      Alcotest.(check string) s (Fmt.str "bad shard count in %S" s) (error s))
+    [ "fwd-gk-sharded:0"; "fwd-gk-sharded:-3"; "fwd-gk-sharded:x" ];
+  List.iter
+    (fun s ->
+      check_bool s true
+        (String.starts_with ~prefix:(Fmt.str "unknown scheme %S" s) (error s)))
+    [ "fwd-gk-shardedX"; "fwd-gk-sharded:"; "bogus" ]
+
 let suite =
   [
     Alcotest.test_case "txn rollback order" `Quick test_txn_rollback_order;
@@ -274,4 +310,5 @@ let suite =
     Alcotest.test_case "mem-trace collector" `Quick test_mem_trace_collector;
     Alcotest.test_case "protect: detector name per scheme" `Quick
       test_protect_names;
+    Alcotest.test_case "protect: scheme_of_string" `Quick test_scheme_of_string;
   ]

@@ -187,10 +187,10 @@ let test_states_por_invariant () =
    per tree over each node's prefix, rendered run, the (tid, attempt) of
    every step's alternatives and the children [expand] returns ---- *)
 
-let trace_digest mk =
+let trace_digest ?(por = true) mk =
   let buf = Buffer.create (1 lsl 20) in
   let ints l = String.concat "," (List.map string_of_int l) in
-  walk ~por:true mk (fun _ prefix r children ->
+  walk ~por mk (fun _ prefix r children ->
       Printf.bprintf buf "[%s]\n%s" (ints prefix)
         (Trace.render r.Scheduler.steps);
       List.iter
@@ -206,18 +206,36 @@ let trace_digest mk =
 
 let test_trace_digests () =
   List.iter
-    (fun (name, scheme, seed, digest) ->
+    (fun (name, scheme, seed, txns, por, digest) ->
       let w =
-        match Workload.by_name ~txns:2 ~seed name scheme with
+        match Workload.by_name ~txns ~seed name scheme with
         | Ok w -> w
         | Error e -> Alcotest.fail e
       in
       Alcotest.(check string)
-        (Fmt.str "%s s%d: every explored trace" name seed)
-        digest (trace_digest w.Workload.make))
+        (Fmt.str "%s %s s%d%s: every explored trace" name
+           (Protect.scheme_name scheme) seed
+           (if por then "" else " --no-por"))
+        digest
+        (trace_digest ~por w.Workload.make))
     [
-      ("union-find", Protect.General_gk, 1, "17f97f09769ac9fe043d43c1430a7b4d");
-      ("delaunay", Protect.Forward_gk, 17, "60349950d97a6645c0d7c4971200ef05");
+      ( "union-find", Protect.General_gk, 1, 2, true,
+        "17f97f09769ac9fe043d43c1430a7b4d" );
+      ( "delaunay", Protect.Forward_gk, 17, 2, true,
+        "60349950d97a6645c0d7c4971200ef05" );
+      ( "set", Protect.Abstract_lock, 1, 2, true,
+        "cc07d0c8269c4513483a1dec1b724e28" );
+      ( "kvmap", Protect.Forward_gk, 3, 2, true,
+        "a574aff7f74a3f6c1bb1cf0965799f5f" );
+      ( "kvmap", Protect.Forward_gk, 3, 2, false,
+        "861ff6b516dcd29b04644a039e8a799c" );
+      ( "mixed", Protect.Forward_gk, 42, 2, true,
+        "66026fd16d5bbb2a65700f750aefcf17" );
+      ( "mixed", Protect.Abstract_lock, 5, 2, true,
+        "c91bdef1d06623b70f02c5af11a7a7ef" );
+      (* the swap workload fixes its own detector pair *)
+      ( "swap-set", Protect.Forward_gk, 42, 1, true,
+        "232008386d2f103b16e09101d17364c9" );
     ]
 
 (* ---- --no-por is the ground truth at any domain count ---- *)

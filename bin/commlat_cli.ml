@@ -800,20 +800,7 @@ let explore_cmd =
     let scheme =
       match detector with Some s -> s | None -> Protect.Forward_gk
     in
-    let wl =
-      match workload with
-      | "abba-buggy" | "abba-fixed" ->
-          let buggy = workload = "abba-buggy" in
-          Ok
-            {
-              Sched.Workload.w_name = workload;
-              w_detector = "seeded";
-              w_txns = 3;
-              make = (fun () -> Sched.Seeded.workload ~buggy ());
-            }
-      | name -> Sched.Workload.by_name ~txns ~seed name scheme
-    in
-    match wl with
+    match Sched.Workload.by_name ~txns ~seed workload scheme with
     | Error msg ->
         Fmt.epr "explore: %s@." msg;
         exit 2
@@ -1100,6 +1087,15 @@ let domains_list_arg =
            external-server $(b,load), a comma-separated sweep for \
            $(b,load --self-serve).")
 
+(* [--level NAME]: NAME must be a level some server chain has. *)
+let level_arg ~doc =
+  let names = Commlat_server.Engine.level_names in
+  Arg.(
+    value
+    & opt (some (enum (List.map (fun n -> (n, n)) names))) None
+    & info [ "level" ] ~docv:"NAME"
+        ~doc:(Fmt.str "%s $(docv) is %s." doc (doc_alts names)))
+
 let serve_cmd =
   let open Commlat_server in
   let run addr domains quiet adaptive level =
@@ -1125,13 +1121,10 @@ let serve_cmd =
              with $(b,--level).")
   in
   let level =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "level" ] ~docv:"NAME"
-          ~doc:
-            "Pin every chain that has a level NAME (precise, simple, part) \
-             to it at startup. Mutually exclusive with $(b,--adaptive).")
+    level_arg
+      ~doc:
+        "Pin every chain that has a level NAME to it at startup. Mutually \
+         exclusive with $(b,--adaptive)."
   in
   Cmd.v
     (Cmd.info "serve" ~exits
@@ -1270,13 +1263,10 @@ let load_cmd =
              lattice controller enabled.")
   in
   let server_level =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "level" ] ~docv:"NAME"
-          ~doc:
-            "With $(b,--self-serve): pin the server's chains to lattice \
-             level NAME (precise, simple, part).")
+    level_arg
+      ~doc:
+        "With $(b,--self-serve): pin every server chain that has a lattice \
+         level NAME to it."
   in
   let mixes =
     Arg.(

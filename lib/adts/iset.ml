@@ -217,13 +217,17 @@ let hooks (t : t) =
     (fun name _ -> raise (Formula.Unsupported ("set sfun " ^ name)))
 
 (* ------------------------------------------------------------------ *)
-(* Replay model for the serializability oracle                         *)
+(* Abstract state and replay model for the serializability oracle      *)
 (* ------------------------------------------------------------------ *)
+
+(** The abstract state, as the model and the oracle encode it: the
+    sorted elements. *)
+let snapshot t = Value.List (elements t)
 
 let model ?impl () : History.model =
   let t = create ?impl () in
   {
     History.reset = (fun () -> clear t);
     apply = exec t;
-    snapshot = (fun () -> Value.List (elements t));
+    snapshot = (fun () -> snapshot t);
   }

@@ -133,12 +133,15 @@ let hooks (t : t) =
     ~redo:(fun inv -> ignore (exec t inv.Invocation.meth.Invocation.name inv.Invocation.args))
     (fun name _ -> raise (Formula.Unsupported ("kvmap sfun " ^ name)))
 
+(** The abstract state, as the model and the oracle encode it: the
+    bindings as pairs, sorted by key. *)
+let snapshot t =
+  Value.List (List.map (fun (k, v) -> Value.Pair (k, v)) (bindings t))
+
 let model () : History.model =
   let t = create () in
   {
     History.reset = (fun () -> clear t);
     apply = exec t;
-    snapshot =
-      (fun () ->
-        Value.List (List.map (fun (k, v) -> Value.Pair (k, v)) (bindings t)));
+    snapshot = (fun () -> snapshot t);
   }

@@ -152,14 +152,21 @@ let hooks (t : t) =
     (fun name _ -> raise (Formula.Unsupported ("triset sfun " ^ name)))
 
 (* ------------------------------------------------------------------ *)
-(* Replay model for the serializability oracle                         *)
+(* Abstract state and replay model for the serializability oracle      *)
 (* ------------------------------------------------------------------ *)
 
-let model () : History.model =
+(** The abstract state, as the model and the oracle encode it: the
+    sorted live ids. *)
+let snapshot t = Value.List (List.map (fun id -> Value.Int id) (elements t))
+
+(** A replay model whose [reset] returns it to the ids [init] (empty by
+    default): a mesh's liveness set is populated by its construction,
+    outside any transaction. *)
+let model ?(init = []) () : History.model =
   let t = create () in
-  {
-    History.reset = (fun () -> clear t);
-    apply = exec t;
-    snapshot =
-      (fun () -> Value.List (List.map (fun id -> Value.Int id) (elements t)));
-  }
+  let reset () =
+    clear t;
+    List.iter (fun id -> ignore (add t id)) init
+  in
+  reset ();
+  { History.reset; apply = exec t; snapshot = (fun () -> snapshot t) }

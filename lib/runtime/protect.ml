@@ -93,31 +93,6 @@ let require_hooks s = function
       invalid_arg
         (Fmt.str "Protect.protect: %s needs adt hooks" (scheme_name s))
 
-(* The scheme fixes [allow_rollback] (forward vs general) and [nshards]
-   (unsharded vs footprint-sharded, forward only). *)
-let gatekeeper_plan ~(spec : Spec.t) (s : scheme) =
-  let allow_rollback, nshards =
-    match s with
-    | Forward_gk -> (false, 0)
-    | General_gk -> (true, 0)
-    | Sharded (Forward_gk, n) when n > 0 -> (false, n)
-    | s ->
-        invalid_arg
-          (Fmt.str "Protect.protect_gatekeeper: %s is not a gatekeeper scheme"
-             (scheme_name s))
-  in
-  Gatekeeper.plan ~nshards ~allow_rollback spec
-
-(** The gatekeeper schemes, built as {!Gatekeeper.make} would.  Also
-    hands back the {!Gatekeeper.t} so embedders that manage their own
-    admission (the server's read-only fast path admits reads with
-    {!Gatekeeper.batch_check}, which takes its own guards) can reach past
-    the {!Detector.t} facade.  Raises [Invalid_argument] on
-    non-gatekeeper schemes. *)
-let protect_gatekeeper ?obs ~(hooks : Gatekeeper.hooks) ~(spec : Spec.t)
-    (s : scheme) : Detector.t * Gatekeeper.t =
-  Gatekeeper.instance ?obs (gatekeeper_plan ~spec s) ~hooks
-
 (** The staged form of {!protect}: everything that depends only on the
     spec and the scheme happens now, and the returned function builds a
     detector over one [adt].  Only the gatekeeper schemes stage work:
@@ -148,7 +123,12 @@ let prepare ?reduce_scheme ~(spec : Spec.t) (s : scheme) :
       invalid_arg
         (Fmt.str "Protect.protect: %s cannot be sharded" (scheme_name base))
   | Forward_gk | General_gk | Sharded (Forward_gk, _) ->
-      let plan = gatekeeper_plan ~spec s in
+      (* the scheme fixes [allow_rollback] (forward vs general) and
+         [nshards] (unsharded vs footprint-sharded, forward only) *)
+      let nshards = match s with Sharded (_, n) -> n | _ -> 0 in
+      let plan =
+        Gatekeeper.plan ~nshards ~allow_rollback:(s = General_gk) spec
+      in
       fun ?obs adt ->
         fst (Gatekeeper.instance ?obs plan ~hooks:(require_hooks s adt))
 

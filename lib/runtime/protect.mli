@@ -57,7 +57,8 @@ val adt :
 (** Build a detector for [spec] over [adt] with the given scheme.  [?obs]
     enables/disables the detector's observability registry;
     [?reduce_scheme] is forwarded to {!Abstract_lock.detector}.  Every
-    gatekeeper scheme goes through {!protect_gatekeeper}.
+    gatekeeper scheme goes through {!Gatekeeper.plan} and
+    {!Gatekeeper.instance}.
 
     Conditions are evaluated through the spec compiler
     ({!Commlat_core.Compile}): gatekeepers check state-free conditions
@@ -98,19 +99,6 @@ val prepare :
   ?obs:bool ->
   adt ->
   Detector.t
-
-(** Like {!protect} restricted to the gatekeeper schemes ([Forward_gk],
-    [General_gk] and [Sharded (Forward_gk, n)]), returning the underlying
-    {!Gatekeeper.t} alongside the detector — for embedders that need the
-    gatekeeper's own surface (e.g. {!Gatekeeper.batch_check}, which
-    takes its own guards, on the server's read-only fast path).  Raises [Invalid_argument] on
-    non-gatekeeper schemes. *)
-val protect_gatekeeper :
-  ?obs:bool ->
-  hooks:Gatekeeper.hooks ->
-  spec:Spec.t ->
-  scheme ->
-  Detector.t * Gatekeeper.t
 
 (** Every base scheme, coarsest first. *)
 val all_schemes : scheme list

@@ -1,19 +1,25 @@
 (** Ready-made exploration workloads over the shipped ADTs.
 
-    Each workload is a deterministic plan — [txns] transactions of a few
-    method calls each, generated from a seed — plus a factory building a
-    fresh instance (ADT, detector, serializability oracle against the
-    ADT's reference {!History.model}) for every run.
+    A workload is an operation plan ({!plan}: [txns] transactions of
+    [(meth, args)] operations, drawn once from a seed) run over an ADT
+    {!bundle}, which every run builds fresh.  One transaction body
+    ({!instance}) runs any plan over any bundle, one rule ({!spec_for})
+    picks the spec a scheme runs, and [mixed] composes three bundles
+    under method-name prefixes.  The oracle compares the ADT's final
+    state with its replay model's, and both are encoded by the ADT's one
+    [snapshot].  Delaunay's transactions refine cavities rather than run
+    a plan, so its task body is its own.
 
-    Work that depends only on the workload is done once, outside
-    the factory: each detector's spec stage ({!Protect.prepare}), the
-    specs, and for Delaunay the triangulated input mesh, its initial
-    worklist and liveness set.  The factory builds only mutable state —
-    the ADT (for Delaunay a {!Delaunay.copy} of the input mesh), the
-    detector's instance stage and the oracle's model — so every run
-    starts from the same fresh state.  The explorer's domains call the
-    factory concurrently, so what is built once is never written after
-    construction (see {!Scheduler.instance}).
+    Work that depends only on the workload is done once, outside the
+    factory: the plan, the specs, each detector's spec stage
+    ({!Protect.prepare}), and for Delaunay the triangulated input mesh,
+    its initial worklist and liveness set.  The factory builds only
+    mutable state — the bundle (for Delaunay a {!Delaunay.copy} of the
+    input mesh), the detector's instance stage and the model — so every
+    run starts from the same fresh state.  The explorer's domains call
+    the factory concurrently, so what is built once is never written
+    after construction (see {!Scheduler.instance}); every run shares the
+    plan's argument arrays, which nothing writes.
 
     Scheme support follows the lattice: the set and kvmap specs are
     SIMPLE/ONLINE-CHECKABLE, so they explore under the global lock,
@@ -21,7 +27,8 @@
     included); union-find's spec is GENERAL (state-dependent), so it needs
     the general gatekeeper — or the STM baseline, which traces its
     concrete cells.  Unsupported combinations return [Error] with the
-    reason. *)
+    reason.  [abba-buggy] and [abba-fixed] name {!Seeded}'s lock-order
+    inversion and its fix, which bring their own detector. *)
 
 open Commlat_core
 open Commlat_adts
@@ -35,24 +42,124 @@ type t = {
   make : unit -> Scheduler.instance;
 }
 
-let names = [ "set"; "kvmap"; "union-find"; "swap-set"; "delaunay"; "mixed" ]
+let names =
+  [
+    "set"; "kvmap"; "union-find"; "swap-set"; "delaunay"; "mixed";
+    "abba-buggy"; "abba-fixed";
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* Helpers                                                             *)
+(* The skeleton: plans, bundles, one body, one spec rule               *)
 (* ------------------------------------------------------------------ *)
+
+(** [txns] transactions of [ops_per_txn] operations, each drawn by [op]
+    from one generator seeded with the workload's [salt] and [seed]. *)
+let plan ~salt ~seed ~txns ~ops_per_txn op =
+  let rng = Random.State.make [| salt; seed |] in
+  Array.init txns (fun _ -> List.init ops_per_txn (fun _ -> op rng))
+
+(** What one run needs of an ADT; every run builds a fresh one. *)
+type bundle = {
+  adt : Protect.adt;
+  exec : Invocation.t -> Value.t;
+  undo : Invocation.t -> unit;
+  model : History.model;  (** fresh, for the serializability oracle *)
+  final : unit -> Value.t;  (** the abstract state, encoded as [model]'s *)
+}
+
+(** An ADT as the workloads use it: its precise and SIMPLE specs, and a
+    fresh bundle per run. *)
+type adt = {
+  precise : unit -> Spec.t;
+  simple : unit -> Spec.t;
+  fresh : unit -> bundle;
+}
+
+(** Abstract locking and the global lock run the SIMPLE spec, every other
+    scheme the precise one. *)
+let spec_for (a : adt) : Protect.scheme -> Spec.t = function
+  | Protect.Abstract_lock | Protect.Sharded (Protect.Abstract_lock, _)
+  | Protect.Global_lock ->
+      a.simple ()
+  | _ -> a.precise ()
+
+let set_adt =
+  {
+    precise = Iset.precise_spec;
+    simple = Iset.simple_spec;
+    fresh =
+      (fun () ->
+        let s = Iset.create () in
+        {
+          adt = Protect.adt ~hooks:(Iset.hooks s) ();
+          exec = (fun inv -> Iset.exec s inv.meth.name inv.args);
+          undo = Iset.undo s;
+          model = Iset.model ();
+          final = (fun () -> Iset.snapshot s);
+        });
+  }
+
+let kvmap_adt =
+  {
+    precise = Kvmap.precise_spec;
+    simple = Kvmap.simple_spec;
+    fresh =
+      (fun () ->
+        let m = Kvmap.create () in
+        {
+          adt = Protect.adt ~hooks:(Kvmap.hooks m) ();
+          exec = (fun inv -> Kvmap.exec m inv.meth.name inv.args);
+          undo = Kvmap.undo m;
+          model = Kvmap.model ();
+          final = (fun () -> Kvmap.snapshot m);
+        });
+  }
+
+(* One spec, GENERAL, for every scheme. *)
+let union_find_adt elements =
+  {
+    precise = Union_find.spec;
+    simple = Union_find.spec;
+    fresh =
+      (fun () ->
+        let uf = Union_find.create () in
+        ignore (Union_find.create_elements uf elements);
+        {
+          adt =
+            Protect.adt ~hooks:(Union_find.hooks uf)
+              ~connect_tracer:(Union_find.set_tracer uf) ();
+          exec = Union_find.exec_logged uf;
+          undo = Union_find.undo uf;
+          model = Union_find.model ~elements ();
+          final = (fun () -> Union_find.partition_snapshot uf);
+        });
+  }
 
 let serializability_oracle (model : History.model) final history =
   if History.serializable model ~final:(final ()) history then None
   else Some "committed history is not serializable against the reference model"
 
-(** One [Boost.invoke] call: the invocation travels through the conflict
-    detector with the ADT's undo action registered for rollback. *)
-let call ~det ~txn ~undo meth args exec =
-  ignore (Boost.invoke det txn ~undo meth args exec)
+(** One run of [plan] over [b] through [det]: a fiber per transaction,
+    each invoking its operations in order through {!Boost.invoke}, with
+    [b]'s undo registered for rollback. *)
+let instance ?spec ~det (b : bundle) plan : Scheduler.instance =
+  let body ops ~det ~txn =
+    List.iter
+      (fun (meth, args) ->
+        ignore (Boost.invoke det txn ~undo:b.undo meth args b.exec))
+      ops
+  in
+  {
+    Scheduler.det;
+    spec;
+    tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
+    final = b.final;
+    oracle = serializability_oracle b.model b.final;
+  }
 
 (* [build ()] does the once-per-workload work and returns the factory.
-   A scheme the workload cannot run raises [Invalid_argument], from
-   [build] or from a trial run of the factory, and becomes [Error]. *)
+   A scheme the workload cannot run raises, from [build] or from a trial
+   run of the factory, and becomes [Error]. *)
 let workload ~name ~detector ~txns build : (t, string) result =
   match
     let make = build () in
@@ -61,152 +168,59 @@ let workload ~name ~detector ~txns build : (t, string) result =
   with
   | make -> Ok { w_name = name; w_detector = detector; w_txns = txns; make }
   | exception Invalid_argument msg -> Error (Fmt.str "%s: %s" name msg)
+  | exception Abstract_lock.Not_simple (m1, m2, _) ->
+      Error
+        (Fmt.str "%s: abstract locking needs a SIMPLE spec; %s/%s is not SIMPLE"
+           name m1 m2)
 
-(* ------------------------------------------------------------------ *)
-(* Set                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let set ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
-    (scheme : Protect.scheme) : (t, string) result =
-  let rng = Random.State.make [| 0x5e7; seed |] in
-  let plan =
-    Array.init txns (fun _ ->
-        List.init ops_per_txn (fun _ ->
-            let k = Random.State.int rng keys in
-            let m =
-              match Random.State.int rng 3 with
-              | 0 -> Iset.m_add
-              | 1 -> Iset.m_remove
-              | _ -> Iset.m_contains
-            in
-            (m, k)))
-  in
-  let spec =
-    (* abstract locking needs the SIMPLE strengthening; everything else
-       gets the precise Fig. 2 spec *)
-    match scheme with
-    | Protect.Abstract_lock | Protect.Sharded (Protect.Abstract_lock, _)
-    | Protect.Global_lock ->
-        Iset.simple_spec ()
-    | _ -> Iset.precise_spec ()
-  in
-  workload ~name:"set" ~detector:(Protect.scheme_name scheme) ~txns
+(** [plan] over a fresh bundle of [a] per run, under [scheme]. *)
+let over ~name (a : adt) scheme plan : (t, string) result =
+  let spec = spec_for a scheme in
+  workload ~name ~detector:(Protect.scheme_name scheme)
+    ~txns:(Array.length plan)
   @@ fun () ->
   let protect = Protect.prepare ~spec scheme in
   fun () ->
-    let s = Iset.create () in
-    let det = protect ~obs:true (Protect.adt ~hooks:(Iset.hooks s) ()) in
-    let body ops ~det ~txn =
-      List.iter
-        (fun ((m : Invocation.meth), k) ->
-          call ~det ~txn ~undo:(Iset.undo s) m
-            [| Value.Int k |]
-            (fun inv -> Iset.exec s m.Invocation.name inv.Invocation.args))
-        ops
-    in
-    let model = Iset.model () in
-    let final () = Value.List (Iset.elements s) in
-    {
-      Scheduler.det;
-      spec = Some spec;
-      tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
-      final;
-      oracle = serializability_oracle model final;
-    }
+    let b = a.fresh () in
+    instance ~spec ~det:(protect ~obs:true b.adt) b plan
 
 (* ------------------------------------------------------------------ *)
-(* Kvmap                                                               *)
+(* Set, kvmap, union-find                                              *)
 (* ------------------------------------------------------------------ *)
 
-let kvmap ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42)
-    (scheme : Protect.scheme) : (t, string) result =
-  let rng = Random.State.make [| 0x4b7; seed |] in
-  let plan =
-    Array.init txns (fun _ ->
-        List.init ops_per_txn (fun _ ->
-            let k = Value.Int (Random.State.int rng keys) in
-            match Random.State.int rng 3 with
-            | 0 -> (Kvmap.m_put, [| k; Value.Int (Random.State.int rng 100) |])
-            | 1 -> (Kvmap.m_get, [| k |])
-            | _ -> (Kvmap.m_remove, [| k |])))
+(* The key, then the method. *)
+let set_op ~keys rng =
+  let k = Random.State.int rng keys in
+  let m =
+    match Random.State.int rng 3 with
+    | 0 -> Iset.m_add
+    | 1 -> Iset.m_remove
+    | _ -> Iset.m_contains
   in
-  let spec =
-    match scheme with
-    | Protect.Abstract_lock | Protect.Sharded (Protect.Abstract_lock, _)
-    | Protect.Global_lock ->
-        Kvmap.simple_spec ()
-    | _ -> Kvmap.precise_spec ()
-  in
-  workload ~name:"kvmap" ~detector:(Protect.scheme_name scheme) ~txns
-  @@ fun () ->
-  let protect = Protect.prepare ~spec scheme in
-  fun () ->
-    let m = Kvmap.create () in
-    let det = protect ~obs:true (Protect.adt ~hooks:(Kvmap.hooks m) ()) in
-    let body ops ~det ~txn =
-      List.iter
-        (fun ((meth : Invocation.meth), args) ->
-          call ~det ~txn ~undo:(Kvmap.undo m) meth args (fun inv ->
-              Kvmap.exec m meth.Invocation.name inv.Invocation.args))
-        ops
-    in
-    let model = Kvmap.model () in
-    let final () =
-      Value.List
-        (List.map (fun (k, v) -> Value.Pair (k, v)) (Kvmap.bindings m))
-    in
-    {
-      Scheduler.det;
-      spec = Some spec;
-      tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
-      final;
-      oracle = serializability_oracle model final;
-    }
+  (m, [| Value.Int k |])
 
-(* ------------------------------------------------------------------ *)
-(* Union-find                                                          *)
-(* ------------------------------------------------------------------ *)
+let set ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42) scheme =
+  over ~name:"set" set_adt scheme
+  @@ plan ~salt:0x5e7 ~seed ~txns ~ops_per_txn (set_op ~keys)
+
+let kvmap ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 12) ?(seed = 42) scheme =
+  over ~name:"kvmap" kvmap_adt scheme
+  @@ plan ~salt:0x4b7 ~seed ~txns ~ops_per_txn (fun rng ->
+         let k = Value.Int (Random.State.int rng keys) in
+         match Random.State.int rng 3 with
+         | 0 -> (Kvmap.m_put, [| k; Value.Int (Random.State.int rng 100) |])
+         | 1 -> (Kvmap.m_get, [| k |])
+         | _ -> (Kvmap.m_remove, [| k |]))
 
 let union_find ?(txns = 3) ?(ops_per_txn = 2) ?(elements = 8) ?(seed = 42)
-    (scheme : Protect.scheme) : (t, string) result =
-  let rng = Random.State.make [| 0x0f; seed |] in
-  let plan =
-    Array.init txns (fun _ ->
-        List.init ops_per_txn (fun _ ->
-            let a = Random.State.int rng elements in
-            if Random.State.int rng 2 = 0 then
-              let b = Random.State.int rng elements in
-              (Union_find.m_union, [| Value.Int a; Value.Int b |])
-            else (Union_find.m_find, [| Value.Int a |])))
-  in
-  workload ~name:"union-find" ~detector:(Protect.scheme_name scheme) ~txns
-  @@ fun () ->
-  let spec = Union_find.spec () in
-  let protect = Protect.prepare ~spec scheme in
-  fun () ->
-    let uf = Union_find.create () in
-    ignore (Union_find.create_elements uf elements);
-    let det =
-      protect ~obs:true
-        (Protect.adt ~hooks:(Union_find.hooks uf)
-           ~connect_tracer:(Union_find.set_tracer uf) ())
-    in
-    let body ops ~det ~txn =
-      List.iter
-        (fun ((meth : Invocation.meth), args) ->
-          call ~det ~txn ~undo:(Union_find.undo uf) meth args (fun inv ->
-              Union_find.exec_logged uf inv))
-        ops
-    in
-    let model = Union_find.model ~elements () in
-    let final () = Union_find.partition_snapshot uf in
-    {
-      Scheduler.det;
-      spec = Some spec;
-      tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
-      final;
-      oracle = serializability_oracle model final;
-    }
+    scheme =
+  over ~name:"union-find" (union_find_adt elements) scheme
+  @@ plan ~salt:0x0f ~seed ~txns ~ops_per_txn (fun rng ->
+         let a = Random.State.int rng elements in
+         if Random.State.int rng 2 = 0 then
+           let b = Random.State.int rng elements in
+           (Union_find.m_union, [| Value.Int a; Value.Int b |])
+         else (Union_find.m_find, [| Value.Int a |]))
 
 (* ------------------------------------------------------------------ *)
 (* Detector hot-swap protocol                                          *)
@@ -233,28 +247,16 @@ let union_find ?(txns = 3) ?(ops_per_txn = 2) ?(elements = 8) ?(seed = 42)
     swap and not just its failed attempts. *)
 let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
     ?(on_swap = fun () -> ()) () : (t, string) result =
-  let rng = Random.State.make [| 0x5a4; seed |] in
-  let plan =
-    Array.init txns (fun _ ->
-        List.init ops_per_txn (fun _ ->
-            let k = Random.State.int rng keys in
-            let m =
-              match Random.State.int rng 3 with
-              | 0 -> Iset.m_add
-              | 1 -> Iset.m_remove
-              | _ -> Iset.m_contains
-            in
-            (m, k)))
-  in
+  let plan = plan ~salt:0x5a4 ~seed ~txns ~ops_per_txn (set_op ~keys) in
   workload ~name:"swap-set" ~detector:"fwd-gk|global-lock" ~txns:(txns + 1)
   @@ fun () ->
-  let protect_a = Protect.prepare ~spec:(Iset.precise_spec ()) Protect.Forward_gk
-  and protect_b = Protect.prepare ~spec:(Iset.simple_spec ()) Protect.Global_lock in
+  let prepare scheme = Protect.prepare ~spec:(spec_for set_adt scheme) scheme in
+  let protect_a = prepare Protect.Forward_gk
+  and protect_b = prepare Protect.Global_lock in
   fun () ->
-    let s = Iset.create () in
-    let adt = Protect.adt ~hooks:(Iset.hooks s) () in
-    let det_a = protect_a ~obs:true adt in
-    let det_b = protect_b ~obs:true adt in
+    let b = set_adt.fresh () in
+    let det_a = protect_a ~obs:true b.adt in
+    let det_b = protect_b ~obs:true b.adt in
     let current = ref det_a in
     let open_txns : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     let guards = det_a.Detector.guards @ det_b.Detector.guards in
@@ -289,14 +291,6 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
             det_a.Detector.txn_guards txn @ det_b.Detector.txn_guards txn);
       }
     in
-    let body ops ~det ~txn =
-      List.iter
-        (fun ((m : Invocation.meth), k) ->
-          call ~det ~txn ~undo:(Iset.undo s) m
-            [| Value.Int k |]
-            (fun inv -> Iset.exec s m.Invocation.name inv.Invocation.args))
-        ops
-    in
     (* The swapper: the server's barrier in miniature.  Each attempt takes
        every guard of both detectors (Guard.protect_all — acquisition
        order is globally consistent, and each acquire is a yield point the
@@ -317,15 +311,10 @@ let swap_set ?(txns = 2) ?(ops_per_txn = 2) ?(keys = 2) ?(seed = 42)
       in
       go 1
     in
-    let model = Iset.model () in
-    let final () = Value.List (Iset.elements s) in
-    let txn_tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan in
+    let inst = instance ~det:dispatcher b plan in
     {
-      Scheduler.det = dispatcher;
-      spec = None;
-      tasks = Array.append txn_tasks [| { Scheduler.body = swapper } |];
-      final;
-      oracle = serializability_oracle model final;
+      inst with
+      tasks = Array.append inst.tasks [| { Scheduler.body = swapper } |];
     }
 
 (* ------------------------------------------------------------------ *)
@@ -357,10 +346,8 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
     (fun i id -> shares.(i mod txns) <- id :: shares.(i mod txns))
     (Delaunay.bad_ids base);
   let shares = Array.map List.rev shares in
-  (* the replay model must start from the post-construction liveness set,
-     not the empty one: construction populates [live] outside any
-     transaction *)
-  let init_ids = Triset.elements base.Delaunay.live in
+  (* the replay model starts from the mesh's liveness set *)
+  let init = Triset.elements base.Delaunay.live in
   fun () ->
     let m = Delaunay.copy base in
     let det =
@@ -375,29 +362,8 @@ let delaunay ?(txns = 2) ?(points = 6) ?(seed = 42) ?(max_pts = 24)
           (Delaunay.operator m det txn (Queue.pop q))
       done
     in
-    let model =
-      let s = Triset.create () in
-      let fill () = List.iter (fun id -> ignore (Triset.add s id)) init_ids in
-      fill ();
-      {
-        History.reset =
-          (fun () ->
-            Triset.clear s;
-            fill ());
-        apply = Triset.exec s;
-        snapshot =
-          (fun () ->
-            Value.List
-              (List.map (fun id -> Value.Int id) (Triset.elements s)));
-      }
-    in
-    let final () =
-      Value.List
-        (List.map
-           (fun id -> Value.Int id)
-           (Triset.elements m.Delaunay.live))
-    in
-    let ser = serializability_oracle model final in
+    let final () = Triset.snapshot m.Delaunay.live in
+    let ser = serializability_oracle (Triset.model ~init ()) final in
     {
       Scheduler.det;
       spec = Some spec;
@@ -470,6 +436,48 @@ let union_spec ~adt (specs : Spec.t list) : Spec.t =
     specs;
   dst
 
+(* Every prefix is two characters long: a letter and a dot. *)
+let prefix_of name = String.sub name 0 2
+let unprefixed name = String.sub name 2 (String.length name - 2)
+
+(** [members], each under its method-name prefix, as one bundle: exec,
+    undo, the detector hooks' undo and redo, and the model route an
+    invocation to the member its prefix names and hand it over
+    un-prefixed.  The abstract state is the list of the members'. *)
+let compose (members : (string * bundle) list) : bundle =
+  let member name = List.assoc (prefix_of name) members in
+  let bundles = List.map snd members in
+  let strip (inv : Invocation.t) =
+    { inv with meth = { inv.meth with name = unprefixed inv.meth.name } }
+  in
+  let exec (inv : Invocation.t) = (member inv.meth.name).exec (strip inv)
+  and undo (inv : Invocation.t) = (member inv.meth.name).undo (strip inv) in
+  {
+    adt =
+      Protect.adt
+        ~hooks:
+          (Gatekeeper.hooks ~undo
+             ~redo:(fun inv -> ignore (exec inv))
+             (fun name _ ->
+               raise (Formula.Unsupported ("mixed sfun " ^ name))))
+        ();
+    exec;
+    undo;
+    model =
+      {
+        History.reset =
+          (fun () -> List.iter (fun b -> b.model.History.reset ()) bundles);
+        apply =
+          (fun name args ->
+            (member name).model.History.apply (unprefixed name) args);
+        snapshot =
+          (fun () ->
+            Value.List
+              (List.map (fun b -> b.model.History.snapshot ()) bundles));
+      };
+    final = (fun () -> Value.List (List.map (fun b -> b.final ()) bundles));
+  }
+
 (** Transactions spanning three structures — two kvmaps ([a.], [b.]) and
     a set ([s.]) — each protected by its own detector, composed through
     {!Detector.compose} with invocations routed by method-name prefix.
@@ -478,156 +486,52 @@ let union_spec ~adt (specs : Spec.t list) : Spec.t =
     spec) knows that operations on different structures always commute. *)
 let mixed ?(txns = 3) ?(ops_per_txn = 2) ?(keys = 3) ?(seed = 42)
     (scheme : Protect.scheme) : (t, string) result =
-  let rng = Random.State.make [| 0x3171; seed |] in
+  let members = [ ("a.", kvmap_adt); ("b.", kvmap_adt); ("s.", set_adt) ] in
+  let specs =
+    List.map
+      (fun (p, a) ->
+        let adt = "mixed_" ^ String.sub p 0 1 in
+        (p, prefixed_spec ~adt p (spec_for a scheme)))
+      members
+  in
+  let combined = union_spec ~adt:"mixed" (List.map snd specs) in
+  let op prefix (m : Invocation.meth) args =
+    (Spec.find_meth combined (prefix ^ m.name), args)
+  in
   let plan =
-    Array.init txns (fun _ ->
-        List.init ops_per_txn (fun _ ->
-            let k = Value.Int (Random.State.int rng keys) in
-            match Random.State.int rng 6 with
-            | 0 ->
-                ("a.", "put", [| k; Value.Int (Random.State.int rng 100) |])
-            | 1 -> ("a.", "remove", [| k |])
-            | 2 ->
-                ("b.", "put", [| k; Value.Int (Random.State.int rng 100) |])
-            | 3 -> ("b.", "get", [| k |])
-            | 4 -> ("s.", "add", [| k |])
-            | _ -> ("s.", "contains", [| k |])))
-  in
-  let simple =
-    match scheme with
-    | Protect.Abstract_lock | Protect.Sharded (Protect.Abstract_lock, _)
-    | Protect.Global_lock ->
-        true
-    | _ -> false
-  in
-  let kv_spec () =
-    if simple then Kvmap.simple_spec () else Kvmap.precise_spec ()
-  in
-  let set_spec () =
-    if simple then Iset.simple_spec () else Iset.precise_spec ()
-  in
-  let spec_a = prefixed_spec ~adt:"mixed_a" "a." (kv_spec ()) in
-  let spec_b = prefixed_spec ~adt:"mixed_b" "b." (kv_spec ()) in
-  let spec_s = prefixed_spec ~adt:"mixed_s" "s." (set_spec ()) in
-  let combined = union_spec ~adt:"mixed" [ spec_a; spec_b; spec_s ] in
-  (* member undo/redo hooks see prefixed invocations: strip before
-     delegating to the ADT's own plumbing *)
-  let strip (inv : Invocation.t) =
-    let n = inv.Invocation.meth.Invocation.name in
-    {
-      inv with
-      Invocation.meth =
-        {
-          inv.Invocation.meth with
-          Invocation.name = String.sub n 2 (String.length n - 2);
-        };
-    }
-  in
-  let member_hooks undo exec =
-    Gatekeeper.hooks
-      ~undo:(fun inv -> undo (strip inv))
-      ~redo:(fun inv ->
-        let i = strip inv in
-        ignore (exec i.Invocation.meth.Invocation.name i.Invocation.args))
-      (fun name _ -> raise (Formula.Unsupported ("mixed sfun " ^ name)))
+    (* the key, the 6-way choice, then a put's value *)
+    plan ~salt:0x3171 ~seed ~txns ~ops_per_txn (fun rng ->
+        let k = Value.Int (Random.State.int rng keys) in
+        match Random.State.int rng 6 with
+        | 0 -> op "a." Kvmap.m_put [| k; Value.Int (Random.State.int rng 100) |]
+        | 1 -> op "a." Kvmap.m_remove [| k |]
+        | 2 -> op "b." Kvmap.m_put [| k; Value.Int (Random.State.int rng 100) |]
+        | 3 -> op "b." Kvmap.m_get [| k |]
+        | 4 -> op "s." Iset.m_add [| k |]
+        | _ -> op "s." Iset.m_contains [| k |])
   in
   workload ~name:"mixed" ~detector:(Protect.scheme_name scheme) ~txns
   @@ fun () ->
-  let protect_of spec =
-    let protect = Protect.prepare ~spec scheme in
-    fun hooks -> protect ~obs:true (Protect.adt ~hooks ())
+  let protects =
+    List.map
+      (fun (p, spec) -> (p, Protect.prepare ~spec scheme ~obs:true))
+      specs
   in
-  let protect_a = protect_of spec_a
-  and protect_b = protect_of spec_b
-  and protect_s = protect_of spec_s in
   fun () ->
-    let ma = Kvmap.create ()
-    and mb = Kvmap.create ()
-    and ss = Iset.create () in
-    let det_a = protect_a (member_hooks (Kvmap.undo ma) (Kvmap.exec ma)) in
-    let det_b = protect_b (member_hooks (Kvmap.undo mb) (Kvmap.exec mb)) in
-    let det_s = protect_s (member_hooks (Iset.undo ss) (Iset.exec ss)) in
-    let base = Detector.compose [ det_a; det_b; det_s ] in
-    let dispatcher =
+    let b = compose (List.map (fun (p, a) -> (p, a.fresh ())) members) in
+    (* built a., b., s.: guard creation ids fix Guard.protect_all's order *)
+    let dets = List.map (fun (p, protect) -> (p, protect b.adt)) protects in
+    let det =
       {
-        base with
+        (Detector.compose (List.map snd dets)) with
         Detector.name = Fmt.str "mixed(%s)" (Protect.scheme_name scheme);
         on_invoke =
           (fun inv exec ->
-            let d =
-              match inv.Invocation.meth.Invocation.name.[0] with
-              | 'a' -> det_a
-              | 'b' -> det_b
-              | _ -> det_s
-            in
-            d.Detector.on_invoke inv exec);
+            (List.assoc (prefix_of inv.meth.name) dets).Detector.on_invoke inv
+              exec);
       }
     in
-    let exec_for prefix name args =
-      match prefix with
-      | "a." -> Kvmap.exec ma name args
-      | "b." -> Kvmap.exec mb name args
-      | _ -> Iset.exec ss name args
-    in
-    let undo_for prefix =
-      match prefix with
-      | "a." -> fun inv -> Kvmap.undo ma (strip inv)
-      | "b." -> fun inv -> Kvmap.undo mb (strip inv)
-      | _ -> fun inv -> Iset.undo ss (strip inv)
-    in
-    let body ops ~det ~txn =
-      List.iter
-        (fun (prefix, name, args) ->
-          call ~det ~txn ~undo:(undo_for prefix)
-            (Spec.find_meth combined (prefix ^ name))
-            args
-            (fun _ -> exec_for prefix name args))
-        ops
-    in
-    let model =
-      let a = Kvmap.model ()
-      and b = Kvmap.model ()
-      and s = Iset.model () in
-      {
-        History.reset =
-          (fun () ->
-            a.History.reset ();
-            b.History.reset ();
-            s.History.reset ());
-        apply =
-          (fun name args ->
-            let base = String.sub name 2 (String.length name - 2) in
-            match name.[0] with
-            | 'a' -> a.History.apply base args
-            | 'b' -> b.History.apply base args
-            | _ -> s.History.apply base args);
-        snapshot =
-          (fun () ->
-            Value.List
-              [
-                a.History.snapshot ();
-                b.History.snapshot ();
-                s.History.snapshot ();
-              ]);
-      }
-    in
-    let final () =
-      Value.List
-        [
-          Value.List
-            (List.map (fun (k, v) -> Value.Pair (k, v)) (Kvmap.bindings ma));
-          Value.List
-            (List.map (fun (k, v) -> Value.Pair (k, v)) (Kvmap.bindings mb));
-          Value.List (Iset.elements ss);
-        ]
-    in
-    {
-      Scheduler.det = dispatcher;
-      spec = Some combined;
-      tasks = Array.map (fun ops -> { Scheduler.body = body ops }) plan;
-      final;
-      oracle = serializability_oracle model final;
-    }
+    instance ~spec:combined ~det b plan
 
 (* ------------------------------------------------------------------ *)
 (* By name                                                             *)
@@ -650,6 +554,17 @@ let by_name ?txns ?ops_per_txn ?seed name (scheme : Protect.scheme) :
          what the rest of the sweep runs and is ignored here *)
       ignore scheme;
       swap_set ?txns ?ops_per_txn ?seed ()
+  | "abba-buggy" | "abba-fixed" ->
+      (* three fixed transactions behind their own detector: nothing to
+         size, seed or choose *)
+      let buggy = name = "abba-buggy" in
+      Ok
+        {
+          w_name = name;
+          w_detector = "seeded";
+          w_txns = 3;
+          make = (fun () -> Seeded.workload ~buggy ());
+        }
   | other ->
       Error
         (Fmt.str "unknown workload %S (expected %s)" other

@@ -2,14 +2,13 @@
     request = one transaction, with commit decoupled from execution so
     workers can group-commit a whole epoch.
 
-    Each exposed ADT is built through
-    {!Commlat_runtime.Protect.protect_gatekeeper}, so its conditions are
-    checked through the spec compiler: kvmap, set and orset sit behind
-    footprint-sharded {e forward} gatekeepers (their precise specs are
-    online-checkable, and — per the scalable-commutativity rule — their
-    commuting requests touch disjoint shards), union-find behind a {e
-    general} gatekeeper (its conditions need state functions and
-    rollback).
+    Each level of each exposed ADT is a {!Gatekeeper.make}, so its
+    conditions are checked through the spec compiler: kvmap, set, orset
+    and flow-graph sit behind footprint-sharded {e forward} gatekeepers
+    (their precise specs are online-checkable, and — per the
+    scalable-commutativity rule — their commuting requests touch disjoint
+    shards), union-find behind a {e general} gatekeeper (its conditions
+    need state functions and rollback).
 
     Failure containment (the server-edge contract): {!try_req} turns {e
     any} per-request failure — unknown ADT or method, wrong arity,
@@ -53,9 +52,9 @@ type exposed = {
           read-only fast path *)
   levels : level array;  (** weakest-first: index 0 is the precise spec *)
   mutable cur : int;  (** index into [levels] *)
-  scheme : Protect.scheme;  (** every level is built under this scheme *)
   hooks : Gatekeeper.hooks;
-  obs_enabled : bool option;  (** [?obs] to pass when building new levels *)
+  build : Spec.t -> Detector.t * Gatekeeper.t;
+      (** how every level of this ADT is built *)
 }
 
 type t = {
@@ -109,34 +108,38 @@ let default_nparts = 8
 
 let hash_part nparts v = Value.Int (Value.hash v mod nparts)
 
+(* A chain is its levels' names, each with its spec's constructor: the
+   names are known without building a spec. *)
+
 (** Strengthening chain for the kvmap: precise → SIMPLE core (key
     disequalities) → partition-coarsened keys. *)
-let kvmap_levels () =
-  let simple = Kvmap.simple_spec () in
+let kvmap_levels =
   [
-    ("precise", Kvmap.precise_spec ());
-    ("simple", simple);
+    ("precise", Kvmap.precise_spec);
+    ("simple", Kvmap.simple_spec);
     ( "part",
-      Strengthen.partitioned ~adt:"kvmap_part" ~part_name:"part"
-        ~part:(hash_part default_nparts) simple );
+      fun () ->
+        Strengthen.partitioned ~adt:"kvmap_part" ~part_name:"part"
+          ~part:(hash_part default_nparts) (Kvmap.simple_spec ()) );
   ]
 
-let set_levels () =
+let set_levels =
   [
-    ("precise", Iset.precise_spec ());
-    ("simple", Iset.simple_spec ());
-    ("part", Iset.partitioned_spec ~nparts:default_nparts ());
+    ("precise", Iset.precise_spec);
+    ("simple", Iset.simple_spec);
+    ("part", Iset.partitioned_spec ~nparts:default_nparts);
   ]
 
 (** The orset's hand spec is already SIMPLE (adds self-commute, only
     identical tagged pairs conflict), so its chain has a single
     strengthening: partition-coarsened element/tag disequalities. *)
-let orset_levels () =
+let orset_levels =
   [
-    ("precise", Orset.spec ());
+    ("precise", Orset.spec);
     ( "part",
-      Strengthen.partitioned ~adt:"orset_part" ~part_name:"part"
-        ~part:(hash_part default_nparts) (Orset.spec ()) );
+      fun () ->
+        Strengthen.partitioned ~adt:"orset_part" ~part_name:"part"
+          ~part:(hash_part default_nparts) (Orset.spec ()) );
   ]
 
 (** The server's flow-graph network: a [flow_nodes]-node ladder (ring +
@@ -151,22 +154,38 @@ let flow_edges () =
   in
   chain @ chords
 
-let flow_levels () =
+let flow_levels =
   [
-    ("precise", Flow_graph.spec_rw ());
-    ("simple", Flow_graph.spec_exclusive ());
+    ("precise", Flow_graph.spec_rw);
+    ("simple", Flow_graph.spec_exclusive);
     ( "part",
-      Flow_graph.spec_partitioned ~nparts:default_nparts ~n:flow_nodes () );
+      fun () ->
+        Flow_graph.spec_partitioned ~nparts:default_nparts ~n:flow_nodes () );
   ]
 
-let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~hooks levels : exposed =
+(** Union-find's chain: its one spec is GENERAL. *)
+let union_find_levels = [ ("precise", Union_find.spec) ]
+
+(** Every level name some chain has: the names {!create}'s [?level]
+    accepts. *)
+let level_names =
+  List.sort_uniq String.compare
+    (List.concat_map (List.map fst)
+       [
+         kvmap_levels; set_levels; orset_levels; union_find_levels;
+         flow_levels;
+       ])
+
+let mk_exposed ?obs ~nshards ~allow_rollback ~ename ~meths ~exec_inv ~hooks
+    levels : exposed =
   let levels =
     Array.of_list
-      (List.map (fun (n, s) -> { l_name = n; l_spec = s; l_built = None }) levels)
+      (List.map
+         (fun (n, spec) -> { l_name = n; l_spec = spec (); l_built = None })
+         levels)
   in
-  let det, gk =
-    Protect.protect_gatekeeper ?obs ~hooks ~spec:levels.(0).l_spec scheme
-  in
+  let build = Gatekeeper.make ~nshards ?obs ~allow_rollback ~hooks in
+  let det, gk = build levels.(0).l_spec in
   levels.(0).l_built <- Some (det, gk);
   Wire.intern ename;
   List.iter (fun (m : Invocation.meth) -> Wire.intern m.name) meths;
@@ -177,15 +196,11 @@ let mk_exposed ?obs ~scheme ~ename ~meths ~exec_inv ~hooks levels : exposed =
     fp = Footprint.analyze levels.(0).l_spec;
     lookup = meth_finder meths;
     exec_inv;
-    batchable =
-      (match scheme with
-      | Protect.Forward_gk | Protect.Sharded (Protect.Forward_gk, _) -> true
-      | _ -> false);
+    batchable = not allow_rollback;
     levels;
     cur = 0;
-    scheme;
     hooks;
-    obs_enabled = obs;
+    build;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -236,10 +251,7 @@ let set_level (t : t) adt idx =
       match ex.levels.(idx).l_built with
       | Some dg -> dg
       | None ->
-          let dg =
-            Protect.protect_gatekeeper ?obs:ex.obs_enabled ~hooks:ex.hooks
-              ~spec:ex.levels.(idx).l_spec ex.scheme
-          in
+          let dg = ex.build ex.levels.(idx).l_spec in
           ex.levels.(idx).l_built <- Some dg;
           dg
     in
@@ -271,9 +283,13 @@ let set_level_name (t : t) adt name : bool =
     wire clients can [union]/[find] on element ids in [\[0, uf_elements)]
     without a [create] handshake.  [?level] pins every chain that has a
     level of that name ("simple", "part") to it at startup — chains
-    without it (union-find has only "precise") are unaffected. *)
+    without it (union-find has only "precise") are unaffected.  Raises
+    [Invalid_argument] if no chain has it (see {!level_names}). *)
 let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
-  let sharded = Protect.Sharded (Protect.Forward_gk, Protect.default_nshards) in
+  let sharded =
+    mk_exposed ?obs:obs_enabled ~nshards:Protect.default_nshards
+      ~allow_rollback:false
+  in
   let kv = Kvmap.create () in
   let set = Iset.create () in
   let ors = Orset.create () in
@@ -286,29 +302,28 @@ let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
       exposed =
         [
           ( "kvmap",
-            mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"kvmap"
+            sharded ~ename:"kvmap"
               ~meths:Kvmap.methods
               ~exec_inv:(fun inv ->
                 Kvmap.exec kv inv.Invocation.meth.name inv.Invocation.args)
-              ~hooks:(Kvmap.hooks kv) (kvmap_levels ()) );
+              ~hooks:(Kvmap.hooks kv) kvmap_levels );
           ( "set",
-            mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"set"
+            sharded ~ename:"set"
               ~meths:Iset.methods
               ~exec_inv:(fun inv ->
                 Iset.exec set inv.Invocation.meth.name inv.Invocation.args)
-              ~hooks:(Iset.hooks set) (set_levels ()) );
+              ~hooks:(Iset.hooks set) set_levels );
           ( "orset",
-            mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"orset"
+            sharded ~ename:"orset"
               ~meths:Orset.methods ~exec_inv:(Orset.exec_logged ors)
-              ~hooks:(Orset.hooks ors) (orset_levels ()) );
+              ~hooks:(Orset.hooks ors) orset_levels );
           ( "union-find",
-            mk_exposed ?obs:obs_enabled ~scheme:Protect.General_gk
+            mk_exposed ?obs:obs_enabled ~nshards:0 ~allow_rollback:true
               ~ename:"union-find" ~meths:Union_find.methods
               ~exec_inv:(Union_find.exec_logged uf)
-              ~hooks:(Union_find.hooks uf)
-              [ ("precise", Union_find.spec ()) ] );
+              ~hooks:(Union_find.hooks uf) union_find_levels );
           ( "flow-graph",
-            mk_exposed ?obs:obs_enabled ~scheme:sharded ~ename:"flow-graph"
+            sharded ~ename:"flow-graph"
               ~meths:Flow_graph.methods
               ~exec_inv:(fun inv ->
                 Flow_graph.exec fg inv.Invocation.meth.name inv.Invocation.args)
@@ -321,7 +336,7 @@ let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
                           inv.Invocation.args))
                    (fun name _ ->
                      raise (Formula.Unsupported ("flow-graph sfun " ^ name))))
-              (flow_levels ()) );
+              flow_levels );
         ];
       orset = ors;
       obs;
@@ -341,15 +356,18 @@ let create ?obs:obs_enabled ?(uf_elements = default_uf_elements) ?level () : t =
       c_response_write_failures = Obs.counter obs "response_write_failures";
     }
   in
-  (match level with
-  | None -> ()
-  | Some name ->
-      List.iter
-        (fun (adt, (ex : exposed)) ->
-          Array.iteri
-            (fun i lv -> if lv.l_name = name then set_level t adt i)
-            ex.levels)
-        t.exposed);
+  Option.iter
+    (fun name ->
+      let pinned =
+        List.fold_left
+          (fun pinned (adt, _) -> set_level_name t adt name || pinned)
+          false t.exposed
+      in
+      if not pinned then
+        invalid_arg
+          (Fmt.str "Engine.create: no chain has a level %S (levels: %s)" name
+             (String.concat ", " level_names)))
+    level;
   t
 
 let exposed_names t = List.map fst t.exposed

@@ -60,8 +60,9 @@ type config = {
   verbose : bool;
   adaptive : bool;  (** run the online lattice controller (DESIGN.md §12) *)
   level : string option;
-      (** pin every chain that has a level of this name ("simple",
-          "part"); mutually exclusive with [adaptive] *)
+      (** pin every chain that has a level of this name (one of
+          {!Engine.level_names}; {!run} raises [Invalid_argument] on any
+          other); mutually exclusive with [adaptive] *)
 }
 
 let default_config =

@@ -187,8 +187,8 @@ let test_executor_serializable =
          later conflicted... an attempt that conflicts raises BEFORE the
          operator returns, so its invs were never appended.  Partially
          executed invocations of aborted attempts were rolled back. *)
-      let final = Value.List (Iset.elements set) in
-      History.serializable (Iset.model ()) ~final !recorded)
+      History.serializable (Iset.model ()) ~final:(Iset.snapshot set)
+        !recorded)
 
 (* ------------------------------------------------------------- *)
 (* C_m construction                                               *)

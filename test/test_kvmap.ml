@@ -129,10 +129,8 @@ let test_executor_serializable =
            []
          in
          ignore (Executor.run_rounds ~processors:3 ~detector:det ~operator txn_specs);
-         let final =
-           Value.List (List.map (fun (k, v) -> Value.Pair (k, v)) (Kvmap.bindings t))
-         in
-         History.serializable (Kvmap.model ()) ~final !recorded))
+         History.serializable (Kvmap.model ()) ~final:(Kvmap.snapshot t)
+           !recorded))
 
 (* the derived SIMPLE core is lockable and runs *)
 let test_lock_scheme () =

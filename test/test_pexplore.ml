@@ -59,7 +59,12 @@ let test_one_domain_counters () =
     ]
 
 let test_one_domain_abba () =
-  let r = Explore.explore (fun () -> Seeded.workload ~buggy:true ()) in
+  let w =
+    match Workload.by_name "abba-buggy" Protect.Forward_gk with
+    | Ok w -> w
+    | Error e -> Alcotest.fail e
+  in
+  let r = Explore.explore w.Workload.make in
   match r.Explore.verdict with
   | None -> Alcotest.fail "seeded ABBA deadlock not found"
   | Some f ->

@@ -463,7 +463,7 @@ let write_skew () =
                (fun inv -> Iset.exec s m.Invocation.name inv.Invocation.args)))
         ops
     in
-    let final () = Value.List (Iset.elements s) in
+    let final () = Iset.snapshot s in
     {
       Scheduler.det;
       spec = Some (Iset.precise_spec ());
@@ -594,9 +594,32 @@ let test_abba_pinned () =
       Alcotest.fail "fixed detector deadlocked on the pinned schedule"
   | _ -> ()
 
+(* ---- a scheme outside a workload's spec fragment is an [Error], never
+   an exception: the CLI turns it into exit 2 ---- *)
+
+let test_unsupported_is_error () =
+  List.iter
+    (fun (name, scheme) ->
+      match Workload.by_name name scheme with
+      | Error _ -> ()
+      | Ok _ ->
+          Alcotest.failf "%s under %s must be refused" name
+            (Protect.scheme_name scheme)
+      | exception e ->
+          Alcotest.failf "%s under %s raised %s" name
+            (Protect.scheme_name scheme) (Printexc.to_string e))
+    [
+      ("union-find", Protect.Forward_gk);
+      ("union-find", Protect.Abstract_lock);
+      ("union-find", Protect.Sharded (Protect.Abstract_lock, 4));
+      ("set", Protect.Stm);
+      ("mixed", Protect.Sharded (Protect.General_gk, 4));
+    ]
+
 let suite =
   [
     Alcotest.test_case "replay-determinism" `Quick test_replay_determinism;
+    Alcotest.test_case "unsupported-is-error" `Quick test_unsupported_is_error;
     Alcotest.test_case "explore-clean" `Quick test_explore_clean;
     Alcotest.test_case "por-prunes" `Quick test_por_prunes;
     Alcotest.test_case "por-contended" `Quick test_por_contended;

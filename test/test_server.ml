@@ -674,6 +674,22 @@ let test_set_level_mid_stream () =
     (expect_reply "height" (h (invoke "flow-graph" "height" [| Value.Int 5 |]))
     = Value.Int 1)
 
+(* [create ~level] pins every chain that has the level and leaves the
+   others; a name no chain has is refused, not ignored. *)
+let test_create_level () =
+  check_bool "level names" true
+    (Engine.level_names = [ "part"; "precise"; "simple" ]);
+  let eng = Engine.create ~level:"simple" () in
+  List.iter
+    (fun (adt, level) -> check_str adt level (Engine.current_level eng adt))
+    [
+      ("kvmap", "simple"); ("set", "simple"); ("flow-graph", "simple");
+      ("orset", "precise"); ("union-find", "precise");
+    ];
+  match Engine.create ~level:"bogus" () with
+  | _ -> Alcotest.fail "create ~level:\"bogus\" must raise"
+  | exception Invalid_argument _ -> ()
+
 (* A swap requires quiescence and transfers nothing: while a request's
    transaction is still open in the outgoing gatekeeper, set_level
    refuses; once the transaction commits, the same swap goes through. *)
@@ -1153,6 +1169,8 @@ let suite =
         test_set_level_mid_stream;
       Alcotest.test_case "engine: set_level refuses an open transaction" `Quick
         test_set_level_refuses_open_txn;
+      Alcotest.test_case "engine: create ~level names a level or raises" `Quick
+        test_create_level;
       Alcotest.test_case "engine: orset log drains" `Quick
         test_orset_log_drains_through_engine;
       Alcotest.test_case "engine: a refused fast-path read conflicts once" `Quick

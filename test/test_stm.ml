@@ -169,8 +169,7 @@ let test_stm_executor_serializable =
         []
       in
       ignore (Executor.run_rounds ~processors:3 ~detector:det ~operator txn_specs);
-      History.serializable (Iset.model ())
-        ~final:(Value.List (Iset.elements set))
+      History.serializable (Iset.model ()) ~final:(Iset.snapshot set)
         !recorded)
 
 let suite =
